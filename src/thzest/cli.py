@@ -89,12 +89,13 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 for f in dataclasses.fields(ExperimentConfig)}
         base.update(mapping)
         config = config_from_mapping(base)
-    return _apply_common_flags(config, args)
+    config = _apply_common_flags(config, args)
+    config.validate()
+    return config
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    config.validate()
     records, csv_text = run_sweep(config)
     if not config.output_path:
         sys.stdout.write(csv_text)
@@ -221,6 +222,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         doc = json.load(fh)
     channel, obs = scenario_from_json(doc)
     config = _apply_common_flags(ExperimentConfig(), args)
+    config.validate()
     grid = channel.grid
     dictionary = build_dictionary(channel.config,
                                   8 * channel.config.n_antennas)

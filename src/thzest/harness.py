@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ from .arrays import ArrayConfig, SubcarrierGrid, build_dictionary
 from .baselines import ls_estimate, mmse_estimate, omp_estimate_joint, oracle_covariance
 from .channel import gen_channel, gen_pilot_matrix, observe
 from .crb import ParamVector, crb
-from .sbce import SbceConfig, run_sbce
+from .sbce import SbceConfig, SingularCovarianceError, run_sbce
 
 ALL_ESTIMATORS = ("sbce", "ls", "omp", "mmse")
 
@@ -57,17 +58,50 @@ class ExperimentConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        for name in ("n_antennas", "n_subcarriers", "n_pilots", "grid_size",
+                     "n_paths", "n_users", "trials", "threads"):
+            _check_int(name, getattr(self, name), minimum=1)
+        _check_int("seed", self.seed, minimum=0)
+        _check_real("carrier_freq_hz", self.carrier_freq_hz, positive=True)
+        _check_real("bandwidth_hz", self.bandwidth_hz)
+        if self.bandwidth_hz < 0:
+            raise ValueError("bandwidth_hz must be >= 0")
+        _check_real("snr_db", self.snr_db)
+        if self.range_m is not None:
+            _check_real("range_m", self.range_m, positive=True)
         if self.sweep not in ("snr", "bandwidth", "range", "none"):
             raise ValueError(f"unknown sweep axis {self.sweep!r}")
+        if not isinstance(self.sweep_values, tuple):
+            raise ValueError("sweep_values must be a list of numbers")
+        for value in self.sweep_values:
+            _check_real("sweep value", value)
         if self.sweep != "none" and len(self.sweep_values) == 0:
             raise ValueError("sweep value list must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.scenario not in ("far", "near"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        unknown = set(self.estimators) - set(ALL_ESTIMATORS)
+        if not isinstance(self.estimators, tuple):
+            raise ValueError("estimators must be a list of names")
+        unknown = [e for e in self.estimators if e not in ALL_ESTIMATORS]
         if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+            raise ValueError(f"unknown estimators: {unknown}")
+        if self.output_path is not None and \
+                not isinstance(self.output_path, str):
+            raise ValueError("output_path must be a path")
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _check_real(name: str, value, positive: bool = False) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be > 0")
 
 
 PRESETS = {
@@ -165,12 +199,8 @@ def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
 
     mmse_covs = None
     if "mmse" in config.estimators:
-        mmse_covs = [
-            oracle_covariance(array_cfg, float(grid.frequencies[m]),
-                              rng_seed=np.random.default_rng(
-                                  [config.seed, 777, sweep_idx, m]))
-            for m in range(config.n_subcarriers)
-        ]
+        mmse_covs = [oracle_covariance(array_cfg, float(f))
+                     for f in grid.frequencies]
 
     out = []
     for trial in trial_indices:
@@ -197,25 +227,11 @@ def _run_single(config, array_cfg, grid, dictionary, sbce_cfg, mmse_covs,
     result: dict = {"trial": trial, "user": user, "nmse": {}, "failed": {}}
 
     for name in config.estimators:
+        fit = None
         try:
             if name == "sbce":
                 fit = run_sbce(obs, dictionary, grid, sbce_cfg, array_cfg)
                 est = fit.est_channel
-                result["iterations"] = fit.iterations
-                result["converged"] = fit.converged
-                est_angle = math.degrees(math.asin(
-                    np.clip(fit.est_direction_sine, -1.0, 1.0)))
-                result["dir_err_deg"] = est_angle - math.degrees(
-                    los.direction.angle_rad)
-                split_errs = []
-                for m in range(grid.n_subcarriers):
-                    true_split = (grid.frequencies[m] / grid.carrier_freq_hz
-                                  - 1.0) * los.direction.sine
-                    est_deg = _split_to_deg(fit.est_direction_sine,
-                                            fit.est_beam_split[m])
-                    true_deg = _split_to_deg(los.direction.sine, true_split)
-                    split_errs.append(est_deg - true_deg)
-                result["split_err_deg"] = split_errs
             elif name == "ls":
                 est = np.stack([ls_estimate(pilots, obs.received[:, m])
                                 for m in range(grid.n_subcarriers)], axis=1)
@@ -229,12 +245,34 @@ def _run_single(config, array_cfg, grid, dictionary, sbce_cfg, mmse_covs,
                     for m in range(grid.n_subcarriers)], axis=1)
             else:  # pragma: no cover
                 continue
-            errs = [float(np.linalg.norm(h_true[:, m] - est[:, m]) ** 2
-                          / np.linalg.norm(h_true[:, m]) ** 2)
-                    for m in range(grid.n_subcarriers)]
-            result["nmse"][name] = float(np.mean(errs))
-        except Exception:
+        except (SingularCovarianceError, np.linalg.LinAlgError):
+            # Numerical breakdown of one estimator is a counted failure;
+            # anything else is a bug and propagates.
             result["failed"][name] = True
+            continue
+        if not np.all(np.isfinite(est)):
+            result["failed"][name] = True
+            continue
+        if fit is not None:
+            result["iterations"] = fit.iterations
+            result["converged"] = fit.converged
+            est_angle = math.degrees(math.asin(
+                np.clip(fit.est_direction_sine, -1.0, 1.0)))
+            result["dir_err_deg"] = est_angle - math.degrees(
+                los.direction.angle_rad)
+            split_errs = []
+            for m in range(grid.n_subcarriers):
+                true_split = (grid.frequencies[m] / grid.carrier_freq_hz
+                              - 1.0) * los.direction.sine
+                est_deg = _split_to_deg(fit.est_direction_sine,
+                                        fit.est_beam_split[m])
+                true_deg = _split_to_deg(los.direction.sine, true_split)
+                split_errs.append(est_deg - true_deg)
+            result["split_err_deg"] = split_errs
+        errs = [float(np.linalg.norm(h_true[:, m] - est[:, m]) ** 2
+                      / np.linalg.norm(h_true[:, m]) ** 2)
+                for m in range(grid.n_subcarriers)]
+        result["nmse"][name] = float(np.mean(errs))
 
     result["crb_dir_var"], result["crb_split_var"] = _trial_crb(
         array_cfg, grid, pilots, los, obs.noise_var)
@@ -378,7 +416,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(mapping)
+    # A one-element list reads back from a config file as a bare scalar.
     for key in ("sweep_values", "estimators"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
+        if key in kwargs:
+            value = kwargs[key]
+            kwargs[key] = tuple(value) if isinstance(value, (list, tuple)) \
+                else (value,)
     return ExperimentConfig(**kwargs)

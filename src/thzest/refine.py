@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import ArrayConfig, steering_far
+from .arrays import SPEED_OF_LIGHT, ArrayConfig, steering_far
 from .sbce import SingularCovarianceError, _solve_hermitian
 
 
@@ -53,14 +53,35 @@ def signal_power_at(direction: float, cov_excl: np.ndarray,
     return numer / denom ** 2
 
 
-def _stationarity(g: np.ndarray, g_dot: np.ndarray, wg: np.ndarray,
-                  w_gdot: np.ndarray, sample_cov: np.ndarray) -> float:
-    """Re{g^H W [g g^H W R - R W g g^H] W g_dot} for the current candidate."""
-    r_wg = sample_cov @ wg
-    r_wgdot = sample_cov @ w_gdot
-    t1 = np.vdot(g, wg) * np.vdot(wg, r_wgdot)
-    t2 = np.vdot(wg, r_wg) * np.vdot(g, w_gdot)
-    return float(np.real(t1 - t2))
+def _stationarity_curve(grid: np.ndarray, sample_cov: np.ndarray,
+                        cov_excl: np.ndarray, c: np.ndarray,
+                        pilot_matrix: np.ndarray,
+                        config: ArrayConfig) -> np.ndarray:
+    """Re{g^H W [g g^H W R - R W g g^H] W g_dot} at every candidate.
+
+    g = B C a(dir) and g_dot = B C da/ddir per candidate column; W is the
+    inverse of the atom-excluded covariance, applied to all 2K columns in
+    one solve.
+    """
+    idx = np.arange(config.n_antennas)
+    phase = 2.0 * np.pi * config.element_spacing_m * config.carrier_freq_hz \
+        / SPEED_OF_LIGHT
+    atoms = np.exp(1j * np.outer(phase * idx, grid)) / np.sqrt(config.n_antennas)
+    perturbed = c[:, np.newaxis] * atoms
+    g = pilot_matrix @ perturbed
+    g_dot = pilot_matrix @ ((1j * np.pi * idx)[:, np.newaxis] * perturbed)
+    k = grid.size
+    w_all = _solve_hermitian(cov_excl, np.hstack([g, g_dot]))
+    r_all = sample_cov @ w_all
+    wg, w_gdot = w_all[:, :k], w_all[:, k:]
+    t1 = _col_vdot(g, wg) * _col_vdot(wg, r_all[:, k:])
+    t2 = _col_vdot(wg, r_all[:, :k]) * _col_vdot(g, w_gdot)
+    return np.real(t1 - t2)
+
+
+def _col_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise a_k^H b_k."""
+    return np.sum(a.conj() * b, axis=0)
 
 
 def refine_direction(coarse_dir: float, observation_cols: np.ndarray,
@@ -88,16 +109,8 @@ def refine_direction(coarse_dir: float, observation_cols: np.ndarray,
     if grid.size == 0:
         return coarse_dir
 
-    idx = np.arange(config.n_antennas)
-    values = np.empty(grid.size)
-    for k, cand in enumerate(grid):
-        atom = steering_far(config, float(cand), config.carrier_freq_hz)
-        g = pilot_matrix @ (c * atom)
-        g_dot = pilot_matrix @ (c * (1j * np.pi * idx * atom))
-        wg = _solve_hermitian(cov_excl, g)
-        w_gdot = _solve_hermitian(cov_excl, g_dot)
-        values[k] = _stationarity(g, g_dot, wg, w_gdot, sample_cov)
-
+    values = _stationarity_curve(grid, sample_cov, cov_excl, c, pilot_matrix,
+                                 config)
     signs = np.sign(values)
     if np.all(signs >= 0) or np.all(signs <= 0):
         return float(coarse_dir)

@@ -10,6 +10,7 @@ the subcarrier's split-shifted steering directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,24 +34,9 @@ class RefineConfig:
 class SbceConfig:
     convergence_tol: float = 1e-3
     max_iters: int = 200
-    noise_var_divisor: str = "pilots"     # "pilots" | "antennas"
     sigma_update: str = "fixed_point"     # "fixed_point" | "em" | "point"
-    full_update_enabled: bool = False
-    literal_zero_noise_init: bool = False
     refine_enabled: bool = True
     refine: RefineConfig = field(default_factory=RefineConfig)
-
-
-@dataclass
-class SbceState:
-    """EM hyperparameters for one subcarrier."""
-
-    sigma: np.ndarray
-    noise_var: float
-    perturbation_split: float
-    posterior_mean: np.ndarray
-    posterior_cov: np.ndarray | None
-    iter: int
 
 
 @dataclass(frozen=True)
@@ -73,24 +59,61 @@ def _solve_hermitian(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+class _EStep(NamedTuple):
+    """Posterior quantities of one E-step, all reduced to P x P algebra."""
+
+    chol: np.ndarray        # L with Pi_y = L L^H
+    v: np.ndarray           # V = L^{-1} P' Sigma
+    z: np.ndarray           # posterior mean
+    post_var: np.ndarray    # diag(Pi)
+    trace_term: float       # Tr{P' Pi P'^H}
+
+
+def _e_step(effective: np.ndarray, effective_h: np.ndarray,
+            sigma: np.ndarray, noise_var: float, y: np.ndarray) -> _EStep:
+    """Posterior of the sparse coefficients through one Cholesky factor.
+
+    With S = P' Sigma P'^H, Pi_y = S + mu^2 I = L L^H and V = L^{-1} P' Sigma:
+    z = V^H L^{-1} y, Pi = Sigma - V^H V, so Pi_nn = sigma_n - sum_p |V_pn|^2,
+    and Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2.  The N x N Pi is never
+    formed; effective_h is the cached conjugate transpose of effective.
+    """
+    weighted = effective * sigma[np.newaxis, :]               # P' Sigma
+    s_mat = weighted @ effective_h
+    s_mat = 0.5 * (s_mat + s_mat.conj().T)
+    eye = np.eye(s_mat.shape[0])
+    try:
+        chol = np.linalg.cholesky(s_mat + noise_var * eye)
+        l_inv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError(str(exc)) from exc
+    v = l_inv @ weighted
+    z = ((l_inv @ y).conj() @ v).conj()        # V^H L^{-1} y, V not conjugated
+    post_var = sigma - np.sum(v.real ** 2 + v.imag ** 2, axis=0)
+    trace_term = float(np.real(np.trace(s_mat))) - float(
+        np.linalg.norm(l_inv @ s_mat) ** 2)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(post_var))
+            and np.isfinite(trace_term)):
+        raise SingularCovarianceError("non-finite posterior")
+    return _EStep(chol, v, z, post_var, trace_term)
+
+
 def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
                      noise_var: float, y: np.ndarray):
     """Posterior mean and covariance of the sparse coefficients.
 
     Returns (z, Pi) with Pi_y = P' Sigma P'^H + mu^2 I,
-    Pi = Sigma - Sigma P'^H Pi_y^{-1} P' Sigma and z = Sigma P'^H Pi_y^{-1} y.
+    Pi = Sigma - Sigma P'^H Pi_y^{-1} P' Sigma and z = Sigma P'^H Pi_y^{-1} y,
+    from the same E-step the EM loop runs.
     """
-    p_dim = effective_matrix.shape[0]
-    weighted = effective_matrix * sigma[np.newaxis, :]        # P' Sigma
-    cov_y = weighted @ effective_matrix.conj().T
-    cov_y = 0.5 * (cov_y + cov_y.conj().T) + noise_var * np.eye(p_dim)
-    if np.linalg.cond(cov_y) > 1e12:
+    post = _e_step(effective_matrix, effective_matrix.conj().T, sigma,
+                   noise_var, y)
+    # cond(Pi_y) = cond(L)^2 for the Cholesky factor L.
+    if np.linalg.cond(post.chol) ** 2 > 1e12:
         raise SingularCovarianceError("observation covariance is singular")
-    inv_weighted = _solve_hermitian(cov_y, weighted)          # Pi_y^{-1} P' Sigma
-    z = inv_weighted.conj().T @ y
-    pi = np.diag(sigma).astype(complex) - weighted.conj().T @ inv_weighted
+    pi = np.diag(sigma).astype(complex) - post.v.conj().T @ post.v
     pi = 0.5 * (pi + pi.conj().T)
-    return z, pi
+    return post.z, pi
 
 
 def update_sigma(z: np.ndarray, posterior_cov: np.ndarray | None = None) -> np.ndarray:
@@ -186,22 +209,19 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
                     config: SbceConfig) -> _SubcarrierFit:
     """Run the EM loop for one subcarrier without materializing Pi.
 
-    All traces that involve the N x N posterior covariance are reduced to
-    P x P algebra through S = P' Sigma P'^H, which keeps the per-iteration
-    cost at O(P N_T N) instead of O(N^2 P).
+    Each iteration is one `_e_step`, whose P x P algebra keeps the cost at
+    O(P N_T N) instead of O(N^2 P).  The perturbed dictionary B C D is
+    rebuilt only when the peak atom it was built for changes.
     """
     n_pilots, n_antennas = pilot_matrix.shape
     n_grid = dictionary.grid_size
-    divisor = n_antennas if config.noise_var_divisor == "antennas" else n_pilots
-    eye = np.eye(n_pilots)
 
     sigma = np.ones(n_grid)
-    if config.literal_zero_noise_init:
-        noise_var = 0.0
-    else:
-        noise_var = max(1e-6, 0.01 * float(np.linalg.norm(y) ** 2) / n_pilots)
+    noise_var = max(1e-6, 0.01 * float(np.linalg.norm(y) ** 2) / n_pilots)
     c = np.ones(n_antennas, dtype=complex)
     effective = pilot_matrix @ dictionary.atoms
+    effective_h = effective.conj().T
+    built_for = -1          # peak atom that c and effective belong to
     peak = 0
     converged = False
     iterations = config.max_iters
@@ -215,23 +235,13 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
     pinned = False
 
     for it in range(1, config.max_iters + 1):
-        weighted = effective * sigma[np.newaxis, :]
-        cov_y = weighted @ effective.conj().T
-        cov_y = 0.5 * (cov_y + cov_y.conj().T) + noise_var * eye
-        inv_weighted = _solve_hermitian(cov_y, weighted)
-        z = inv_weighted.conj().T @ y
+        post = _e_step(effective, effective_h, sigma, noise_var, y)
+        z, post_var = post.z, post.post_var
 
-        # mu^2 update from the same E-step quantities:
-        # Tr{P' Pi P'^H} = Tr{S} - Tr{S Pi_y^{-1} S} with S = P' Sigma P'^H.
-        s_mat = cov_y - noise_var * eye
-        trace_term = float(np.real(np.trace(s_mat))) - float(
-            np.real(np.sum(s_mat.conj() * _solve_hermitian(cov_y, s_mat))))
+        # mu^2 update from the same E-step quantities.
         residual = float(np.linalg.norm(y - effective @ z) ** 2)
-        noise_var = (residual + max(trace_term, 0.0)) / divisor
+        noise_var = (residual + max(post.trace_term, 0.0)) / n_pilots
 
-        # Posterior second moment per atom without forming the N x N Pi:
-        # Pi_nn = sigma_n - [Sigma P'^H Pi_y^{-1} P' Sigma]_nn.
-        post_var = sigma - np.real(np.sum(weighted.conj() * inv_weighted, axis=0))
         power = np.abs(z) ** 2
         if config.sigma_update == "fixed_point":
             # Tipping's fixed-point form sigma_n = |z_n|^2 / gamma_n with
@@ -258,10 +268,13 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
                     peak = prev_peaks[1]
                 pinned = True
             prev_peaks = [prev_peaks[1], peak]
-            c = update_perturbation_diag(
-                n_antennas, float(dictionary.grid_points[peak]),
-                freq_hz, carrier_hz)
-            effective = (pilot_matrix * c[np.newaxis, :]) @ dictionary.atoms
+            if peak != built_for:
+                c = update_perturbation_diag(
+                    n_antennas, float(dictionary.grid_points[peak]),
+                    freq_hz, carrier_hz)
+                effective = (pilot_matrix * c[np.newaxis, :]) @ dictionary.atoms
+                effective_h = effective.conj().T
+                built_for = peak
 
         delta_sigma = np.linalg.norm(sigma_new - sigma)
         sigma = sigma_new

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from thzest.arrays import ArrayConfig, build_dictionary, steering_far
+from thzest.arrays import (
+    SPEED_OF_LIGHT,
+    ArrayConfig,
+    build_dictionary,
+    steering_far,
+)
 from thzest.channel import gen_pilot_matrix
 from thzest.baselines import (
     ls_estimate,
@@ -66,17 +71,53 @@ class TestMmse:
 
 class TestOracleCovariance:
     def test_hermitian_psd_with_unit_diagonal(self):
-        r = oracle_covariance(CFG, 310e9, n_draws=2000, rng_seed=0)
+        r = oracle_covariance(CFG, 310e9)
         np.testing.assert_allclose(r, r.conj().T, atol=1e-12)
         eig = np.linalg.eigvalsh(r)
         assert eig[0] > -1e-10
         # N_T * E{a a^H} has trace N_T and unit diagonal for a ULA.
         assert np.real(np.trace(r)) == pytest.approx(16.0, rel=1e-12)
+        np.testing.assert_allclose(np.diag(r), 1.0, atol=1e-15)
 
     def test_seeded_reproducibility(self):
-        a = oracle_covariance(CFG, 310e9, n_draws=500, rng_seed=7)
-        b = oracle_covariance(CFG, 310e9, n_draws=500, rng_seed=7)
+        # The closed form takes no seed; repeated calls agree bit for bit.
+        a = oracle_covariance(CFG, 310e9)
+        b = oracle_covariance(CFG, 310e9)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n_antennas, freq_hz",
+                             [(16, 310e9), (256, 285e9), (256, 315e9)])
+    def test_real_symmetric_toeplitz_psd(self, n_antennas, freq_hz):
+        cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
+        r = oracle_covariance(cfg, freq_hz)
+        assert np.isrealobj(r)
+        np.testing.assert_array_equal(r, r.T)
+        for lag in range(n_antennas):
+            np.testing.assert_array_equal(np.diag(r, lag), r[0, lag])
+        np.testing.assert_array_equal(np.diag(r), 1.0)
+        eig = np.linalg.eigvalsh(r)
+        assert eig[0] > -1e-12 * eig[-1]
+
+    def test_matches_scipy_bessel(self):
+        special = pytest.importorskip("scipy.special")
+        for n_antennas, freq_hz in ((16, 310e9), (256, 285e9), (256, 315e9)):
+            cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
+            kappa = 2 * np.pi * cfg.element_spacing_m * freq_hz / SPEED_OF_LIGHT
+            lags = np.arange(n_antennas)
+            expected = special.j0(kappa * np.abs(lags[:, None] - lags[None, :]))
+            np.testing.assert_allclose(oracle_covariance(cfg, freq_hz),
+                                       expected, rtol=0, atol=1e-12)
+
+    def test_matches_monte_carlo_average(self):
+        # Sample mean of N_T a a^H over uniform physical angles converges on
+        # the closed form at the 1/sqrt(draws) rate.
+        rng = np.random.default_rng(0)
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, 20_000)
+        atoms = np.stack([steering_far(CFG, float(np.sin(t)), 310e9)
+                          for t in angles], axis=1)
+        sample = 16 * atoms @ atoms.conj().T / angles.size
+        np.testing.assert_allclose(sample, oracle_covariance(CFG, 310e9),
+                                   atol=0.03)
 
 
 class TestOmp:

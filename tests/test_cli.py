@@ -89,6 +89,40 @@ class TestSweepCommand:
                      "--values", "ten,twenty"]) == EXIT_CONFIG
 
 
+class TestConfigValues:
+    def test_single_estimator_runs(self, tmp_path):
+        cfg = _write_tiny_config(tmp_path, estimators="ls")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().strip().split("\n")[2:]
+        assert [r.split(",")[1] for r in rows] == ["ls"]
+
+    def test_single_sweep_value_runs(self, tmp_path):
+        cfg = _write_tiny_config(tmp_path, estimators="ls", sweep="snr",
+                                 sweep_values="20")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().strip().split("\n")[2:]
+        assert [r.split(",")[0] for r in rows] == ["20.0"]
+
+    @pytest.mark.parametrize("key, value, words", [
+        ("trials", "abc", "trials"),
+        ("threads", "0", "threads"),
+        ("snr_db", "nan", "snr_db"),
+        ("snr_db", "inf", "snr_db"),
+        ("n_pilots", "2.5", "n_pilots"),
+        ("sweep_values", "10, ten", "sweep value"),
+        ("estimators", "ls, cnn", "cnn"),
+    ])
+    def test_bad_value_exits_one_with_message(self, tmp_path, capsys, key,
+                                              value, words):
+        cfg = _write_tiny_config(tmp_path, **{key: value})
+        for command in ("sweep", "crb"):
+            assert main([command, "--config", cfg]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and words in err
+
+
 class TestCrbCommand:
     def test_emits_table(self, tmp_path):
         cfg = _write_tiny_config(tmp_path, trials=3)
@@ -126,6 +160,8 @@ class TestScenarioRoundTrip:
         assert doc["received"]["shape"] == [8, 2]
         code = main(["scenario", "run", str(scen), "--estimators", "ls,omp"])
         assert code == EXIT_OK
+        assert main(["scenario", "run", str(scen),
+                     "--estimators", "foo"]) == EXIT_CONFIG
 
 
 class TestSelftest:

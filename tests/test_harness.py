@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from thzest import harness
+from thzest.sbce import SingularCovarianceError
 from thzest.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -62,6 +64,22 @@ class TestConfig:
         {"scenario": "mid"},
         {"estimators": ("sbce", "cnn")},
         {"sweep": "snr", "sweep_values": ()},
+        {"trials": "abc"},
+        {"trials": 2.5},
+        {"n_antennas": True},
+        {"threads": 0},
+        {"seed": -1},
+        {"snr_db": float("nan")},
+        {"snr_db": float("inf")},
+        {"snr_db": "loud"},
+        {"carrier_freq_hz": 0.0},
+        {"bandwidth_hz": -1e9},
+        {"range_m": -2.0},
+        {"sweep_values": (10.0, float("nan"))},
+        {"sweep_values": ("ten",)},
+        {"sweep_values": 20.0},
+        {"estimators": "ls"},
+        {"estimators": (3,)},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -73,6 +91,13 @@ class TestConfig:
         assert cfg.sweep_values == (1.0, 2.0)
         with pytest.raises(ValueError):
             config_from_mapping({"n_rockets": 3})
+
+    def test_config_from_mapping_wraps_scalar_lists(self):
+        # A one-element list reads back from a config file as a scalar.
+        cfg = config_from_mapping({"estimators": "ls", "sweep_values": 20})
+        assert cfg.estimators == ("ls",)
+        assert cfg.sweep_values == (20,)
+        cfg.validate()
 
 
 class TestRunPoint:
@@ -94,12 +119,34 @@ class TestRunPoint:
         assert len(point.iterations) == 3
         assert all(np.isfinite(point.crb_dir_var))
 
-    def test_failures_counted_not_raised(self):
-        # An impossible fixed near range would raise inside gen_channel;
-        # instead craft a config whose estimator list is fine but check the
-        # failure bookkeeping fields exist and start at zero.
+    def test_failures_counted_not_raised(self, monkeypatch):
+        # A numerical breakdown inside an estimator is counted per trial and
+        # leaves the other estimators untouched.
+        def singular(*args, **kwargs):
+            raise SingularCovarianceError("observation covariance is singular")
+
+        monkeypatch.setattr(harness, "run_sbce", singular)
         point = run_point(TINY, 0, TINY.snr_db)
-        assert all(v == 0 for v in point.failures.values())
+        assert point.failures == {"sbce": 3, "ls": 0, "omp": 0}
+        assert all(np.isnan(point.nmse["sbce"]))
+        assert all(np.isfinite(point.nmse["ls"]))
+        assert point.dir_err_deg == [] and point.iterations == []
+        records = summarize_point(TINY, point)
+        assert records[0].failures == 3 and records[0].flagged
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NameError("name 'posterior' is not defined")
+
+        monkeypatch.setattr(harness, "run_sbce", broken)
+        with pytest.raises(NameError):
+            run_point(TINY, 0, TINY.snr_db)
+
+    def test_non_finite_estimate_counted_as_failure(self, monkeypatch):
+        monkeypatch.setattr(harness, "ls_estimate",
+                            lambda b, y: np.full(b.shape[1], np.nan))
+        point = run_point(TINY, 0, TINY.snr_db)
+        assert point.failures == {"sbce": 0, "ls": 3, "omp": 0}
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from thzest.arrays import ArrayConfig, build_dictionary, steering_far
 from thzest.channel import gen_pilot_matrix
 from thzest.sbce import SingularCovarianceError
 from thzest.refine import (
+    _stationarity_curve,
     covariance_excluding,
     refine_direction,
     signal_power_at,
@@ -106,3 +107,45 @@ class TestRefineDirection:
             refine_direction(1.5, np.zeros((16, 2), dtype=complex), PILOTS,
                              np.ones(32, dtype=complex), effective, sigma,
                              1e-6, idx, CFG)
+
+
+def _stationarity_reference(grid, sample_cov, cov_excl, c, pilot_matrix,
+                            config):
+    """Scalar reference: one atom, two solves and four inner products per
+    candidate, Re{g^H W [g g^H W R - R W g g^H] W g_dot}."""
+    idx = np.arange(config.n_antennas)
+    values = np.empty(grid.size)
+    for k, cand in enumerate(grid):
+        atom = steering_far(config, float(cand), config.carrier_freq_hz)
+        g = pilot_matrix @ (c * atom)
+        g_dot = pilot_matrix @ (c * (1j * np.pi * idx * atom))
+        wg = np.linalg.solve(cov_excl, g)
+        w_gdot = np.linalg.solve(cov_excl, g_dot)
+        t1 = np.vdot(g, wg) * np.vdot(wg, sample_cov @ w_gdot)
+        t2 = np.vdot(wg, sample_cov @ wg) * np.vdot(g, w_gdot)
+        values[k] = float(np.real(t1 - t2))
+    return values
+
+
+class TestVectorisedScan:
+    @pytest.mark.parametrize("true_sine, noise_var, seed", [
+        (0.21, 1e-6, 0), (-0.63, 1e-2, 1), (0.05, 1.0, 2)])
+    def test_matches_scalar_reference(self, true_sine, noise_var, seed):
+        cols, effective, sigma, idx = _setup(true_sine, noise_var=noise_var,
+                                             seed=seed)
+        sample_cov = cols @ cols.conj().T / cols.shape[1]
+        cov_excl = covariance_excluding(effective, sigma, noise_var, idx)
+        c = np.exp(1j * np.pi * np.arange(32) * 0.013)
+        coarse = float(DICT.grid_points[idx])
+        grid = np.linspace(coarse - 1 / 128, coarse + 1 / 128, 201)
+        got = _stationarity_curve(grid, sample_cov, cov_excl, c, PILOTS, CFG)
+        ref = _stationarity_reference(grid, sample_cov, cov_excl, c, PILOTS,
+                                      CFG)
+        np.testing.assert_allclose(got, ref, rtol=1e-9,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+        refined = refine_direction(coarse, cols, PILOTS, c, effective, sigma,
+                                   noise_var, idx, CFG)
+        signs = np.sign(ref)
+        expected = coarse if np.all(signs >= 0) or np.all(signs <= 0) \
+            else float(grid[int(np.argmin(np.abs(ref)))])
+        assert refined == expected

@@ -10,6 +10,7 @@ from thzest.arrays import (
     build_dictionary,
     steering_far,
 )
+from thzest import sbce
 from thzest.channel import PilotObservation, gen_pilot_matrix
 from thzest.sbce import (
     SbceConfig,
@@ -202,3 +203,112 @@ class TestRunSbce:
         result = run_sbce(obs, d, grid, cfg, CFG)
         assert result.iterations == 3
         assert not result.converged
+
+
+def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
+                       n_pilots=12):
+    cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
+    d = build_dictionary(cfg, grid_size)
+    grid = SubcarrierGrid.build(4, 30e9, 300e9)
+    rng = np.random.default_rng(seed)
+    sine = float(rng.uniform(-0.9, 0.9))
+    b = gen_pilot_matrix(cfg, n_pilots, rng_seed=rng)
+    h = np.stack([np.sqrt(n_antennas) * steering_far(cfg, sine, float(f))
+                  for f in grid.frequencies], axis=1)
+    clean = b @ h
+    noise_var = np.mean(np.abs(clean) ** 2) / 10 ** (snr_db / 10)
+    noise = np.sqrt(noise_var / 2) * (rng.standard_normal(clean.shape)
+                                      + 1j * rng.standard_normal(clean.shape))
+    return b, clean + noise, d, grid
+
+
+def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
+                                    carrier_hz, config):
+    """Reference EM loop that rebuilds B C D on every unpinned iteration."""
+    n_pilots, n_antennas = pilot_matrix.shape
+    sigma = np.ones(dictionary.grid_size)
+    noise_var = max(1e-6, 0.01 * float(np.linalg.norm(y) ** 2) / n_pilots)
+    c = np.ones(n_antennas, dtype=complex)
+    effective = pilot_matrix @ dictionary.atoms
+    peak, prev_peaks, flips, pinned = 0, [-1, -1], 0, False
+    for it in range(1, config.max_iters + 1):
+        post = sbce._e_step(effective, effective.conj().T, sigma, noise_var, y)
+        residual = float(np.linalg.norm(y - effective @ post.z) ** 2)
+        noise_var = (residual + max(post.trace_term, 0.0)) / n_pilots
+        quality = np.clip(1.0 - post.post_var / np.maximum(sigma, 1e-300),
+                          1e-12, 1.0)
+        sigma_new = np.abs(post.z) ** 2 / quality
+        if not pinned:
+            peak = int(np.argmax(np.abs(post.z) ** 2))
+            if peak == prev_peaks[0] and peak != prev_peaks[1]:
+                flips += 1
+            elif peak != prev_peaks[1]:
+                flips = 0
+            if flips >= 3:
+                if sigma_new[prev_peaks[1]] > sigma_new[peak]:
+                    peak = prev_peaks[1]
+                pinned = True
+            prev_peaks = [prev_peaks[1], peak]
+            c = update_perturbation_diag(
+                n_antennas, float(dictionary.grid_points[peak]), freq_hz,
+                carrier_hz)
+            effective = (pilot_matrix * c[np.newaxis, :]) @ dictionary.atoms
+        delta = np.linalg.norm(sigma_new - sigma)
+        sigma = sigma_new
+        if delta / np.linalg.norm(sigma) < config.convergence_tol:
+            return effective, sigma, noise_var, c, peak, it, True
+    return effective, sigma, noise_var, c, peak, config.max_iters, False
+
+
+class TestEmLoop:
+    def test_loop_e_step_matches_posterior_update(self, monkeypatch):
+        # The loop's first E-step, replayed through the public function.
+        b, received, d, grid = _noisy_observation(0, 10.0)
+        seen = []
+        real_e_step = sbce._e_step
+
+        def recording(*args):
+            post = real_e_step(*args)
+            seen.append((args, post))
+            return post
+
+        monkeypatch.setattr(sbce, "_e_step", recording)
+        sbce._fit_subcarrier(received[:, 0], b, d, float(grid.frequencies[0]),
+                             300e9, SbceConfig(max_iters=1))
+        assert len(seen) == 1
+        (effective, _, sigma, noise_var, y), post = seen[0]
+        z, pi = posterior_update(effective, sigma, noise_var, y)
+        np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(post.post_var, np.real(np.diag(pi)),
+                                   rtol=1e-12, atol=1e-14)
+        # Tr{P' Pi P'^H} of the loop equals the trace of the formed Pi.
+        trace = float(np.real(np.trace(effective @ pi @ effective.conj().T)))
+        assert post.trace_term == pytest.approx(trace, rel=1e-9)
+
+    # Seed 0 at 0 dB pins a limit cycle on three subcarriers; seed 4 at
+    # -5 dB hits the iteration cap, once after pinning.
+    @pytest.mark.parametrize("seed, snr_db",
+                             [(0, 0.0), (4, -5.0), (3, 10.0), (4, 20.0)])
+    def test_cached_rebuild_matches_forced_rebuild(self, monkeypatch, seed,
+                                                   snr_db):
+        b, received, d, grid = _noisy_observation(seed, snr_db)
+        calls = []
+        real_diag = sbce.update_perturbation_diag
+
+        def counting(*args):
+            calls.append(args)
+            return real_diag(*args)
+
+        monkeypatch.setattr(sbce, "update_perturbation_diag", counting)
+        cfg = SbceConfig()
+        for m, freq in enumerate(grid.frequencies):
+            calls.clear()
+            fit = sbce._fit_subcarrier(received[:, m], b, d, float(freq),
+                                       300e9, cfg)
+            ref = _fit_rebuilding_every_iteration(received[:, m], b, d,
+                                                  float(freq), 300e9, cfg)
+            got = (fit.effective_matrix, fit.sigma, fit.noise_var, fit.c,
+                   fit.peak_index, fit.iterations, fit.converged)
+            for a, r in zip(got, ref):
+                np.testing.assert_array_equal(a, r)
+            assert 1 <= len(calls) <= fit.iterations
