@@ -10,14 +10,12 @@ import sys
 
 import numpy as np
 
-from .arrays import ArrayConfig, Direction, SubcarrierGrid, build_dictionary
-from .baselines import ls_estimate, omp_estimate_joint
+from .arrays import ArrayConfig, Direction, SubcarrierGrid
 from .channel import (ChannelRealization, PathParams, PilotObservation,
                       channel_from_paths, gen_channel, gen_pilot_matrix, observe)
 from .crb import ParamVector, crb
-from .harness import (PRESETS, ExperimentConfig, config_from_mapping, nmse,
-                      records_to_csv, run_sweep)
-from .sbce import run_sbce
+from .harness import (PRESETS, EstimatorContext, ExperimentConfig,
+                      config_from_mapping, run_estimator, run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -223,30 +221,21 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     channel, obs = scenario_from_json(doc)
     config = _apply_common_flags(ExperimentConfig(), args)
     config.validate()
-    grid = channel.grid
-    dictionary = build_dictionary(channel.config,
-                                  8 * channel.config.n_antennas)
+    ctx = EstimatorContext.build(channel.config, channel.grid,
+                                 8 * channel.config.n_antennas,
+                                 len(channel.paths), config.estimators)
     out = {}
-    h_cols = [channel.per_subcarrier[:, m] for m in range(grid.n_subcarriers)]
-    if "sbce" in config.estimators:
-        fit = run_sbce(obs, dictionary, grid, array_config=channel.config)
-        out["sbce"] = {
-            "nmse": nmse(h_cols, [fit.est_channel[:, m]
-                                  for m in range(grid.n_subcarriers)]),
-            "direction_sine": fit.est_direction_sine,
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-        }
-    if "ls" in config.estimators:
-        est = [ls_estimate(obs.beamformer, obs.received[:, m])
-               for m in range(grid.n_subcarriers)]
-        out["ls"] = {"nmse": nmse(h_cols, est)}
-    if "omp" in config.estimators:
-        _, est = omp_estimate_joint(obs.beamformer, dictionary.atoms,
-                                    obs.received, len(channel.paths))
-        out["omp"] = {"nmse": nmse(h_cols, [est[:, m]
-                                            for m in range(grid.n_subcarriers)])}
+    for name in config.estimators:
+        error, fit = run_estimator(name, ctx, obs, channel.per_subcarrier)
+        out[name] = {"failed": True} if math.isnan(error) else {"nmse": error}
+        if fit is not None:
+            out[name].update(direction_sine=fit.est_direction_sine,
+                             iterations=fit.iterations,
+                             converged=fit.converged)
     sys.stdout.write(json.dumps(out, indent=1) + "\n")
+    # One trial per estimator, so any failure exceeds the sweep's 20% rule.
+    if any(entry.get("failed") for entry in out.values()):
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -269,14 +258,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
              < 1e-9 for d in deltas)
     checks.append(("beam-split round trip", ok))
 
-    phi = rng.uniform(-1, 1, 50)
-    ok = True
-    for p in phi:
-        c = update_perturbation_diag(32, p, 315e9, 300e9)
-        lhs = steering_far(cfg, min(1.0, abs(1.05 * p)) * np.sign(p), 300e9) \
-            if abs(1.05 * p) > 1 else steering_far(cfg, 1.05 * p, 300e9)
-        if abs(1.05 * p) <= 1:
-            ok = ok and np.max(np.abs(lhs - c * steering_far(cfg, p, 300e9))) < 1e-12
+    # C a(p) = a(eta p) with eta = 315/300 = 1.05, drawn so |eta p| <= 1.
+    ok = all(np.max(np.abs(
+        update_perturbation_diag(32, p, 315e9, 300e9)
+        * steering_far(cfg, p, 300e9) - steering_far(cfg, 1.05 * p, 300e9)))
+        < 1e-12 for p in rng.uniform(-1 / 1.05, 1 / 1.05, 50))
     checks.append(("perturbation identity", ok))
 
     pp = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))

@@ -16,13 +16,83 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, SubcarrierGrid, build_dictionary
+from .arrays import ArrayConfig, Dictionary, SubcarrierGrid, build_dictionary
 from .baselines import ls_estimate, mmse_estimate, omp_estimate_joint, oracle_covariance
 from .channel import gen_channel, gen_pilot_matrix, observe
 from .crb import ParamVector, crb
-from .sbce import SbceConfig, SingularCovarianceError, run_sbce
+from .sbce import SingularCovarianceError, run_sbce
 
-ALL_ESTIMATORS = ("sbce", "ls", "omp", "mmse")
+
+@dataclass(frozen=True)
+class EstimatorContext:
+    """Everything besides the observation that the estimators read."""
+
+    array_cfg: ArrayConfig
+    grid: SubcarrierGrid
+    dictionary: Dictionary
+    n_paths: int
+    mmse_covs: list | None    # oracle covariance per subcarrier
+
+    @classmethod
+    def build(cls, array_cfg: ArrayConfig, grid: SubcarrierGrid,
+              grid_size: int, n_paths: int, estimators) -> "EstimatorContext":
+        """The oracle covariances are built only when mmse will run."""
+        mmse_covs = None
+        if "mmse" in estimators:
+            mmse_covs = [oracle_covariance(array_cfg, float(f))
+                         for f in grid.frequencies]
+        return cls(array_cfg, grid, build_dictionary(array_cfg, grid_size),
+                   n_paths, mmse_covs)
+
+
+# Each entry maps (ctx, obs) to (N_T x M estimate, SbceResult or None).  The
+# estimators are looked up by module-global name on every call, so that a
+# rebinding of e.g. `harness.run_sbce` reaches the dispatch.
+
+def _sbce(ctx: EstimatorContext, obs):
+    fit = run_sbce(obs, ctx.dictionary, ctx.grid, array_config=ctx.array_cfg)
+    return fit.est_channel, fit
+
+
+def _ls(ctx: EstimatorContext, obs):
+    return np.stack([ls_estimate(obs.beamformer, obs.received[:, m])
+                     for m in range(ctx.grid.n_subcarriers)], axis=1), None
+
+
+def _omp(ctx: EstimatorContext, obs):
+    _, est = omp_estimate_joint(obs.beamformer, ctx.dictionary.atoms,
+                                obs.received, ctx.n_paths)
+    return est, None
+
+
+def _mmse(ctx: EstimatorContext, obs):
+    return np.stack([
+        mmse_estimate(obs.beamformer, obs.received[:, m], ctx.mmse_covs[m],
+                      obs.noise_var)
+        for m in range(ctx.grid.n_subcarriers)], axis=1), None
+
+
+ESTIMATORS = {"sbce": _sbce, "ls": _ls, "omp": _omp, "mmse": _mmse}
+# The CSV emits one row per estimator in this order.
+ALL_ESTIMATORS = tuple(ESTIMATORS)
+
+
+def run_estimator(name: str, ctx: EstimatorContext, obs, h_true):
+    """(NMSE against the N_T x M truth h_true, SbceResult or None).
+
+    A numerical breakdown or a non-finite estimate is a failure and gives
+    (NaN, None); a finite estimate never gives NaN.  Any other exception is
+    a bug and propagates.
+    """
+    failed = (float("nan"), None)
+    try:
+        est, fit = ESTIMATORS[name](ctx, obs)
+    except (SingularCovarianceError, np.linalg.LinAlgError):
+        return failed
+    if not np.all(np.isfinite(est)):
+        return failed
+    return nmse(list(h_true.T), list(est.T)), fit
+
 
 CSV_HEADER_COMMENT = (
     "# rmse_dir_deg: physical direction error in degrees (angle domain); "
@@ -147,13 +217,13 @@ def nmse(true_channels, est_channels) -> float:
     est_channels = list(est_channels)
     if len(true_channels) != len(est_channels):
         raise ValueError("mismatched channel list lengths")
-    total = 0.0
+    ratios = []
     for h, h_est in zip(true_channels, est_channels):
         denom = float(np.linalg.norm(h) ** 2)
         if denom == 0.0:
             raise ValueError("zero-norm truth channel")
-        total += float(np.linalg.norm(h - h_est) ** 2) / denom
-    return total / len(true_channels)
+        ratios.append(float(np.linalg.norm(h - h_est) ** 2) / denom)
+    return float(np.mean(ratios))
 
 
 def rmse_deg(true_values_deg, est_values_deg) -> float:
@@ -194,26 +264,19 @@ def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
                                             config.carrier_freq_hz)
     grid = SubcarrierGrid.build(config.n_subcarriers, bandwidth,
                                 config.carrier_freq_hz)
-    dictionary = build_dictionary(array_cfg, config.grid_size)
-    sbce_cfg = SbceConfig()
-
-    mmse_covs = None
-    if "mmse" in config.estimators:
-        mmse_covs = [oracle_covariance(array_cfg, float(f))
-                     for f in grid.frequencies]
-
+    ctx = EstimatorContext.build(array_cfg, grid, config.grid_size,
+                                 config.n_paths, config.estimators)
     out = []
     for trial in trial_indices:
         for user in range(config.n_users):
-            out.append(_run_single(config, array_cfg, grid, dictionary,
-                                   sbce_cfg, mmse_covs, sweep_idx, snr_db,
-                                   range_m, trial, user))
+            out.append(_run_single(config, ctx, sweep_idx, snr_db, range_m,
+                                   trial, user))
     return out
 
 
-def _run_single(config, array_cfg, grid, dictionary, sbce_cfg, mmse_covs,
-                sweep_idx, snr_db, range_m, trial, user) -> dict:
+def _run_single(config, ctx, sweep_idx, snr_db, range_m, trial, user) -> dict:
     base = [config.seed, sweep_idx, trial, user]
+    array_cfg, grid = ctx.array_cfg, ctx.grid
     channel = gen_channel(array_cfg, grid, config.n_paths,
                           scenario=config.scenario,
                           rng_seed=np.random.default_rng(base + [0]),
@@ -222,37 +285,12 @@ def _run_single(config, array_cfg, grid, dictionary, sbce_cfg, mmse_covs,
                               rng_seed=np.random.default_rng(base + [1]))
     obs = observe(channel, pilots, snr_db,
                   rng_seed=np.random.default_rng(base + [2]))
-    h_true = channel.per_subcarrier
     los = channel.los_path
-    result: dict = {"trial": trial, "user": user, "nmse": {}, "failed": {}}
+    result: dict = {"trial": trial, "user": user, "nmse": {}}
 
     for name in config.estimators:
-        fit = None
-        try:
-            if name == "sbce":
-                fit = run_sbce(obs, dictionary, grid, sbce_cfg, array_cfg)
-                est = fit.est_channel
-            elif name == "ls":
-                est = np.stack([ls_estimate(pilots, obs.received[:, m])
-                                for m in range(grid.n_subcarriers)], axis=1)
-            elif name == "omp":
-                _, est = omp_estimate_joint(pilots, dictionary.atoms,
-                                            obs.received, config.n_paths)
-            elif name == "mmse":
-                est = np.stack([
-                    mmse_estimate(pilots, obs.received[:, m], mmse_covs[m],
-                                  obs.noise_var)
-                    for m in range(grid.n_subcarriers)], axis=1)
-            else:  # pragma: no cover
-                continue
-        except (SingularCovarianceError, np.linalg.LinAlgError):
-            # Numerical breakdown of one estimator is a counted failure;
-            # anything else is a bug and propagates.
-            result["failed"][name] = True
-            continue
-        if not np.all(np.isfinite(est)):
-            result["failed"][name] = True
-            continue
+        result["nmse"][name], fit = run_estimator(name, ctx, obs,
+                                                  channel.per_subcarrier)
         if fit is not None:
             result["iterations"] = fit.iterations
             result["converged"] = fit.converged
@@ -269,10 +307,6 @@ def _run_single(config, array_cfg, grid, dictionary, sbce_cfg, mmse_covs,
                 true_deg = _split_to_deg(los.direction.sine, true_split)
                 split_errs.append(est_deg - true_deg)
             result["split_err_deg"] = split_errs
-        errs = [float(np.linalg.norm(h_true[:, m] - est[:, m]) ** 2
-                      / np.linalg.norm(h_true[:, m]) ** 2)
-                for m in range(grid.n_subcarriers)]
-        result["nmse"][name] = float(np.mean(errs))
 
     result["crb_dir_var"], result["crb_split_var"] = _trial_crb(
         array_cfg, grid, pilots, los, obs.noise_var)
@@ -283,9 +317,12 @@ def _trial_crb(array_cfg, grid, pilots, los, noise_var):
     """Observed-aperture single-path bounds at the ground-truth geometry.
 
     Direction variance comes from the center subcarrier; the split variance
-    (converted to squared degrees) is averaged over subcarriers.
+    (converted to squared degrees) is averaged over subcarriers.  A
+    near-field path's range enters the bound as it enters the channel.
     """
-    params = ParamVector(directions=[los.direction.angle_rad], splits=[0.0])
+    ranges = None if los.range_m is None else [los.range_m]
+    params = ParamVector(directions=[los.direction.angle_rad], splits=[0.0],
+                         ranges=ranges)
     power = abs(los.gain) ** 2 * array_cfg.n_antennas
     split_vars = []
     dir_var = float("nan")
@@ -321,16 +358,10 @@ def run_point(config: ExperimentConfig, sweep_idx: int,
 
     point = PointResult(sweep_value)
     for name in config.estimators:
-        point.nmse[name] = []
-        point.failures[name] = 0
+        point.nmse[name] = [row["nmse"][name] for row in rows]
+        point.failures[name] = int(np.isnan(point.nmse[name]).sum())
     for row in rows:
-        for name in config.estimators:
-            if row["failed"].get(name):
-                point.failures[name] += 1
-                point.nmse[name].append(float("nan"))
-            else:
-                point.nmse[name].append(row["nmse"][name])
-        if "sbce" in config.estimators and not row["failed"].get("sbce"):
+        if "dir_err_deg" in row:       # set only when SBCE ran and succeeded
             point.dir_err_deg.append(row["dir_err_deg"])
             point.split_err_deg.extend(row["split_err_deg"])
             point.iterations.append(row["iterations"])

@@ -11,8 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import SPEED_OF_LIGHT, ArrayConfig, steering_far
-from .sbce import SingularCovarianceError, _solve_hermitian
+from .arrays import SPEED_OF_LIGHT, ArrayConfig
+from .sbce import SingularCovarianceError
+
+N_SCAN_POINTS = 201
+
+
+def _solve_hermitian(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        out = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError(str(exc)) from exc
+    if not np.all(np.isfinite(out)):
+        raise SingularCovarianceError("non-finite solve result")
+    return out
 
 
 def covariance_excluding(effective_matrix: np.ndarray, sigma: np.ndarray,
@@ -26,31 +38,6 @@ def covariance_excluding(effective_matrix: np.ndarray, sigma: np.ndarray,
     cov = weighted @ effective_matrix.conj().T
     cov = 0.5 * (cov + cov.conj().T)
     return cov + noise_var * np.eye(effective_matrix.shape[0])
-
-
-def _perturbed_atom(config: ArrayConfig, sine_dir: float, c: np.ndarray,
-                    pilot_matrix: np.ndarray) -> np.ndarray:
-    """g'(dir) = B C a(dir) through the observed aperture."""
-    return pilot_matrix @ (c * steering_far(config, sine_dir,
-                                            config.carrier_freq_hz))
-
-
-def signal_power_at(direction: float, cov_excl: np.ndarray,
-                    sample_cov: np.ndarray, c: np.ndarray,
-                    pilot_matrix: np.ndarray, config: ArrayConfig) -> float:
-    """Excess power explained by one atom at the candidate direction.
-
-    eta = g^H W (R_y - Pi) W g / (g^H W g)^2 with W the inverse of the
-    atom-excluded covariance Pi.
-    """
-    g = _perturbed_atom(config, direction, c, pilot_matrix)
-    wg = _solve_hermitian(cov_excl, g)
-    excess = sample_cov - cov_excl
-    numer = float(np.real(np.vdot(wg, excess @ wg)))
-    denom = float(np.real(np.vdot(g, wg)))
-    if denom <= 0.0:
-        raise SingularCovarianceError("non-positive atom power normalization")
-    return numer / denom ** 2
 
 
 def _stationarity_curve(grid: np.ndarray, sample_cov: np.ndarray,
@@ -88,27 +75,26 @@ def refine_direction(coarse_dir: float, observation_cols: np.ndarray,
                      pilot_matrix: np.ndarray, c: np.ndarray,
                      effective_matrix: np.ndarray, sigma: np.ndarray,
                      noise_var: float, excluded_index: int,
-                     config: ArrayConfig, half_width: float = None,
-                     n_points: int = 201) -> float:
+                     config: ArrayConfig) -> float:
     """Fine-grid search for the zero of the likelihood stationarity expression.
 
-    Falls back to coarse_dir when the expression never changes sign over the
-    interval, which covers intervals that contain no signal energy.
+    The scan spans one coarse grid cell either side of coarse_dir in
+    N_SCAN_POINTS points.  Falls back to coarse_dir when the expression never
+    changes sign over the interval, which covers intervals that contain no
+    signal energy.
     """
     if abs(coarse_dir) > 1.0:
         raise ValueError("invalid direction: |coarse_dir| > 1")
-    if half_width is None:
-        half_width = 1.0 / sigma.shape[0]
+    half_width = 1.0 / sigma.shape[0]
     cols = np.atleast_2d(observation_cols.T).T
     sample_cov = cols @ cols.conj().T / cols.shape[1]
     cov_excl = covariance_excluding(effective_matrix, sigma, noise_var,
                                     excluded_index)
 
-    grid = np.linspace(coarse_dir - half_width, coarse_dir + half_width, n_points)
+    grid = np.linspace(coarse_dir - half_width, coarse_dir + half_width,
+                       N_SCAN_POINTS)
+    # Never empty: |coarse_dir| <= 1 keeps at least the lower or upper half.
     grid = grid[np.abs(grid) <= 1.0]
-    if grid.size == 0:
-        return coarse_dir
-
     values = _stationarity_curve(grid, sample_cov, cov_excl, c, pilot_matrix,
                                  config)
     signs = np.sign(values)

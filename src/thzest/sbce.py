@@ -9,7 +9,7 @@ the subcarrier's split-shifted steering directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,21 +22,10 @@ class SingularCovarianceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RefineConfig:
-    """Settings for the off-grid direction refinement search."""
-
-    half_width: float | None = None   # None -> one coarse grid cell (1/N)
-    n_points: int = 201
-    snapshots: int = 1
-
-
-@dataclass(frozen=True)
 class SbceConfig:
     convergence_tol: float = 1e-3
     max_iters: int = 200
     sigma_update: str = "fixed_point"     # "fixed_point" | "em" | "point"
-    refine_enabled: bool = True
-    refine: RefineConfig = field(default_factory=RefineConfig)
 
 
 @dataclass(frozen=True)
@@ -47,16 +36,6 @@ class SbceResult:
     est_channel: np.ndarray        # N_T x M
     iterations: int
     converged: bool
-
-
-def _solve_hermitian(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        out = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(str(exc)) from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularCovarianceError("non-finite solve result")
-    return out
 
 
 class _EStep(NamedTuple):
@@ -116,28 +95,6 @@ def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
     return post.z, pi
 
 
-def update_sigma(z: np.ndarray, posterior_cov: np.ndarray | None = None) -> np.ndarray:
-    """Prior variances collapse onto the posterior power per atom.
-
-    With the posterior covariance supplied this is the full second moment
-    E|x_n|^2 = |z_n|^2 + Pi_nn; without it, the point-estimate power |z_n|^2.
-    These are the "em" and "point" variants of the EM loop; the loop's
-    default is the faster fixed-point form built from the same quantities.
-    """
-    power = np.abs(z) ** 2
-    if posterior_cov is None:
-        return power
-    return power + np.maximum(np.real(np.diag(posterior_cov)), 0.0)
-
-
-def update_noise_var(y: np.ndarray, effective_matrix: np.ndarray,
-                     z: np.ndarray, pi: np.ndarray, divisor: int) -> float:
-    """Noise floor from the posterior residual energy."""
-    residual = float(np.linalg.norm(y - effective_matrix @ z) ** 2)
-    spread = effective_matrix @ pi @ effective_matrix.conj().T
-    return (residual + float(np.real(np.trace(spread)))) / divisor
-
-
 def update_perturbation_diag(n_antennas: int, grid_dir: float,
                              freq_hz: float, carrier_hz: float) -> np.ndarray:
     """Diagonal of the perturbation mapping a(phi) onto a(eta*phi).
@@ -159,36 +116,6 @@ def beam_split_from_c(c: np.ndarray) -> float:
     phases = np.unwrap(np.angle(c))
     idx = np.arange(1, n)
     return float(np.mean(phases[1:] / (np.pi * idx)))
-
-
-def update_perturbation_full(y: np.ndarray, pilot_matrix: np.ndarray,
-                             atoms: np.ndarray, z: np.ndarray,
-                             pi: np.ndarray) -> np.ndarray:
-    """Reference dense update of the full N_T^2 perturbation matrix.
-
-    Solves E{Q^H Q} u = E{Q^H (y - P x)} in the least-squares sense, with
-    Q's columns generated by the unit basis matrices of U.  Kept only for
-    validating the diagonal path at toy scale: the system is N_T^2-sized,
-    which is exactly why the production path restricts U to a diagonal.
-    """
-    n_antennas = pilot_matrix.shape[1]
-    if n_antennas > 16:
-        raise ValueError("scale guard: full perturbation update requires N_T <= 16")
-    second_moment = np.outer(z, z.conj()) + pi
-    spread = atoms @ second_moment @ atoms.conj().T            # D E{xx^H} D^H
-    gram = pilot_matrix.conj().T @ pilot_matrix                # B^H B
-    # [Q^H Q]_{(p,q),(p',q')} = (B^H B)_{p p'} * spread_{q' q}
-    lhs = np.kron(spread.T, gram)
-    nominal = pilot_matrix @ atoms
-    cross = pilot_matrix.conj().T @ (
-        np.outer(y, z.conj()) - nominal @ second_moment) @ atoms.conj().T
-    rhs = cross.flatten(order="F")
-    u, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    return u
-
-
-def _center_steering(config: ArrayConfig, sine_dir: float) -> np.ndarray:
-    return steering_far(config, sine_dir, config.carrier_freq_hz)
 
 
 @dataclass
@@ -289,13 +216,11 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
 
 
 def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
-             config: SbceConfig | None = None,
+             config: SbceConfig = SbceConfig(),
              array_config: ArrayConfig | None = None) -> SbceResult:
     """Estimate direction, per-subcarrier beam-split, and the channel."""
     from .refine import refine_direction
 
-    if config is None:
-        config = SbceConfig()
     pilot_matrix = observation.beamformer
     n_antennas = pilot_matrix.shape[1]
     if array_config is None:
@@ -310,27 +235,16 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
         for m in range(grid.n_subcarriers)
     ]
 
-    m_center = grid.center_index
-    center = fits[m_center]
-    coarse = float(dictionary.grid_points[center.peak_index])
-    direction = coarse
-    if config.refine_enabled:
-        refine_cfg = config.refine
-        half_width = refine_cfg.half_width
-        if half_width is None:
-            half_width = 1.0 / dictionary.grid_size
-        n_snap = min(refine_cfg.snapshots, grid.n_subcarriers)
-        order = np.argsort(np.abs(np.arange(grid.n_subcarriers) - m_center),
-                           kind="stable")
-        snap_cols = observation.received[:, np.sort(order[:n_snap])]
-        direction = refine_direction(
-            coarse, snap_cols, pilot_matrix, center.c,
-            center.effective_matrix, center.sigma, center.noise_var,
-            center.peak_index, array_config,
-            half_width=half_width, n_points=refine_cfg.n_points)
+    center = fits[grid.center_index]
+    direction = refine_direction(
+        float(dictionary.grid_points[center.peak_index]),
+        observation.received[:, [grid.center_index]], pilot_matrix, center.c,
+        center.effective_matrix, center.sigma, center.noise_var,
+        center.peak_index, array_config)
     direction = float(np.clip(direction, -1.0, 1.0))
 
-    nominal = _center_steering(array_config, direction)
+    nominal = steering_far(array_config, direction,
+                           array_config.carrier_freq_hz)
     splits = np.zeros(grid.n_subcarriers)
     gains = np.zeros(grid.n_subcarriers, dtype=complex)
     est = np.zeros((n_antennas, grid.n_subcarriers), dtype=complex)

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from thzest import harness
 from thzest.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     load_config_file,
     main,
     scenario_from_json,
@@ -15,6 +17,7 @@ from thzest.cli import (
 )
 from thzest.arrays import ArrayConfig, SubcarrierGrid
 from thzest.channel import gen_channel, gen_pilot_matrix, observe
+from thzest.sbce import SingularCovarianceError
 
 TINY_ARGS = ["--config"]
 
@@ -162,6 +165,39 @@ class TestScenarioRoundTrip:
         assert code == EXIT_OK
         assert main(["scenario", "run", str(scen),
                      "--estimators", "foo"]) == EXIT_CONFIG
+
+
+class TestScenarioRun:
+    @pytest.fixture
+    def scen(self, tmp_path):
+        path = tmp_path / "scen.json"
+        assert main(["scenario", "gen", "--config",
+                     _write_tiny_config(tmp_path), "--out", str(path)]) == EXIT_OK
+        return str(path)
+
+    def test_default_runs_all_four_estimators(self, scen, capsys):
+        assert main(["scenario", "run", scen]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["sbce", "ls", "omp", "mmse"]
+        assert all(np.isfinite(entry["nmse"]) for entry in out.values())
+        assert {"direction_sine", "iterations", "converged"} <= set(out["sbce"])
+
+    def test_mmse_alone(self, scen, capsys):
+        assert main(["scenario", "run", scen, "--estimators", "mmse"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["mmse"] and np.isfinite(out["mmse"]["nmse"])
+
+    def test_numerical_failure_reported_with_runtime_exit(self, scen, capsys,
+                                                          monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularCovarianceError("observation covariance is singular")
+
+        monkeypatch.setattr(harness, "run_sbce", singular)
+        code = main(["scenario", "run", scen, "--estimators", "sbce,ls"])
+        assert code == EXIT_RUNTIME
+        out = json.loads(capsys.readouterr().out)
+        assert out["sbce"] == {"failed": True}
+        assert np.isfinite(out["ls"]["nmse"])
 
 
 class TestSelftest:

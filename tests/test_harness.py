@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from thzest import harness
+from thzest.arrays import ArrayConfig, SubcarrierGrid
+from thzest.channel import gen_channel, gen_pilot_matrix
+from thzest.crb import ParamVector, crb
 from thzest.sbce import SingularCovarianceError
 from thzest.harness import (
     CSV_COLUMNS,
@@ -147,6 +150,27 @@ class TestRunPoint:
                             lambda b, y: np.full(b.shape[1], np.nan))
         point = run_point(TINY, 0, TINY.snr_db)
         assert point.failures == {"sbce": 0, "ls": 3, "omp": 0}
+
+
+class TestTrialCrb:
+    def test_near_field_bound_uses_path_range(self):
+        cfg = ArrayConfig.half_wavelength(16, 300e9)
+        grid = SubcarrierGrid.build(3, 30e9, 300e9)
+        channel = gen_channel(cfg, grid, 1, scenario="near", rng_seed=3,
+                              range_m=0.5)
+        pilots = gen_pilot_matrix(cfg, 8, rng_seed=4)
+        los = channel.los_path
+        dir_var, _ = harness._trial_crb(cfg, grid, pilots, los, 1e-2)
+
+        def center_bound(**ranges):
+            params = ParamVector(directions=[los.direction.angle_rad],
+                                 splits=[0.0], **ranges)
+            return float(crb(cfg, params, pilots, [abs(los.gain) ** 2 * 16],
+                             1e-2, float(grid.frequencies[grid.center_index]),
+                             inversion="per_entry").crb_diag[0])
+
+        assert dir_var == center_bound(ranges=[0.5])
+        assert dir_var != pytest.approx(center_bound(), rel=1e-6)
 
 
 class TestDeterminism:

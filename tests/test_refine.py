@@ -7,10 +7,10 @@ from thzest.arrays import ArrayConfig, build_dictionary, steering_far
 from thzest.channel import gen_pilot_matrix
 from thzest.sbce import SingularCovarianceError
 from thzest.refine import (
+    _solve_hermitian,
     _stationarity_curve,
     covariance_excluding,
     refine_direction,
-    signal_power_at,
 )
 
 CFG = ArrayConfig.half_wavelength(32, 300e9)
@@ -52,6 +52,28 @@ class TestCovarianceExcluding:
         _, effective, sigma, _ = _setup(0.21)
         with pytest.raises(ValueError):
             covariance_excluding(effective, sigma, 0.3, 128)
+
+
+def _perturbed_atom(config, sine_dir, c, pilot_matrix):
+    """g'(dir) = B C a(dir) through the observed aperture."""
+    return pilot_matrix @ (c * steering_far(config, sine_dir,
+                                            config.carrier_freq_hz))
+
+
+def signal_power_at(direction, cov_excl, sample_cov, c, pilot_matrix, config):
+    """Reference excess power explained by one atom at a candidate direction.
+
+    eta = g^H W (R_y - Pi) W g / (g^H W g)^2 with W the inverse of the
+    atom-excluded covariance Pi.
+    """
+    g = _perturbed_atom(config, direction, c, pilot_matrix)
+    wg = _solve_hermitian(cov_excl, g)
+    excess = sample_cov - cov_excl
+    numer = float(np.real(np.vdot(wg, excess @ wg)))
+    denom = float(np.real(np.vdot(g, wg)))
+    if denom <= 0.0:
+        raise SingularCovarianceError("non-positive atom power normalization")
+    return numer / denom ** 2
 
 
 class TestSignalPower:

@@ -18,13 +18,55 @@ from thzest.sbce import (
     beam_split_from_c,
     posterior_update,
     run_sbce,
-    update_noise_var,
     update_perturbation_diag,
-    update_perturbation_full,
-    update_sigma,
 )
 
 CFG = ArrayConfig.half_wavelength(16, 300e9)
+
+
+def update_sigma(z, posterior_cov=None):
+    """Reference prior-variance updates from a formed posterior.
+
+    With the posterior covariance supplied this is the full second moment
+    E|x_n|^2 = |z_n|^2 + Pi_nn; without it, the point-estimate power |z_n|^2.
+    These are the "em" and "point" variants of the EM loop; the loop's
+    default is the faster fixed-point form built from the same quantities.
+    """
+    power = np.abs(z) ** 2
+    if posterior_cov is None:
+        return power
+    return power + np.maximum(np.real(np.diag(posterior_cov)), 0.0)
+
+
+def update_noise_var(y, effective_matrix, z, pi, divisor):
+    """Reference noise floor from the posterior residual energy."""
+    residual = float(np.linalg.norm(y - effective_matrix @ z) ** 2)
+    spread = effective_matrix @ pi @ effective_matrix.conj().T
+    return (residual + float(np.real(np.trace(spread)))) / divisor
+
+
+def update_perturbation_full(y, pilot_matrix, atoms, z, pi):
+    """Reference dense update of the full N_T^2 perturbation matrix.
+
+    Solves E{Q^H Q} u = E{Q^H (y - P x)} in the least-squares sense, with
+    Q's columns generated by the unit basis matrices of U.  It validates the
+    diagonal path at toy scale: the system is N_T^2-sized, which is exactly
+    why the estimator restricts U to a diagonal.
+    """
+    n_antennas = pilot_matrix.shape[1]
+    if n_antennas > 16:
+        raise ValueError("scale guard: full perturbation update requires N_T <= 16")
+    second_moment = np.outer(z, z.conj()) + pi
+    spread = atoms @ second_moment @ atoms.conj().T            # D E{xx^H} D^H
+    gram = pilot_matrix.conj().T @ pilot_matrix                # B^H B
+    # [Q^H Q]_{(p,q),(p',q')} = (B^H B)_{p p'} * spread_{q' q}
+    lhs = np.kron(spread.T, gram)
+    nominal = pilot_matrix @ atoms
+    cross = pilot_matrix.conj().T @ (
+        np.outer(y, z.conj()) - nominal @ second_moment) @ atoms.conj().T
+    rhs = cross.flatten(order="F")
+    u, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    return u
 
 
 def _random_instance(rng, p_dim=6, n_dim=10):
