@@ -38,10 +38,6 @@ class ArrayConfig:
         return cls(n_antennas, carrier_freq_hz, spacing)
 
     @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_freq_hz
-
-    @property
     def aperture_m(self) -> float:
         """Physical aperture between the first and last element."""
         return (self.n_antennas - 1) * self.element_spacing_m

@@ -13,9 +13,9 @@ import numpy as np
 from .arrays import ArrayConfig, Direction, SubcarrierGrid
 from .channel import (ChannelRealization, PathParams, PilotObservation,
                       channel_from_paths, gen_channel, gen_pilot_matrix, observe)
-from .crb import ParamVector, crb
-from .harness import (PRESETS, EstimatorContext, ExperimentConfig,
-                      config_from_mapping, run_estimator, run_sweep)
+from .harness import (PRESETS, EstimatorContext, ExperimentConfig, _fmt,
+                      config_from_mapping, crb_degrees, run_estimator,
+                      run_point, run_sweep, sweep_points)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -103,32 +103,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_crb(args: argparse.Namespace) -> int:
-    """Bound table: average observed-aperture CRB over random geometries."""
-    config = _resolve_config(args)
-    array_cfg = ArrayConfig.half_wavelength(config.n_antennas,
-                                            config.carrier_freq_hz)
-    grid = SubcarrierGrid.build(config.n_subcarriers, config.bandwidth_hz,
-                                config.carrier_freq_hz)
-    values = config.sweep_values if config.sweep == "snr" else (config.snr_db,)
-    lines = ["snr_db,crb_dir_deg,crb_split_deg"]
-    for snr_db in values:
-        rng = np.random.default_rng([config.seed, 101])
-        dir_vars, split_vars = [], []
-        for _ in range(config.trials):
-            angle = rng.uniform(-np.pi / 2, np.pi / 2)
-            pilots = gen_pilot_matrix(array_cfg, config.n_pilots, rng_seed=rng)
-            power = float(array_cfg.n_antennas)
-            noise_var = power / array_cfg.n_antennas / 10 ** (snr_db / 10.0)
-            params = ParamVector(directions=[angle], splits=[0.0])
-            rep = crb(array_cfg, params, pilots, [power], noise_var,
-                      float(grid.frequencies[grid.center_index]),
-                      inversion="per_entry")
-            dir_vars.append(rep.crb_diag[0])
-            split_vars.append(rep.crb_diag[1])
-        lines.append("{},{!r},{!r}".format(
-            snr_db,
-            math.degrees(1.0) * float(np.sqrt(np.mean(dir_vars))),
-            math.degrees(1.0) * float(np.sqrt(np.mean(split_vars)))))
+    """The sweep's CRB columns, one row per point, without the estimators."""
+    config = dataclasses.replace(_resolve_config(args), estimators=())
+    lines = ["sweep_value,crb_dir_deg,crb_split_deg"]
+    for sweep_idx, value in enumerate(sweep_points(config)):
+        point = run_point(config, sweep_idx, value)
+        lines.append(",".join(_fmt(v) for v in (value, *crb_degrees(point))))
     text = "\n".join(lines) + "\n"
     if config.output_path:
         with open(config.output_path, "w", newline="") as fh:

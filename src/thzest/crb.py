@@ -6,9 +6,10 @@ phase-slope offset on top of the frequency-induced split, so ground-truth
 channels correspond to offset 0 and the bound on the offset equals the
 bound on the split itself.
 
-Bounds are computed in the observed domain by default: the steering columns
-and their derivatives are passed through the pilot beamformer before the
-projection, which is the bound the estimator's RMSE can actually track.
+Bounds are computed in the observed domain: the steering columns and their
+derivatives are passed through the pilot beamformer before the projection,
+which is the bound the estimator's RMSE can actually track.  An identity
+beamformer gives the full-aperture bound.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import SPEED_OF_LIGHT, ArrayConfig
-
-
-class SingularFimError(RuntimeError):
-    """Raised when a full FIM inversion is requested but the FIM is singular."""
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,6 @@ class ParamVector:
 class CrbReport:
     fim: np.ndarray
     crb_diag: np.ndarray
-    snr_db: float
-    subcarrier_index: int
 
 
 def perturbed_steering(config: ArrayConfig, angle_rad: float, split: float,
@@ -138,34 +133,22 @@ def _steering_and_derivs(config: ArrayConfig, params: ParamVector,
     return a_mat, derivs
 
 
-def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray | None,
-        signal_powers, noise_var: float, freq_hz: float,
-        aperture: str = "observed", inversion: str = "auto",
-        snr_db: float = float("nan"), subcarrier_index: int = -1) -> CrbReport:
+def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray,
+        signal_powers, noise_var: float, freq_hz: float) -> CrbReport:
     """Closed-form FIM and CRB diagonal for the stacked signal parameters.
 
     F_ij = (2/mu^2) Re Tr{M K_ij} with M = S A'^H Pi_y^{-1} A' S and
     K_ij = dA_i^H (I - A' A'^+) dA_j, evaluated through the pilot
-    beamformer when aperture="observed".
+    beamformer.
 
-    inversion: "full" inverts the FIM (raises on singularity), "per_entry"
-    uses the reciprocal diagonal 1/F_ii, "auto" inverts when well
-    conditioned and otherwise falls back to the per-entry form.  The
-    fallback matters for a single far-field path at one subcarrier, where
+    The bound on each parameter is the reciprocal diagonal 1/F_ii, not the
+    diagonal of the inverse: for a single far-field path at one subcarrier
     the angle and split derivatives are collinear and the joint FIM is
     exactly singular.
     """
     a_mat, derivs = _steering_and_derivs(config, params, freq_hz)
-    if aperture == "observed":
-        if pilot_matrix is None:
-            raise ValueError("observed aperture requires a pilot matrix")
-        a_obs = pilot_matrix @ a_mat
-        d_obs = [(i, l, pilot_matrix @ v) for i, l, v in derivs]
-    elif aperture == "full":
-        a_obs = a_mat
-        d_obs = derivs
-    else:
-        raise ValueError(f"unknown aperture {aperture!r}")
+    a_obs = pilot_matrix @ a_mat
+    d_obs = [(i, l, pilot_matrix @ v) for i, l, v in derivs]
 
     powers = np.atleast_1d(np.asarray(signal_powers, dtype=float))
     if powers.shape[0] != params.n_paths:
@@ -186,31 +169,14 @@ def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray | Non
             fim[i, j] = (2.0 / noise_var) * float(np.real(m_mat[l_j, l_i] * k_ij))
     fim = 0.5 * (fim + fim.T)
 
-    crb_diag = _invert_fim(fim, inversion)
-    return CrbReport(fim, crb_diag, snr_db, subcarrier_index)
-
-
-def _invert_fim(fim: np.ndarray, inversion: str) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        per_entry = np.where(np.diag(fim) > 0.0, 1.0 / np.diag(fim), np.inf)
-    if inversion == "per_entry":
-        return per_entry
-    cond = np.linalg.cond(fim)
-    if inversion == "full":
-        if not np.isfinite(cond) or cond > 1e10:
-            raise SingularFimError("FIM is numerically singular")
-        return np.diag(np.linalg.inv(fim)).copy()
-    if inversion == "auto":
-        if np.isfinite(cond) and cond < 1e10:
-            return np.diag(np.linalg.inv(fim)).copy()
-        return per_entry
-    raise ValueError(f"unknown inversion mode {inversion!r}")
+        crb_diag = np.where(np.diag(fim) > 0.0, 1.0 / np.diag(fim), np.inf)
+    return CrbReport(fim, crb_diag)
 
 
 def numeric_fim(config: ArrayConfig, params: ParamVector,
-                pilot_matrix: np.ndarray | None, signal_powers,
-                noise_var: float, freq_hz: float,
-                aperture: str = "observed") -> np.ndarray:
+                pilot_matrix: np.ndarray, signal_powers,
+                noise_var: float, freq_hz: float) -> np.ndarray:
     """Signal-parameter FIM from second differences of the log-likelihood.
 
     Builds the full FIM over (signal parameters, signal powers, noise
@@ -236,9 +202,7 @@ def numeric_fim(config: ArrayConfig, params: ParamVector,
 
     def cov_of(w):
         p, pw, nv = unpack(w)
-        a_mat, _ = _steering_and_derivs(config, p, freq_hz)
-        if aperture == "observed":
-            a_mat = pilot_matrix @ a_mat
+        a_mat = pilot_matrix @ _steering_and_derivs(config, p, freq_hz)[0]
         return (a_mat * pw[np.newaxis, :]) @ a_mat.conj().T + \
             nv * np.eye(a_mat.shape[0])
 

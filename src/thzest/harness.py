@@ -136,15 +136,16 @@ class ExperimentConfig:
         _check_real("bandwidth_hz", self.bandwidth_hz)
         if self.bandwidth_hz < 0:
             raise ValueError("bandwidth_hz must be >= 0")
-        _check_real("snr_db", self.snr_db)
+        _check_snr("snr_db", self.snr_db)
         if self.range_m is not None:
             _check_real("range_m", self.range_m, positive=True)
         if self.sweep not in ("snr", "bandwidth", "range", "none"):
             raise ValueError(f"unknown sweep axis {self.sweep!r}")
         if not isinstance(self.sweep_values, tuple):
             raise ValueError("sweep_values must be a list of numbers")
+        check_value = _check_snr if self.sweep == "snr" else _check_real
         for value in self.sweep_values:
-            _check_real("sweep value", value)
+            check_value("sweep value", value)
         if self.sweep != "none" and len(self.sweep_values) == 0:
             raise ValueError("sweep value list must be nonempty")
         if self.scenario not in ("far", "near"):
@@ -172,6 +173,19 @@ def _check_real(name: str, value, positive: bool = False) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     if positive and value <= 0:
         raise ValueError(f"{name} must be > 0")
+
+
+#: Largest |SNR| in dB that validate accepts: far beyond any SNR of
+#: interest, and well inside the ~3,080 dB where 10**(snr/10) overflows or
+#: the noise variance becomes infinite.
+MAX_ABS_SNR_DB = 300.0
+
+
+def _check_snr(name: str, value) -> None:
+    _check_real(name, value)
+    if abs(value) > MAX_ABS_SNR_DB:
+        raise ValueError(f"{name} must lie in [-{MAX_ABS_SNR_DB:g}, "
+                         f"{MAX_ABS_SNR_DB:g}] dB, got {value!r}")
 
 
 PRESETS = {
@@ -328,7 +342,7 @@ def _trial_crb(array_cfg, grid, pilots, los, noise_var):
     dir_var = float("nan")
     for m in range(grid.n_subcarriers):
         rep = crb(array_cfg, params, pilots, [power], noise_var,
-                  float(grid.frequencies[m]), inversion="per_entry")
+                  float(grid.frequencies[m]))
         if m == grid.center_index:
             dir_var = float(rep.crb_diag[0])
         theta = np.clip((grid.frequencies[m] / grid.carrier_freq_hz)
@@ -371,14 +385,24 @@ def run_point(config: ExperimentConfig, sweep_idx: int,
     return point
 
 
+def sweep_points(config: ExperimentConfig) -> list[float]:
+    """The sweep values in CSV order; ``sweep = none`` is one point at snr_db."""
+    values = [config.snr_db] if config.sweep == "none" else \
+        config.sweep_values
+    return [float(v) for v in values]
+
+
+def crb_degrees(point: PointResult) -> tuple[float, float]:
+    """(crb_dir_deg, crb_split_deg): root-mean per-trial bounds in degrees."""
+    return (math.degrees(1.0) * math.sqrt(np.mean(point.crb_dir_var)),
+            math.sqrt(np.mean(point.crb_split_var)))
+
+
 def summarize_point(config: ExperimentConfig,
                     point: PointResult) -> list[MetricRecord]:
     records = []
     n_runs = config.trials * config.n_users
-    crb_dir = math.degrees(1.0) * math.sqrt(np.mean(point.crb_dir_var)) \
-        if point.crb_dir_var else None
-    crb_split = math.sqrt(np.mean(point.crb_split_var)) \
-        if point.crb_split_var else None
+    crb_dir, crb_split = crb_degrees(point)
     for name in config.estimators:
         vals = np.asarray(point.nmse[name])
         ok = vals[np.isfinite(vals)]
@@ -427,11 +451,9 @@ def records_to_csv(records) -> str:
 def run_sweep(config: ExperimentConfig):
     """Run the full sweep; returns (records, csv_text) and writes the CSV."""
     config.validate()
-    values = [config.snr_db] if config.sweep == "none" else \
-        list(config.sweep_values)
     records = []
-    for sweep_idx, value in enumerate(values):
-        point = run_point(config, sweep_idx, float(value))
+    for sweep_idx, value in enumerate(sweep_points(config)):
+        point = run_point(config, sweep_idx, value)
         records.extend(summarize_point(config, point))
     csv_text = records_to_csv(records)
     if config.output_path:

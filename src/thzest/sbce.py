@@ -25,14 +25,12 @@ class SingularCovarianceError(RuntimeError):
 class SbceConfig:
     convergence_tol: float = 1e-3
     max_iters: int = 200
-    sigma_update: str = "fixed_point"     # "fixed_point" | "em" | "point"
 
 
 @dataclass(frozen=True)
 class SbceResult:
     est_direction_sine: float
     est_beam_split: np.ndarray     # length M
-    est_support_gain: np.ndarray   # length M
     est_channel: np.ndarray        # N_T x M
     iterations: int
     converged: bool
@@ -169,21 +167,14 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
         residual = float(np.linalg.norm(y - effective @ z) ** 2)
         noise_var = (residual + max(post.trace_term, 0.0)) / n_pilots
 
-        power = np.abs(z) ** 2
-        if config.sigma_update == "fixed_point":
-            # Tipping's fixed-point form sigma_n = |z_n|^2 / gamma_n with
-            # gamma_n = 1 - Pi_nn / sigma_n.  Same stationary points as the
-            # EM form but reaches them in a fraction of the iterations, and
-            # unlike the bare point form it cannot collapse to all-zero.
-            quality = np.clip(
-                1.0 - post_var / np.maximum(sigma, 1e-300), 1e-12, 1.0)
-            sigma_new = power / quality
-        elif config.sigma_update == "em":
-            sigma_new = power + np.maximum(post_var, 0.0)
-        elif config.sigma_update == "point":
-            sigma_new = power
-        else:
-            raise ValueError(f"unknown sigma update {config.sigma_update!r}")
+        # Tipping's fixed-point form sigma_n = |z_n|^2 / gamma_n with
+        # gamma_n = 1 - Pi_nn / sigma_n.  Same stationary points as the EM
+        # form sigma_n = |z_n|^2 + Pi_nn but reaches them in a fraction of
+        # the iterations, and unlike the bare point form sigma_n = |z_n|^2
+        # it cannot collapse to all-zero.
+        quality = np.clip(
+            1.0 - post_var / np.maximum(sigma, 1e-300), 1e-12, 1.0)
+        sigma_new = np.abs(z) ** 2 / quality
         if not pinned:
             peak = int(np.argmax(np.abs(z) ** 2))
             if peak == prev_peaks[0] and peak != prev_peaks[1]:
@@ -246,7 +237,6 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     nominal = steering_far(array_config, direction,
                            array_config.carrier_freq_hz)
     splits = np.zeros(grid.n_subcarriers)
-    gains = np.zeros(grid.n_subcarriers, dtype=complex)
     est = np.zeros((n_antennas, grid.n_subcarriers), dtype=complex)
     for m in range(grid.n_subcarriers):
         c_m = update_perturbation_diag(n_antennas, direction,
@@ -255,13 +245,12 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
         steer = c_m * nominal
         g = pilot_matrix @ steer
         denom = float(np.real(np.vdot(g, g)))
-        gains[m] = np.vdot(g, observation.received[:, m]) / denom if denom > 0 else 0.0
-        est[:, m] = steer * gains[m]
+        gain = np.vdot(g, observation.received[:, m]) / denom if denom > 0 else 0.0
+        est[:, m] = steer * gain
 
     return SbceResult(
         est_direction_sine=direction,
         est_beam_split=splits,
-        est_support_gain=gains,
         est_channel=est,
         iterations=max(f.iterations for f in fits),
         converged=all(f.converged for f in fits),

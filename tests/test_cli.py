@@ -1,9 +1,18 @@
 """Command-line interface tests."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import os
+import pathlib
+import string
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzest import harness
 from thzest.cli import (
@@ -113,6 +122,8 @@ class TestConfigValues:
         ("threads", "0", "threads"),
         ("snr_db", "nan", "snr_db"),
         ("snr_db", "inf", "snr_db"),
+        ("snr_db", "4000", "snr_db"),
+        ("snr_db", "-4000", "snr_db"),
         ("n_pilots", "2.5", "n_pilots"),
         ("sweep_values", "10, ten", "sweep value"),
         ("estimators", "ls, cnn", "cnn"),
@@ -134,8 +145,61 @@ class TestCrbCommand:
                      "--values", "10,20", "--out", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "snr_db,crb_dir_deg,crb_split_deg"
+        assert lines[0] == "sweep_value,crb_dir_deg,crb_split_deg"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("extra, crb_flags", [
+        ({"sweep": "snr", "sweep_values": "10, 20"}, []),
+        ({"scenario": "near", "sweep": "range", "sweep_values": "0.5, 2.0"},
+         ["--threads", "2"]),
+    ])
+    def test_rows_equal_sweep_crb_columns(self, tmp_path, capsys, extra,
+                                          crb_flags):
+        cfg = _write_tiny_config(tmp_path, **extra)
+        assert main(["sweep", "--config", cfg, "--estimators", "sbce"]) \
+            == EXIT_OK
+        sweep_lines = capsys.readouterr().out.strip().split("\n")[1:]
+        header = sweep_lines[0].split(",")
+        columns = [header.index(c)
+                   for c in ("sweep_value", "crb_dir_deg", "crb_split_deg")]
+        expected = [",".join(line.split(",")[i] for i in columns)
+                    for line in sweep_lines]
+        assert main(["crb", "--config", cfg, *crb_flags]) == EXIT_OK
+        assert capsys.readouterr().out.strip().split("\n") == expected
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(harness.ExperimentConfig)]
+
+# No digits in the text alphabet, so a drawn word never parses to a large
+# count of antennas, trials or worker processes.
+DRAWN_VALUES = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 4000.0,
+                     -4000.0, 1e308, 0.5]),
+    st.text(alphabet=string.ascii_letters + " ,._-", max_size=6),
+    st.booleans(),
+)
+
+
+class TestExitCodes:
+    @settings(max_examples=50, deadline=None)
+    @given(key=st.sampled_from(CONFIG_KEYS), value=DRAWN_VALUES)
+    def test_crb_exits_zero_or_one_with_message(self, key, value):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            # A drawn output_path is written relative to the working directory.
+            os.chdir(tmp)
+            try:
+                cfg = _write_tiny_config(pathlib.Path(tmp), **{key: value})
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    code = main(["crb", "--config", cfg])
+            finally:
+                os.chdir(cwd)
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            assert stderr.getvalue().startswith("error: ")
 
 
 class TestScenarioRoundTrip:

@@ -6,9 +6,7 @@ import pytest
 from thzest.arrays import ArrayConfig, steering_far
 from thzest.channel import gen_pilot_matrix
 from thzest.crb import (
-    CrbReport,
     ParamVector,
-    SingularFimError,
     crb,
     numeric_fim,
     perturbed_steering,
@@ -82,57 +80,27 @@ class TestDerivatives:
 
 class TestCrb:
     def test_single_far_path_single_subcarrier_fim_is_singular(self):
-        # The angle and split derivatives are collinear there, so the
-        # joint 2x2 FIM cannot be inverted; auto must fall back.
+        # The angle and split derivatives are collinear there, so the joint
+        # 2x2 FIM cannot be inverted; the per-entry bounds stay finite.
         params = ParamVector([0.3], [0.0])
         pilots = gen_pilot_matrix(CFG16, 8, rng_seed=0)
-        rep = crb(CFG16, params, pilots, [16.0], 0.01, 300e9,
-                  inversion="auto")
-        per_entry = crb(CFG16, params, pilots, [16.0], 0.01, 300e9,
-                        inversion="per_entry")
-        np.testing.assert_allclose(rep.crb_diag, per_entry.crb_diag)
-        with pytest.raises(SingularFimError):
-            crb(CFG16, params, pilots, [16.0], 0.01, 300e9, inversion="full")
+        rep = crb(CFG16, params, pilots, [16.0], 0.01, 300e9)
+        assert np.linalg.cond(rep.fim) > 1e10
+        assert np.all(np.isfinite(rep.crb_diag)) and np.all(rep.crb_diag > 0.0)
 
     def test_near_field_bounds_positive(self):
         params = ParamVector([0.3], [0.0], [3.0])
         pilots = gen_pilot_matrix(CFG16, 12, rng_seed=1)
-        rep = crb(CFG16, params, pilots, [16.0], 0.01, 309e9,
-                  inversion="auto")
+        rep = crb(CFG16, params, pilots, [16.0], 0.01, 309e9)
         assert rep.crb_diag.shape == (3,)
         assert np.all(rep.crb_diag > 0.0)
-
-    def test_inversion_modes_on_well_conditioned_fim(self):
-        from thzest.crb import _invert_fim
-        fim = np.array([[4.0, 1.0], [1.0, 3.0]])
-        expected = np.diag(np.linalg.inv(fim))
-        np.testing.assert_allclose(_invert_fim(fim, "full"), expected)
-        np.testing.assert_allclose(_invert_fim(fim, "auto"), expected)
-        np.testing.assert_allclose(_invert_fim(fim, "per_entry"),
-                                   [0.25, 1.0 / 3.0])
 
     def test_bound_scales_with_noise(self):
         params = ParamVector([0.3], [0.0])
         pilots = gen_pilot_matrix(CFG16, 8, rng_seed=0)
-        lo = crb(CFG16, params, pilots, [16.0], 1e-3, 300e9,
-                 inversion="per_entry")
-        hi = crb(CFG16, params, pilots, [16.0], 1e-1, 300e9,
-                 inversion="per_entry")
+        lo = crb(CFG16, params, pilots, [16.0], 1e-3, 300e9)
+        hi = crb(CFG16, params, pilots, [16.0], 1e-1, 300e9)
         assert np.all(hi.crb_diag > lo.crb_diag)
-
-    def test_observed_aperture_requires_pilots(self):
-        params = ParamVector([0.3], [0.0])
-        with pytest.raises(ValueError):
-            crb(CFG16, params, None, [16.0], 0.01, 300e9)
-
-    def test_unknown_modes_rejected(self):
-        params = ParamVector([0.3], [0.0])
-        pilots = gen_pilot_matrix(CFG16, 8, rng_seed=0)
-        with pytest.raises(ValueError):
-            crb(CFG16, params, pilots, [16.0], 0.01, 300e9, aperture="half")
-        with pytest.raises(ValueError):
-            crb(CFG16, params, pilots, [16.0], 0.01, 300e9,
-                inversion="sideways")
 
     def test_power_length_checked(self):
         params = ParamVector([0.3], [0.0])
@@ -144,26 +112,14 @@ class TestCrb:
 class TestNumericOracle:
     def test_closed_form_matches_numeric_far(self):
         params = ParamVector([0.25], [0.0])
-        rep = crb(CFG4, params, None, [4.0], 0.05, 306e9, aperture="full",
-                  inversion="per_entry")
-        ref = numeric_fim(CFG4, params, None, [4.0], 0.05, 306e9,
-                          aperture="full")
+        rep = crb(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
+        ref = numeric_fim(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(rep.fim, ref, atol=2e-2 * scale)
 
     def test_closed_form_matches_numeric_near(self):
         params = ParamVector([0.25], [0.0], [0.05])
-        rep = crb(CFG4, params, None, [4.0], 0.05, 306e9, aperture="full",
-                  inversion="per_entry")
-        ref = numeric_fim(CFG4, params, None, [4.0], 0.05, 306e9,
-                          aperture="full")
+        rep = crb(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
+        ref = numeric_fim(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(rep.fim, ref, atol=2e-2 * scale)
-
-    def test_report_carries_context(self):
-        params = ParamVector([0.25], [0.0])
-        rep = crb(CFG4, params, None, [4.0], 0.05, 306e9, aperture="full",
-                  inversion="per_entry", snr_db=20.0, subcarrier_index=3)
-        assert isinstance(rep, CrbReport)
-        assert rep.snr_db == 20.0
-        assert rep.subcarrier_index == 3

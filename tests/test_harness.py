@@ -166,8 +166,8 @@ class TestTrialCrb:
             params = ParamVector(directions=[los.direction.angle_rad],
                                  splits=[0.0], **ranges)
             return float(crb(cfg, params, pilots, [abs(los.gain) ** 2 * 16],
-                             1e-2, float(grid.frequencies[grid.center_index]),
-                             inversion="per_entry").crb_diag[0])
+                             1e-2, float(grid.frequencies[grid.center_index])
+                             ).crb_diag[0])
 
         assert dir_var == center_bound(ranges=[0.5])
         assert dir_var != pytest.approx(center_bound(), rel=1e-6)

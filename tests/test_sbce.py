@@ -221,18 +221,6 @@ class TestRunSbce:
             expected = (float(f) / 300e9 - 1.0) * result.est_direction_sine
             assert result.est_beam_split[m] == pytest.approx(expected, abs=1e-9)
 
-    def test_sigma_update_variants_agree_on_clean_data(self):
-        obs, d, grid, sine, _ = _noiseless_observation()
-        for mode in ("fixed_point", "em", "point"):
-            cfg = SbceConfig(sigma_update=mode)
-            result = run_sbce(obs, d, grid, cfg, CFG)
-            assert result.est_direction_sine == pytest.approx(sine, abs=1e-6)
-
-    def test_unknown_sigma_update_rejected(self):
-        obs, d, grid, _, _ = _noiseless_observation()
-        with pytest.raises(ValueError):
-            run_sbce(obs, d, grid, SbceConfig(sigma_update="quadratic"), CFG)
-
     def test_dimension_mismatch_rejected(self):
         obs, _, grid, _, _ = _noiseless_observation()
         other = build_dictionary(ArrayConfig.half_wavelength(8, 300e9), 32)
