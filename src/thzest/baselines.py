@@ -13,15 +13,23 @@ def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
     return h
 
 
-def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
-                  channel_cov: np.ndarray, noise_var: float) -> np.ndarray:
-    """LMMSE estimate R B^H (B R B^H + mu^2 I)^{-1} y."""
+def check_psd_covariance(channel_cov: np.ndarray) -> None:
+    """Raise ValueError unless channel_cov is Hermitian positive semidefinite."""
     herm_err = np.max(np.abs(channel_cov - channel_cov.conj().T))
     if herm_err > 1e-8 * max(1.0, np.max(np.abs(channel_cov))):
         raise ValueError("non-PSD covariance: channel_cov is not Hermitian")
     eigvals = np.linalg.eigvalsh(0.5 * (channel_cov + channel_cov.conj().T))
     if eigvals[0] < -1e-8 * max(1.0, eigvals[-1]):
         raise ValueError("non-PSD covariance: negative eigenvalue")
+
+
+def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
+                  channel_cov: np.ndarray, noise_var: float) -> np.ndarray:
+    """LMMSE estimate R B^H (B R B^H + mu^2 I)^{-1} y.
+
+    channel_cov must be Hermitian positive semidefinite; callers that build
+    it check it once with `check_psd_covariance`.
+    """
     cross = channel_cov @ pilot_matrix.conj().T
     gram = pilot_matrix @ cross + noise_var * np.eye(pilot_matrix.shape[0])
     return cross @ np.linalg.solve(gram, y)

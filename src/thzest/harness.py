@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import ArrayConfig, Dictionary, SubcarrierGrid, build_dictionary
-from .baselines import ls_estimate, mmse_estimate, omp_estimate_joint, oracle_covariance
+from .baselines import (check_psd_covariance, ls_estimate, mmse_estimate,
+                        omp_estimate_joint, oracle_covariance)
 from .channel import gen_channel, gen_pilot_matrix, observe
 from .crb import ParamVector, crb
 from .sbce import SingularCovarianceError, run_sbce
@@ -36,11 +37,14 @@ class EstimatorContext:
     @classmethod
     def build(cls, array_cfg: ArrayConfig, grid: SubcarrierGrid,
               grid_size: int, n_paths: int, estimators) -> "EstimatorContext":
-        """The oracle covariances are built only when mmse will run."""
+        """The oracle covariances are built only when mmse will run, and
+        checked positive semidefinite here once, not per estimate."""
         mmse_covs = None
         if "mmse" in estimators:
             mmse_covs = [oracle_covariance(array_cfg, float(f))
                          for f in grid.frequencies]
+            for cov in mmse_covs:
+                check_psd_covariance(cov)
         return cls(array_cfg, grid, build_dictionary(array_cfg, grid_size),
                    n_paths, mmse_covs)
 

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayConfig, Dictionary, SubcarrierGrid, steering_far
+from .arrays import (SPEED_OF_LIGHT, ArrayConfig, Dictionary, SubcarrierGrid,
+                     steering_far)
 
 
 class SingularCovarianceError(RuntimeError):
@@ -36,27 +37,67 @@ class SbceResult:
     converged: bool
 
 
+#: Floor of the noise-variance estimate, relative to the per-pilot received
+#: energy ||y||^2 / P.  Without it the estimate collapses at SNRs far above
+#: any of interest and the Cholesky factor of Pi_y breaks down.
+NOISE_FLOOR_REL = 1e-12
+
+
+class _DftFactor(NamedTuple):
+    """The perturbed dictionary P' = B C D as the product A W.
+
+    On the grid (2n - N - 1)/N of a half-wavelength array, atom n is atom 0
+    times w^{in} with w = exp(2 pi j / N), so P' = A W with the P x N_T
+    factor A = B diag(c * d_0) and W_in = w^{in}.  a_hat = F ifft(A, F) and
+    f_a = fft(A, F) are its zero-padded row transforms, F >= 2 N_T - 1.
+    """
+
+    a: np.ndarray
+    a_hat: np.ndarray
+    f_a: np.ndarray
+    n_grid: int
+
+
+def _dft_factor(a: np.ndarray, n_grid: int) -> _DftFactor:
+    """Factor of P' = A W over an N-point grid, with F a power of two."""
+    n_fft = 1 << (2 * a.shape[1] - 2).bit_length()
+    return _DftFactor(a, n_fft * np.fft.ifft(a, n_fft, axis=1),
+                      np.fft.fft(a, n_fft, axis=1), n_grid)
+
+
 class _EStep(NamedTuple):
     """Posterior quantities of one E-step, all reduced to P x P algebra."""
 
-    chol: np.ndarray        # L with Pi_y = L L^H
-    v: np.ndarray           # V = L^{-1} P' Sigma
+    l_inv: np.ndarray       # L^{-1} with Pi_y = L L^H
     z: np.ndarray           # posterior mean
     post_var: np.ndarray    # diag(Pi)
     trace_term: float       # Tr{P' Pi P'^H}
+    fitted: np.ndarray      # P' z
 
 
-def _e_step(effective: np.ndarray, effective_h: np.ndarray,
-            sigma: np.ndarray, noise_var: float, y: np.ndarray) -> _EStep:
-    """Posterior of the sparse coefficients through one Cholesky factor.
+def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: float,
+            y: np.ndarray) -> _EStep:
+    """Posterior of the sparse coefficients, with P' = A W never formed.
 
-    With S = P' Sigma P'^H, Pi_y = S + mu^2 I = L L^H and V = L^{-1} P' Sigma:
-    z = V^H L^{-1} y, Pi = Sigma - V^H V, so Pi_nn = sigma_n - sum_p |V_pn|^2,
-    and Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2.  The N x N Pi is never
-    formed; effective_h is the cached conjugate transpose of effective.
+    With S = P' Sigma P'^H, Pi_y = S + mu^2 I = L L^H and u = Pi_y^{-1} y:
+    - S = A T A^H with T Toeplitz, T_ik = tau_{i-k}, tau_d = sum_n sigma_n
+      w^{dn}; embedded in an F-point circulant with spectrum lam this is
+      S = a_hat diag(lam) a_hat^H / F;
+    - Pi_nn = sigma_n - sigma_n^2 rho_n with rho_n = ||L^{-1} A w_n||^2
+      = sum_d q_d w^{dn}, q the row autocorrelation of L^{-1} A summed over
+      rows and folded onto N lags;
+    - z = sigma * fft(A^H u, N) and P' z = S u;
+    - Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2.
+    Each call costs O(P^2 F + N log N) instead of O(P^2 N).
     """
-    weighted = effective * sigma[np.newaxis, :]               # P' Sigma
-    s_mat = weighted @ effective_h
+    a, a_hat, f_a, n_grid = factor
+    k, n_fft = a.shape[1], a_hat.shape[1]
+    tau = n_grid * np.fft.ifft(sigma)
+    col = np.zeros(n_fft, dtype=complex)
+    col[:k] = tau[:k]
+    col[n_fft - k + 1:] = tau[n_grid - k + 1:]
+    lam = np.fft.fft(col).real
+    s_mat = (a_hat * lam) @ a_hat.conj().T / n_fft
     s_mat = 0.5 * (s_mat + s_mat.conj().T)
     eye = np.eye(s_mat.shape[0])
     try:
@@ -64,15 +105,21 @@ def _e_step(effective: np.ndarray, effective_h: np.ndarray,
         l_inv = np.linalg.inv(chol)
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(str(exc)) from exc
-    v = l_inv @ weighted
-    z = ((l_inv @ y).conj() @ v).conj()        # V^H L^{-1} y, V not conjugated
-    post_var = sigma - np.sum(v.real ** 2 + v.imag ** 2, axis=0)
+    u = l_inv.conj().T @ (l_inv @ y)
+    z = sigma * np.fft.fft(a.conj().T @ u, n_grid)
+    g = l_inv @ f_a
+    lags = np.fft.ifft(np.sum(g.real ** 2 + g.imag ** 2, axis=0))
+    folded = np.zeros(n_grid, dtype=complex)
+    folded[:k] = lags[:k]
+    folded[n_grid - k + 1:] += lags[n_fft - k + 1:]
+    rho = n_grid * np.fft.ifft(folded).real
+    post_var = sigma - sigma ** 2 * rho
     trace_term = float(np.real(np.trace(s_mat))) - float(
         np.linalg.norm(l_inv @ s_mat) ** 2)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(post_var))
             and np.isfinite(trace_term)):
         raise SingularCovarianceError("non-finite posterior")
-    return _EStep(chol, v, z, post_var, trace_term)
+    return _EStep(l_inv, z, post_var, trace_term, s_mat @ u)
 
 
 def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
@@ -81,14 +128,17 @@ def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
 
     Returns (z, Pi) with Pi_y = P' Sigma P'^H + mu^2 I,
     Pi = Sigma - Sigma P'^H Pi_y^{-1} P' Sigma and z = Sigma P'^H Pi_y^{-1} y,
-    from the same E-step the EM loop runs.
+    from the same E-step the EM loop runs: any P x N matrix is A W with
+    A = fft(P', axis=1) / N.
     """
-    post = _e_step(effective_matrix, effective_matrix.conj().T, sigma,
-                   noise_var, y)
-    # cond(Pi_y) = cond(L)^2 for the Cholesky factor L.
-    if np.linalg.cond(post.chol) ** 2 > 1e12:
+    n_grid = effective_matrix.shape[1]
+    factor = _dft_factor(np.fft.fft(effective_matrix, axis=1) / n_grid, n_grid)
+    post = _e_step(factor, sigma, noise_var, y)
+    # cond(Pi_y) = cond(L)^2 = cond(L^{-1})^2 for the Cholesky factor L.
+    if np.linalg.cond(post.l_inv) ** 2 > 1e12:
         raise SingularCovarianceError("observation covariance is singular")
-    pi = np.diag(sigma).astype(complex) - post.v.conj().T @ post.v
+    v = post.l_inv @ (effective_matrix * sigma[np.newaxis, :])
+    pi = np.diag(sigma).astype(complex) - v.conj().T @ v
     pi = 0.5 * (pi + pi.conj().T)
     return post.z, pi
 
@@ -120,7 +170,7 @@ def beam_split_from_c(c: np.ndarray) -> float:
 class _SubcarrierFit:
     """Converged EM quantities for one subcarrier."""
 
-    effective_matrix: np.ndarray
+    factor: _DftFactor
     sigma: np.ndarray
     noise_var: float
     c: np.ndarray
@@ -132,21 +182,21 @@ class _SubcarrierFit:
 def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
                     dictionary: Dictionary, freq_hz: float, carrier_hz: float,
                     config: SbceConfig) -> _SubcarrierFit:
-    """Run the EM loop for one subcarrier without materializing Pi.
+    """Run the EM loop for one subcarrier without materializing Pi or B C D.
 
-    Each iteration is one `_e_step`, whose P x P algebra keeps the cost at
-    O(P N_T N) instead of O(N^2 P).  The perturbed dictionary B C D is
-    rebuilt only when the peak atom it was built for changes.
+    Each iteration is one `_e_step` on the P x N_T factor of B C D.  The
+    factor is rebuilt only when the peak atom it was built for changes.
     """
     n_pilots, n_antennas = pilot_matrix.shape
     n_grid = dictionary.grid_size
+    atom0 = dictionary.atoms[:, 0]
 
     sigma = np.ones(n_grid)
-    noise_var = max(1e-6, 0.01 * float(np.linalg.norm(y) ** 2) / n_pilots)
+    energy = float(np.linalg.norm(y) ** 2) / n_pilots
+    noise_var = max(1e-6, 0.01 * energy)
     c = np.ones(n_antennas, dtype=complex)
-    effective = pilot_matrix @ dictionary.atoms
-    effective_h = effective.conj().T
-    built_for = -1          # peak atom that c and effective belong to
+    factor = _dft_factor(pilot_matrix * (c * atom0), n_grid)
+    built_for = -1          # peak atom that c and factor belong to
     peak = 0
     converged = False
     iterations = config.max_iters
@@ -160,12 +210,13 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
     pinned = False
 
     for it in range(1, config.max_iters + 1):
-        post = _e_step(effective, effective_h, sigma, noise_var, y)
+        post = _e_step(factor, sigma, noise_var, y)
         z, post_var = post.z, post.post_var
 
         # mu^2 update from the same E-step quantities.
-        residual = float(np.linalg.norm(y - effective @ z) ** 2)
-        noise_var = (residual + max(post.trace_term, 0.0)) / n_pilots
+        residual = float(np.linalg.norm(y - post.fitted) ** 2)
+        noise_var = max((residual + max(post.trace_term, 0.0)) / n_pilots,
+                        NOISE_FLOOR_REL * energy)
 
         # Tipping's fixed-point form sigma_n = |z_n|^2 / gamma_n with
         # gamma_n = 1 - Pi_nn / sigma_n.  Same stationary points as the EM
@@ -190,8 +241,7 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
                 c = update_perturbation_diag(
                     n_antennas, float(dictionary.grid_points[peak]),
                     freq_hz, carrier_hz)
-                effective = (pilot_matrix * c[np.newaxis, :]) @ dictionary.atoms
-                effective_h = effective.conj().T
+                factor = _dft_factor(pilot_matrix * (c * atom0), n_grid)
                 built_for = peak
 
         delta_sigma = np.linalg.norm(sigma_new - sigma)
@@ -202,7 +252,7 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
             iterations = it
             break
 
-    return _SubcarrierFit(effective, sigma, noise_var, c, peak,
+    return _SubcarrierFit(factor, sigma, noise_var, c, peak,
                           iterations, converged)
 
 
@@ -218,6 +268,11 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
         array_config = ArrayConfig.half_wavelength(n_antennas, grid.carrier_freq_hz)
     if dictionary.atoms.shape[0] != n_antennas:
         raise ValueError("dimension mismatch: dictionary rows != n_antennas")
+    ratio = 2.0 * array_config.element_spacing_m \
+        * array_config.carrier_freq_hz / SPEED_OF_LIGHT
+    if abs(ratio - 1.0) > 1e-12:
+        raise ValueError("SBCE needs half-wavelength element spacing, got "
+                         f"2 d f_c / c0 = {ratio!r}")
     carrier = grid.carrier_freq_hz
 
     fits = [
@@ -227,10 +282,13 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     ]
 
     center = fits[grid.center_index]
+    # The refinement reads B C D of the centre subcarrier: B C D = A W.
+    n_grid = dictionary.grid_size
+    effective = n_grid * np.fft.ifft(center.factor.a, n_grid, axis=1)
     direction = refine_direction(
         float(dictionary.grid_points[center.peak_index]),
         observation.received[:, [grid.center_index]], pilot_matrix, center.c,
-        center.effective_matrix, center.sigma, center.noise_var,
+        effective, center.sigma, center.noise_var,
         center.peak_index, array_config)
     direction = float(np.clip(direction, -1.0, 1.0))
 

@@ -263,6 +263,31 @@ class TestScenarioRun:
         assert out["sbce"] == {"failed": True}
         assert np.isfinite(out["ls"]["nmse"])
 
+    def test_non_half_wavelength_array_exits_one(self, scen, capsys):
+        # SBCE's E-step needs the dictionary to be a DFT, which holds only
+        # for half-wavelength spacing; another spacing is a config error.
+        doc = json.loads(pathlib.Path(scen).read_text())
+        doc["config"]["element_spacing_m"] *= 0.9
+        pathlib.Path(scen).write_text(json.dumps(doc))
+        assert main(["scenario", "run", scen]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "half-wavelength" in \
+            captured.err
+
+
+class TestHighSnrSweep:
+    def test_sbce_has_no_failures_up_to_300_db(self, tmp_path):
+        # The noise-variance floor keeps Pi_y factorable at SNRs where the
+        # estimate would otherwise collapse to zero.
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--preset", "desk", "--trials", "4",
+                     "--values", "150,200,250,300", "--estimators", "sbce",
+                     "--out", str(out)]) == EXIT_OK
+        rows = [r.split(",") for r in out.read_text().strip().split("\n")[2:]]
+        assert [r[0] for r in rows] == ["150.0", "200.0", "250.0", "300.0"]
+        assert [r[9] for r in rows] == ["0"] * 4
+
 
 class TestSelftest:
     def test_selftest_passes(self):

@@ -28,6 +28,8 @@ from thzest.harness import (
 TINY = ExperimentConfig(n_antennas=16, n_subcarriers=2, n_pilots=8,
                         grid_size=64, trials=3, sweep="none",
                         estimators=("sbce", "ls", "omp"))
+TINY_ARRAY = ArrayConfig.half_wavelength(16, 300e9)
+TINY_GRID = SubcarrierGrid.build(2, 30e9, 300e9)
 
 
 class TestMetrics:
@@ -150,6 +152,23 @@ class TestRunPoint:
                             lambda b, y: np.full(b.shape[1], np.nan))
         point = run_point(TINY, 0, TINY.snr_db)
         assert point.failures == {"sbce": 0, "ls": 3, "omp": 0}
+
+
+class TestEstimatorContext:
+    def test_oracle_covariances_checked_once_each(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "check_psd_covariance", calls.append)
+        ctx = harness.EstimatorContext.build(TINY_ARRAY, TINY_GRID, 64, 1,
+                                             ("mmse",))
+        assert len(calls) == TINY_GRID.n_subcarriers
+        assert all(c is r for c, r in zip(calls, ctx.mmse_covs))
+
+    def test_bad_oracle_covariance_rejected(self, monkeypatch):
+        monkeypatch.setattr(harness, "oracle_covariance",
+                            lambda cfg, f: -np.eye(cfg.n_antennas))
+        with pytest.raises(ValueError, match="non-PSD"):
+            harness.EstimatorContext.build(TINY_ARRAY, TINY_GRID, 64, 1,
+                                           ("ls", "mmse"))
 
 
 class TestTrialCrb:

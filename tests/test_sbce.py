@@ -24,6 +24,33 @@ from thzest.sbce import (
 CFG = ArrayConfig.half_wavelength(16, 300e9)
 
 
+def dense_e_step(effective, sigma, noise_var, y):
+    """Reference E-step on the formed P x N perturbed dictionary P'.
+
+    With S = P' Sigma P'^H, Pi_y = S + mu^2 I = L L^H and V = L^{-1} P' Sigma:
+    z = V^H L^{-1} y, Pi_nn = sigma_n - sum_p |V_pn|^2 and
+    Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2, at O(P^2 N) per call.
+    Returns (z, post_var, trace_term).
+    """
+    weighted = effective * sigma[np.newaxis, :]
+    s_mat = weighted @ effective.conj().T
+    s_mat = 0.5 * (s_mat + s_mat.conj().T)
+    chol = np.linalg.cholesky(s_mat + noise_var * np.eye(s_mat.shape[0]))
+    l_inv = np.linalg.inv(chol)
+    v = l_inv @ weighted
+    z = ((l_inv @ y).conj() @ v).conj()
+    post_var = sigma - np.sum(v.real ** 2 + v.imag ** 2, axis=0)
+    trace_term = float(np.real(np.trace(s_mat))) - float(
+        np.linalg.norm(l_inv @ s_mat) ** 2)
+    return z, post_var, trace_term
+
+
+def dft_matrix(n_rows, n_grid):
+    """W with W_in = exp(2 pi j i n / N), so that P' = A W."""
+    return np.exp(2j * np.pi * np.outer(np.arange(n_rows),
+                                        np.arange(n_grid)) / n_grid)
+
+
 def update_sigma(z, posterior_cov=None):
     """Reference prior-variance updates from a formed posterior.
 
@@ -114,6 +141,85 @@ class TestPosteriorUpdate:
         mat = np.ones((3, 4), dtype=complex)
         with pytest.raises(SingularCovarianceError):
             posterior_update(mat, np.zeros(4), 0.0, np.ones(3, dtype=complex))
+
+
+def _check_against_dense(a, n_grid, sigma, noise_ratio, y):
+    """The structured E-step on A equals the dense one on P' = A W.
+
+    mu^2 is noise_ratio times the mean diagonal of S = P' Sigma P'^H, which
+    keeps cond(Pi_y) below P / noise_ratio + 1.  Entries of z = Sigma P'^H u
+    and S u that cancel to far below their terms carry rounding of the
+    terms' size, so the absolute tolerances are taken relative to the
+    Cauchy-Schwarz bounds max_n sigma_n ||p'_n|| ||u|| and ||S|| ||u||.
+    """
+    effective = a @ dft_matrix(a.shape[1], n_grid)
+    gram = (effective * sigma) @ effective.conj().T
+    noise_var = noise_ratio * float(np.mean(np.real(np.diag(gram))))
+    u = np.linalg.solve(gram + noise_var * np.eye(len(y)), y)
+    post = sbce._e_step(sbce._dft_factor(a, n_grid), sigma, noise_var, y)
+    z, post_var, trace_term = dense_e_step(effective, sigma, noise_var, y)
+    z_scale = np.max(sigma * np.linalg.norm(effective, axis=0)) * \
+        np.linalg.norm(u)
+    np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-12 * z_scale)
+    np.testing.assert_allclose(post.post_var, post_var, rtol=1e-12,
+                               atol=1e-12 * np.max(sigma))
+    assert post.trace_term == pytest.approx(trace_term, rel=1e-9)
+    fit_scale = np.linalg.norm(gram, 2) * np.linalg.norm(u)
+    np.testing.assert_allclose(post.fitted, effective @ z, rtol=1e-12,
+                               atol=1e-12 * fit_scale)
+
+
+@st.composite
+def _factor_shapes(draw):
+    """(P, K, N) with the K lags of T unwrapped (2K - 1 <= N), wrapped onto
+    N (2K - 1 > N), or K = N as in posterior_update."""
+    n_pilots = draw(st.integers(1, 10))
+    regime = draw(st.sampled_from(["padded", "wrapped", "square"]))
+    if regime == "padded":
+        k = draw(st.integers(1, 12))
+        n_grid = draw(st.integers(2 * k - 1, 40))
+    elif regime == "wrapped":
+        k = draw(st.integers(2, 12))
+        n_grid = draw(st.integers(k, 2 * k - 2))
+    else:
+        k = n_grid = draw(st.integers(1, 16))
+    return n_pilots, k, n_grid
+
+
+class TestStructuredEStep:
+    @settings(deadline=None, max_examples=200)
+    @given(shape=_factor_shapes(), noise_ratio=st.floats(0.05, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_e_step(self, shape, noise_ratio, seed):
+        n_pilots, k, n_grid = shape
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n_pilots, k)) + \
+            1j * rng.standard_normal((n_pilots, k))
+        sigma = rng.uniform(0.0, 2.0, n_grid) ** 2
+        y = rng.standard_normal(n_pilots) + 1j * rng.standard_normal(n_pilots)
+        _check_against_dense(a, n_grid, sigma, noise_ratio, y)
+
+    # The desk and paper arrays, pilots and grids of the presets.
+    @pytest.mark.parametrize("n_antennas, n_pilots, grid_size",
+                             [(64, 16, 512), (256, 32, 2048)])
+    @settings(deadline=None, max_examples=10)
+    @given(grid_dir=st.floats(-1.0, 1.0), freq_hz=st.floats(285e9, 315e9),
+           noise_ratio=st.floats(0.05, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_dictionary_factor_matches_dense(self, n_antennas, n_pilots,
+                                             grid_size, grid_dir, freq_hz,
+                                             noise_ratio, seed):
+        cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
+        d = build_dictionary(cfg, grid_size)
+        rng = np.random.default_rng(seed)
+        b = gen_pilot_matrix(cfg, n_pilots, rng_seed=rng)
+        c = update_perturbation_diag(n_antennas, grid_dir, freq_hz, 300e9)
+        # B diag(c) D = A W: the factor the EM loop builds.
+        a = b * (c * d.atoms[:, 0])
+        np.testing.assert_allclose(a @ dft_matrix(n_antennas, grid_size),
+                                   (b * c) @ d.atoms, atol=1e-12)
+        sigma = rng.uniform(0.0, 1.0, grid_size) ** 8
+        y = rng.standard_normal(n_pilots) + 1j * rng.standard_normal(n_pilots)
+        _check_against_dense(a, grid_size, sigma, noise_ratio, y)
 
 
 class TestHyperparameterUpdates:
@@ -254,17 +360,22 @@ def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
 
 def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                                     carrier_hz, config):
-    """Reference EM loop that rebuilds B C D on every unpinned iteration."""
+    """Reference EM loop that rebuilds the factor of B C D on every unpinned
+    iteration."""
     n_pilots, n_antennas = pilot_matrix.shape
-    sigma = np.ones(dictionary.grid_size)
-    noise_var = max(1e-6, 0.01 * float(np.linalg.norm(y) ** 2) / n_pilots)
+    n_grid = dictionary.grid_size
+    sigma = np.ones(n_grid)
+    energy = float(np.linalg.norm(y) ** 2) / n_pilots
+    noise_var = max(1e-6, 0.01 * energy)
     c = np.ones(n_antennas, dtype=complex)
-    effective = pilot_matrix @ dictionary.atoms
+    factor = sbce._dft_factor(pilot_matrix * (c * dictionary.atoms[:, 0]),
+                              n_grid)
     peak, prev_peaks, flips, pinned = 0, [-1, -1], 0, False
     for it in range(1, config.max_iters + 1):
-        post = sbce._e_step(effective, effective.conj().T, sigma, noise_var, y)
-        residual = float(np.linalg.norm(y - effective @ post.z) ** 2)
-        noise_var = (residual + max(post.trace_term, 0.0)) / n_pilots
+        post = sbce._e_step(factor, sigma, noise_var, y)
+        residual = float(np.linalg.norm(y - post.fitted) ** 2)
+        noise_var = max((residual + max(post.trace_term, 0.0)) / n_pilots,
+                        sbce.NOISE_FLOOR_REL * energy)
         quality = np.clip(1.0 - post.post_var / np.maximum(sigma, 1e-300),
                           1e-12, 1.0)
         sigma_new = np.abs(post.z) ** 2 / quality
@@ -282,12 +393,13 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
             c = update_perturbation_diag(
                 n_antennas, float(dictionary.grid_points[peak]), freq_hz,
                 carrier_hz)
-            effective = (pilot_matrix * c[np.newaxis, :]) @ dictionary.atoms
+            factor = sbce._dft_factor(
+                pilot_matrix * (c * dictionary.atoms[:, 0]), n_grid)
         delta = np.linalg.norm(sigma_new - sigma)
         sigma = sigma_new
         if delta / np.linalg.norm(sigma) < config.convergence_tol:
-            return effective, sigma, noise_var, c, peak, it, True
-    return effective, sigma, noise_var, c, peak, config.max_iters, False
+            return factor.a, sigma, noise_var, c, peak, it, True
+    return factor.a, sigma, noise_var, c, peak, config.max_iters, False
 
 
 class TestEmLoop:
@@ -306,7 +418,9 @@ class TestEmLoop:
         sbce._fit_subcarrier(received[:, 0], b, d, float(grid.frequencies[0]),
                              300e9, SbceConfig(max_iters=1))
         assert len(seen) == 1
-        (effective, _, sigma, noise_var, y), post = seen[0]
+        (_, sigma, noise_var, y), post = seen[0]
+        # The first E-step runs on the unperturbed B D.
+        effective = b @ d.atoms
         z, pi = posterior_update(effective, sigma, noise_var, y)
         np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(post.post_var, np.real(np.diag(pi)),
@@ -337,7 +451,7 @@ class TestEmLoop:
                                        300e9, cfg)
             ref = _fit_rebuilding_every_iteration(received[:, m], b, d,
                                                   float(freq), 300e9, cfg)
-            got = (fit.effective_matrix, fit.sigma, fit.noise_var, fit.c,
+            got = (fit.factor.a, fit.sigma, fit.noise_var, fit.c,
                    fit.peak_index, fit.iterations, fit.converged)
             for a, r in zip(got, ref):
                 np.testing.assert_array_equal(a, r)
