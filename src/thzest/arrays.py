@@ -9,6 +9,7 @@ factor (i - 1) that becomes ``numpy.arange(n_antennas)`` in storage order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -203,22 +204,51 @@ def ula_fraunhofer_distance(config: ArrayConfig) -> float:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Overcomplete sine-space grid of carrier-frequency steering vectors."""
+    """Overcomplete sine-space grid of carrier-frequency steering vectors.
 
-    grid_size: int
+    The N_T x N atom matrix is built on first use of `atoms`; a consumer
+    that reads only the grid and `first_atom` never builds it.
+    """
+
+    config: ArrayConfig
     grid_points: np.ndarray = field(repr=False)
-    atoms: np.ndarray = field(repr=False)
+
+    @classmethod
+    def on_grid(cls, config: ArrayConfig, grid_size: int) -> "Dictionary":
+        """The equispaced grid (2n - N - 1)/N, n = 1..N, atoms not yet built."""
+        if grid_size < config.n_antennas:
+            raise ValueError("grid too small: grid_size must be >= n_antennas")
+        n = np.arange(1, grid_size + 1)
+        grid = (2.0 * n - grid_size - 1.0) / grid_size
+        grid.setflags(write=False)
+        return cls(config, grid)
+
+    @property
+    def grid_size(self) -> int:
+        return self.grid_points.shape[0]
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        return _grid_steering(self.config, self.grid_points)
+
+    @cached_property
+    def first_atom(self) -> np.ndarray:
+        """atoms[:, 0], bit for bit, without building the other atoms."""
+        return _grid_steering(self.config, self.grid_points[:1])[:, 0]
 
 
-def build_dictionary(config: ArrayConfig, grid_size: int) -> Dictionary:
-    """Steering dictionary over the equispaced grid (2n - N - 1)/N, n = 1..N."""
-    if grid_size < config.n_antennas:
-        raise ValueError("grid too small: grid_size must be >= n_antennas")
-    n = np.arange(1, grid_size + 1)
-    grid = (2.0 * n - grid_size - 1.0) / grid_size
+def _grid_steering(config: ArrayConfig, grid: np.ndarray) -> np.ndarray:
+    """Carrier-frequency steering vectors at the sines of grid, as columns."""
     idx = np.arange(config.n_antennas)
     phase = 2.0 * np.pi * config.element_spacing_m * config.carrier_freq_hz / SPEED_OF_LIGHT
     atoms = np.exp(1j * phase * np.outer(idx, grid)) / np.sqrt(config.n_antennas)
-    grid.setflags(write=False)
     atoms.setflags(write=False)
-    return Dictionary(grid_size, grid, atoms)
+    return atoms
+
+
+def build_dictionary(config: ArrayConfig, grid_size: int) -> Dictionary:
+    """Steering dictionary over the equispaced grid (2n - N - 1)/N, n = 1..N,
+    with its atom matrix built now."""
+    dictionary = Dictionary.on_grid(config, grid_size)
+    dictionary.atoms  # built here rather than at first use
+    return dictionary

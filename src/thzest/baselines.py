@@ -1,4 +1,4 @@
-"""Reference estimators: least squares, oracle LMMSE, and greedy OMP."""
+"""Reference estimators: least squares, oracle LMMSE, and greedy joint OMP."""
 
 from __future__ import annotations
 
@@ -61,31 +61,6 @@ def oracle_covariance(config: ArrayConfig, freq_hz: float) -> np.ndarray:
     idx = np.arange(config.n_antennas)
     first_col = _bessel_j0(kappa * idx)
     return first_col[np.abs(idx[:, np.newaxis] - idx[np.newaxis, :])]
-
-
-def omp_estimate(pilot_matrix: np.ndarray, atoms: np.ndarray, y: np.ndarray,
-                 sparsity: int):
-    """Greedy per-subcarrier OMP over the sensed dictionary B D.
-
-    Returns the selected grid indices and the channel estimate D x_hat.
-    """
-    if sparsity < 1:
-        raise ValueError("sparsity must be >= 1")
-    sensed = pilot_matrix @ atoms
-    col_norms = np.linalg.norm(sensed, axis=0)
-    residual = y.copy()
-    support: list[int] = []
-    coeffs = np.zeros(0, dtype=complex)
-    for _ in range(sparsity):
-        corr = np.abs(sensed.conj().T @ residual) / col_norms
-        corr[support] = -1.0
-        support.append(int(np.argmax(corr)))
-        sub = sensed[:, support]
-        coeffs, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        residual = y - sub @ coeffs
-    x = np.zeros(atoms.shape[1], dtype=complex)
-    x[support] = coeffs
-    return tuple(support), atoms @ x
 
 
 def omp_estimate_joint(pilot_matrix: np.ndarray, atoms: np.ndarray,

@@ -37,16 +37,24 @@ class EstimatorContext:
     @classmethod
     def build(cls, array_cfg: ArrayConfig, grid: SubcarrierGrid,
               grid_size: int, n_paths: int, estimators) -> "EstimatorContext":
-        """The oracle covariances are built only when mmse will run, and
-        checked positive semidefinite here once, not per estimate."""
+        """Set-up work is done only for the estimators that need it.
+
+        The N_T x grid atom matrix is built here only when omp will run:
+        SBCE reads only the grid and its first atom.  The oracle covariances
+        are built only when mmse will run, and checked positive semidefinite
+        here once, not per estimate.
+        """
+        if "omp" in estimators:
+            dictionary = build_dictionary(array_cfg, grid_size)
+        else:
+            dictionary = Dictionary.on_grid(array_cfg, grid_size)
         mmse_covs = None
         if "mmse" in estimators:
             mmse_covs = [oracle_covariance(array_cfg, float(f))
                          for f in grid.frequencies]
             for cov in mmse_covs:
                 check_psd_covariance(cov)
-        return cls(array_cfg, grid, build_dictionary(array_cfg, grid_size),
-                   n_paths, mmse_covs)
+        return cls(array_cfg, grid, dictionary, n_paths, mmse_covs)
 
 
 # Each entry maps (ctx, obs) to (N_T x M estimate, SbceResult or None).  The

@@ -1,10 +1,13 @@
 """Sparse-Bayesian-learning EM channel estimator with beam-split tracking.
 
-The estimator runs independently per subcarrier.  Each EM iteration updates
-the posterior of the sparse beamspace coefficients, re-estimates the
-per-atom prior variances and the noise floor, and refits the diagonal
-unit-modulus perturbation that maps the carrier-frequency dictionary onto
-the subcarrier's split-shifted steering directions.
+Each subcarrier has its own EM fit, independent of the others.  Each EM
+iteration updates the posterior of the sparse beamspace coefficients,
+re-estimates the per-atom prior variances and the noise floor, and refits
+the diagonal unit-modulus perturbation that maps the carrier-frequency
+dictionary onto the subcarrier's split-shifted steering directions.  The
+fits run together as one stack of rows, one per subcarrier, so that every
+FFT, matrix product and factorisation of an iteration serves all of them;
+a row leaves the stack when its fit converges.
 """
 
 from __future__ import annotations
@@ -44,12 +47,14 @@ NOISE_FLOOR_REL = 1e-12
 
 
 class _DftFactor(NamedTuple):
-    """The perturbed dictionary P' = B C D as the product A W.
+    """The perturbed dictionaries P'_r = B C_r D of a stack of rows as A_r W.
 
     On the grid (2n - N - 1)/N of a half-wavelength array, atom n is atom 0
     times w^{in} with w = exp(2 pi j / N), so P' = A W with the P x N_T
     factor A = B diag(c * d_0) and W_in = w^{in}.  a_hat = F ifft(A, F) and
     f_a = fft(A, F) are its zero-padded row transforms, F >= 2 N_T - 1.
+    Every array carries a leading row axis: a is R x P x N_T, a_hat and f_a
+    are R x P x F.
     """
 
     a: np.ndarray
@@ -58,28 +63,45 @@ class _DftFactor(NamedTuple):
     n_grid: int
 
 
+def _fft_size(n_antennas: int) -> int:
+    """F: the power of two >= 2 N_T - 1."""
+    return 1 << (2 * n_antennas - 2).bit_length()
+
+
+def _row_transforms(a: np.ndarray):
+    """(a_hat, f_a) of R x P x N_T factors, two FFTs for all rows."""
+    n_fft = _fft_size(a.shape[-1])
+    return n_fft * np.fft.ifft(a, n_fft), np.fft.fft(a, n_fft)
+
+
 def _dft_factor(a: np.ndarray, n_grid: int) -> _DftFactor:
-    """Factor of P' = A W over an N-point grid, with F a power of two."""
-    n_fft = 1 << (2 * a.shape[1] - 2).bit_length()
-    return _DftFactor(a, n_fft * np.fft.ifft(a, n_fft, axis=1),
-                      np.fft.fft(a, n_fft, axis=1), n_grid)
+    """Factors of P'_r = A_r W over an N-point grid, with F a power of two."""
+    return _DftFactor(a, *_row_transforms(a), n_grid)
+
+
+def _herm(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return np.swapaxes(stack.conj(), -1, -2)
 
 
 class _EStep(NamedTuple):
-    """Posterior quantities of one E-step, all reduced to P x P algebra."""
+    """Posterior quantities of one E-step per row, all from P x P algebra."""
 
-    l_inv: np.ndarray       # L^{-1} with Pi_y = L L^H
-    z: np.ndarray           # posterior mean
-    post_var: np.ndarray    # diag(Pi)
-    trace_term: float       # Tr{P' Pi P'^H}
-    fitted: np.ndarray      # P' z
+    l_inv: np.ndarray       # R x P x P: L^{-1} with Pi_y = L L^H
+    z: np.ndarray           # R x N: posterior mean
+    post_var: np.ndarray    # R x N: diag(Pi)
+    trace_term: np.ndarray  # R: Tr{P' Pi P'^H}
+    fitted: np.ndarray      # R x P: P' z
 
 
-def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: float,
+def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
             y: np.ndarray) -> _EStep:
-    """Posterior of the sparse coefficients, with P' = A W never formed.
+    """Posterior of the sparse coefficients of every row, P' = A W never formed.
 
-    With S = P' Sigma P'^H, Pi_y = S + mu^2 I = L L^H and u = Pi_y^{-1} y:
+    Row r has its own factor A_r, prior variances sigma[r] (R x N), noise
+    variance noise_var[r] and observation y[r] (R x P); each FFT, product
+    and factorisation below serves all rows in one call.  Per row, with
+    S = P' Sigma P'^H, Pi_y = S + mu^2 I = L L^H and u = Pi_y^{-1} y:
     - S = A T A^H with T Toeplitz, T_ik = tau_{i-k}, tau_d = sum_n sigma_n
       w^{dn}; embedded in an F-point circulant with spectrum lam this is
       S = a_hat diag(lam) a_hat^H / F;
@@ -88,38 +110,45 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: float,
       rows and folded onto N lags;
     - z = sigma * fft(A^H u, N) and P' z = S u;
     - Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2.
-    Each call costs O(P^2 F + N log N) instead of O(P^2 N).
+    Each row costs O(P^2 F + N log N) instead of O(P^2 N).
     """
     a, a_hat, f_a, n_grid = factor
-    k, n_fft = a.shape[1], a_hat.shape[1]
+    k, n_fft = a.shape[-1], a_hat.shape[-1]
     tau = n_grid * np.fft.ifft(sigma)
-    col = np.zeros(n_fft, dtype=complex)
-    col[:k] = tau[:k]
-    col[n_fft - k + 1:] = tau[n_grid - k + 1:]
+    col = np.zeros((len(sigma), n_fft), dtype=complex)
+    col[:, :k] = tau[:, :k]
+    col[:, n_fft - k + 1:] = tau[:, n_grid - k + 1:]
     lam = np.fft.fft(col).real
-    s_mat = (a_hat * lam) @ a_hat.conj().T / n_fft
-    s_mat = 0.5 * (s_mat + s_mat.conj().T)
-    eye = np.eye(s_mat.shape[0])
+    s_mat = (a_hat * lam[:, np.newaxis, :]) @ _herm(a_hat) / n_fft
+    s_mat = 0.5 * (s_mat + _herm(s_mat))
+    eye = np.eye(s_mat.shape[-1])
     try:
-        chol = np.linalg.cholesky(s_mat + noise_var * eye)
+        chol = np.linalg.cholesky(s_mat + noise_var[:, np.newaxis, np.newaxis]
+                                  * eye)
         l_inv = np.linalg.inv(chol)
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(str(exc)) from exc
-    u = l_inv.conj().T @ (l_inv @ y)
-    z = sigma * np.fft.fft(a.conj().T @ u, n_grid)
+    u = _herm(l_inv) @ (l_inv @ y[:, :, np.newaxis])
+    z = sigma * np.fft.fft((_herm(a) @ u)[:, :, 0], n_grid)
     g = l_inv @ f_a
-    lags = np.fft.ifft(np.sum(g.real ** 2 + g.imag ** 2, axis=0))
-    folded = np.zeros(n_grid, dtype=complex)
-    folded[:k] = lags[:k]
-    folded[n_grid - k + 1:] += lags[n_fft - k + 1:]
+    g2 = g.real ** 2
+    g2 += g.imag ** 2
+    lags = np.fft.ifft(np.sum(g2, axis=1))
+    folded = np.zeros((len(sigma), n_grid), dtype=complex)
+    folded[:, :k] = lags[:, :k]
+    folded[:, n_grid - k + 1:] += lags[:, n_fft - k + 1:]
     rho = n_grid * np.fft.ifft(folded).real
     post_var = sigma - sigma ** 2 * rho
-    trace_term = float(np.real(np.trace(s_mat))) - float(
-        np.linalg.norm(l_inv @ s_mat) ** 2)
+    # Scalar reductions stay per row: squaring an array of norms can differ
+    # in the last bit from squaring each norm.
+    spread = l_inv @ s_mat
+    trace_term = np.array([
+        float(np.real(np.trace(s))) - float(np.linalg.norm(ls) ** 2)
+        for s, ls in zip(s_mat, spread)])
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(post_var))
-            and np.isfinite(trace_term)):
+            and np.all(np.isfinite(trace_term))):
         raise SingularCovarianceError("non-finite posterior")
-    return _EStep(l_inv, z, post_var, trace_term, s_mat @ u)
+    return _EStep(l_inv, z, post_var, trace_term, (s_mat @ u)[:, :, 0])
 
 
 def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
@@ -128,19 +157,22 @@ def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
 
     Returns (z, Pi) with Pi_y = P' Sigma P'^H + mu^2 I,
     Pi = Sigma - Sigma P'^H Pi_y^{-1} P' Sigma and z = Sigma P'^H Pi_y^{-1} y,
-    from the same E-step the EM loop runs: any P x N matrix is A W with
-    A = fft(P', axis=1) / N.
+    from the same E-step the EM loop runs, on a stack of one row: any P x N
+    matrix is A W with A = fft(P', axis=1) / N.
     """
     n_grid = effective_matrix.shape[1]
-    factor = _dft_factor(np.fft.fft(effective_matrix, axis=1) / n_grid, n_grid)
-    post = _e_step(factor, sigma, noise_var, y)
+    factor = _dft_factor(
+        np.fft.fft(effective_matrix, axis=1)[np.newaxis] / n_grid, n_grid)
+    post = _e_step(factor, sigma[np.newaxis], np.array([noise_var]),
+                   y[np.newaxis])
+    l_inv = post.l_inv[0]
     # cond(Pi_y) = cond(L)^2 = cond(L^{-1})^2 for the Cholesky factor L.
-    if np.linalg.cond(post.l_inv) ** 2 > 1e12:
+    if np.linalg.cond(l_inv) ** 2 > 1e12:
         raise SingularCovarianceError("observation covariance is singular")
-    v = post.l_inv @ (effective_matrix * sigma[np.newaxis, :])
+    v = l_inv @ (effective_matrix * sigma[np.newaxis, :])
     pi = np.diag(sigma).astype(complex) - v.conj().T @ v
     pi = 0.5 * (pi + pi.conj().T)
-    return post.z, pi
+    return post.z[0], pi
 
 
 def update_perturbation_diag(n_antennas: int, grid_dir: float,
@@ -166,57 +198,98 @@ def beam_split_from_c(c: np.ndarray) -> float:
     return float(np.mean(phases[1:] / (np.pi * idx)))
 
 
-@dataclass
-class _SubcarrierFit:
-    """Converged EM quantities for one subcarrier."""
-
-    factor: _DftFactor
-    sigma: np.ndarray
-    noise_var: float
-    c: np.ndarray
-    peak_index: int
-    iterations: int
-    converged: bool
+#: Most complex elements of an R x P x F stack of factor transforms that one
+#: E-step call serves.  Bigger stacks save little per-call overhead but grow
+#: the E-step's temporaries: all 8 desk subcarriers (P = 16, F = 128) share
+#: one stack, while paper-size ones (P = 32, F = 512) run two at a time.
+STACK_ELEMENTS = 1 << 15
 
 
-def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
-                    dictionary: Dictionary, freq_hz: float, carrier_hz: float,
-                    config: SbceConfig) -> _SubcarrierFit:
-    """Run the EM loop for one subcarrier without materializing Pi or B C D.
+class _Fits(NamedTuple):
+    """Converged EM quantities, one row per subcarrier."""
 
-    Each iteration is one `_e_step` on the P x N_T factor of B C D.  The
-    factor is rebuilt only when the peak atom it was built for changes.
+    a: np.ndarray            # M x P x N_T factor A of the final B C D
+    sigma: np.ndarray        # M x N
+    noise_var: np.ndarray    # M
+    c: np.ndarray            # M x N_T
+    peak_index: np.ndarray   # M
+    iterations: np.ndarray   # M
+    converged: np.ndarray    # M
+
+
+def _fit_subcarriers(received: np.ndarray, pilot_matrix: np.ndarray,
+                     dictionary: Dictionary, freqs: np.ndarray,
+                     carrier_hz: float, config: SbceConfig) -> _Fits:
+    """Run the EM loop of every column of received, never forming Pi or B C D.
+
+    The fits are independent, but run as stacks of at most STACK_ELEMENTS
+    worth of rows, so that each E-step call serves every live row.
+    """
+    n_pilots, n_antennas = pilot_matrix.shape
+    n_rows = received.shape[1]
+    fits = _Fits(np.zeros((n_rows, n_pilots, n_antennas), dtype=complex),
+                 np.zeros((n_rows, dictionary.grid_size)), np.zeros(n_rows),
+                 np.zeros((n_rows, n_antennas), dtype=complex),
+                 np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int),
+                 np.zeros(n_rows, dtype=bool))
+    per_stack = max(1, STACK_ELEMENTS // (n_pilots * _fft_size(n_antennas)))
+    for start in range(0, n_rows, per_stack):
+        rows = np.arange(start, min(start + per_stack, n_rows))
+        _fit_stack(fits, rows, received, pilot_matrix, dictionary, freqs,
+                   carrier_hz, config)
+    return fits
+
+
+def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
+               pilot_matrix: np.ndarray, dictionary: Dictionary,
+               freqs: np.ndarray, carrier_hz: float,
+               config: SbceConfig) -> None:
+    """EM loop over a stack of rows, one per subcarrier, written into fits.
+
+    Each iteration is one `_e_step` for every live row.  A row's factor is
+    rebuilt only when the peak atom it was built for changes.  A row leaves
+    the stack when it converges; the stack is compacted only then.
     """
     n_pilots, n_antennas = pilot_matrix.shape
     n_grid = dictionary.grid_size
-    atom0 = dictionary.atoms[:, 0]
+    atom0 = dictionary.first_atom
+    n_live = len(rows)
 
-    sigma = np.ones(n_grid)
-    energy = float(np.linalg.norm(y) ** 2) / n_pilots
-    noise_var = max(1e-6, 0.01 * energy)
-    c = np.ones(n_antennas, dtype=complex)
-    factor = _dft_factor(pilot_matrix * (c * atom0), n_grid)
-    built_for = -1          # peak atom that c and factor belong to
-    peak = 0
-    converged = False
-    iterations = config.max_iters
+    y = received.T[rows]
+    energy = np.array([float(np.linalg.norm(received[:, m]) ** 2) / n_pilots
+                       for m in rows])
+    noise_var = np.array([max(1e-6, 0.01 * e) for e in energy])
+    sigma = np.ones((n_live, n_grid))
+    c = np.ones((n_live, n_antennas), dtype=complex)
+    a = pilot_matrix * (c * atom0)[:, np.newaxis]
+    a_hat, f_a = _row_transforms(a)
+    built_for = np.full(n_live, -1)     # peak atom that c and A belong to
+    peak = np.zeros(n_live, dtype=int)
     # When the true direction falls midway between two grid cells the peak
     # can alternate between them forever, with the perturbation rebuild and
     # the prior variances flipping in a period-2 limit cycle.  Detect the
-    # alternation and pin the perturbation to the stronger cell; with a
-    # fixed dictionary the remaining iterations converge smoothly.
-    prev_peaks = [-1, -1]
-    flips = 0
-    pinned = False
+    # alternation and pin the row's perturbation to the stronger cell; with
+    # a fixed dictionary the remaining iterations converge smoothly.
+    prev_peaks = np.full((n_live, 2), -1)
+    flips = np.zeros(n_live, dtype=int)
+    pinned = np.zeros(n_live, dtype=bool)
+
+    def store(done, iterations, converged):
+        """Write the rows flagged in done into fits."""
+        out = rows[done]
+        for field, value in zip(fits, (a, sigma, noise_var, c, peak)):
+            field[out] = value[done]
+        fits.iterations[out] = iterations
+        fits.converged[out] = converged
 
     for it in range(1, config.max_iters + 1):
-        post = _e_step(factor, sigma, noise_var, y)
-        z, post_var = post.z, post.post_var
+        post = _e_step(_DftFactor(a, a_hat, f_a, n_grid), sigma, noise_var, y)
 
         # mu^2 update from the same E-step quantities.
-        residual = float(np.linalg.norm(y - post.fitted) ** 2)
-        noise_var = max((residual + max(post.trace_term, 0.0)) / n_pilots,
-                        NOISE_FLOOR_REL * energy)
+        residuals = [float(np.linalg.norm(d) ** 2) for d in y - post.fitted]
+        noise_var = np.array([
+            max((residual + max(trace, 0.0)) / n_pilots, NOISE_FLOOR_REL * e)
+            for residual, trace, e in zip(residuals, post.trace_term, energy)])
 
         # Tipping's fixed-point form sigma_n = |z_n|^2 / gamma_n with
         # gamma_n = 1 - Pi_nn / sigma_n.  Same stationary points as the EM
@@ -224,36 +297,51 @@ def _fit_subcarrier(y: np.ndarray, pilot_matrix: np.ndarray,
         # the iterations, and unlike the bare point form sigma_n = |z_n|^2
         # it cannot collapse to all-zero.
         quality = np.clip(
-            1.0 - post_var / np.maximum(sigma, 1e-300), 1e-12, 1.0)
-        sigma_new = np.abs(z) ** 2 / quality
-        if not pinned:
-            peak = int(np.argmax(np.abs(z) ** 2))
-            if peak == prev_peaks[0] and peak != prev_peaks[1]:
-                flips += 1
-            elif peak != prev_peaks[1]:
-                flips = 0
-            if flips >= 3:
-                if sigma_new[prev_peaks[1]] > sigma_new[peak]:
-                    peak = prev_peaks[1]
-                pinned = True
-            prev_peaks = [prev_peaks[1], peak]
-            if peak != built_for:
-                c = update_perturbation_diag(
-                    n_antennas, float(dictionary.grid_points[peak]),
-                    freq_hz, carrier_hz)
-                factor = _dft_factor(pilot_matrix * (c * atom0), n_grid)
-                built_for = peak
+            1.0 - post.post_var / np.maximum(sigma, 1e-300), 1e-12, 1.0)
+        power = np.abs(post.z) ** 2
+        sigma_new = power / quality
+        rebuild = []
+        for r in np.flatnonzero(~pinned):
+            new = int(np.argmax(power[r]))
+            before, last = prev_peaks[r]
+            if new == before and new != last:
+                flips[r] += 1
+            elif new != last:
+                flips[r] = 0
+            if flips[r] >= 3:
+                if sigma_new[r, last] > sigma_new[r, new]:
+                    new = last
+                pinned[r] = True
+            prev_peaks[r] = last, new
+            peak[r] = new
+            if new != built_for[r]:
+                c[r] = update_perturbation_diag(
+                    n_antennas, float(dictionary.grid_points[new]),
+                    float(freqs[rows[r]]), carrier_hz)
+                built_for[r] = new
+                rebuild.append(r)
+        if rebuild:
+            a[rebuild] = pilot_matrix * (c[rebuild] * atom0)[:, np.newaxis]
+            a_hat[rebuild], f_a[rebuild] = _row_transforms(a[rebuild])
 
-        delta_sigma = np.linalg.norm(sigma_new - sigma)
+        done = np.zeros(len(rows), dtype=bool)
+        for r in range(len(rows)):
+            delta_sigma = np.linalg.norm(sigma_new[r] - sigma[r])
+            norm_sigma = np.linalg.norm(sigma_new[r])
+            done[r] = norm_sigma > 0 and \
+                delta_sigma / norm_sigma < config.convergence_tol
         sigma = sigma_new
-        norm_sigma = np.linalg.norm(sigma)
-        if norm_sigma > 0 and delta_sigma / norm_sigma < config.convergence_tol:
-            converged = True
-            iterations = it
-            break
-
-    return _SubcarrierFit(factor, sigma, noise_var, c, peak,
-                          iterations, converged)
+        if done.any():
+            store(done, it, True)
+            keep = ~done
+            (rows, y, energy, noise_var, sigma, c, a, a_hat, f_a, built_for,
+             peak, prev_peaks, flips, pinned) = (
+                x[keep] for x in (rows, y, energy, noise_var, sigma, c, a,
+                                  a_hat, f_a, built_for, peak, prev_peaks,
+                                  flips, pinned))
+            if not len(rows):
+                return
+    store(np.ones(len(rows), dtype=bool), config.max_iters, False)
 
 
 def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
@@ -266,7 +354,7 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     n_antennas = pilot_matrix.shape[1]
     if array_config is None:
         array_config = ArrayConfig.half_wavelength(n_antennas, grid.carrier_freq_hz)
-    if dictionary.atoms.shape[0] != n_antennas:
+    if dictionary.config.n_antennas != n_antennas:
         raise ValueError("dimension mismatch: dictionary rows != n_antennas")
     ratio = 2.0 * array_config.element_spacing_m \
         * array_config.carrier_freq_hz / SPEED_OF_LIGHT
@@ -275,21 +363,19 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
                          f"2 d f_c / c0 = {ratio!r}")
     carrier = grid.carrier_freq_hz
 
-    fits = [
-        _fit_subcarrier(observation.received[:, m], pilot_matrix, dictionary,
-                        float(grid.frequencies[m]), carrier, config)
-        for m in range(grid.n_subcarriers)
-    ]
+    fits = _fit_subcarriers(observation.received, pilot_matrix, dictionary,
+                            grid.frequencies, carrier, config)
 
-    center = fits[grid.center_index]
+    center = grid.center_index
     # The refinement reads B C D of the centre subcarrier: B C D = A W.
     n_grid = dictionary.grid_size
-    effective = n_grid * np.fft.ifft(center.factor.a, n_grid, axis=1)
+    effective = n_grid * np.fft.ifft(fits.a[center], n_grid, axis=1)
+    peak = int(fits.peak_index[center])
     direction = refine_direction(
-        float(dictionary.grid_points[center.peak_index]),
-        observation.received[:, [grid.center_index]], pilot_matrix, center.c,
-        effective, center.sigma, center.noise_var,
-        center.peak_index, array_config)
+        float(dictionary.grid_points[peak]),
+        observation.received[:, [center]], pilot_matrix, fits.c[center],
+        effective, fits.sigma[center], float(fits.noise_var[center]), peak,
+        array_config)
     direction = float(np.clip(direction, -1.0, 1.0))
 
     nominal = steering_far(array_config, direction,
@@ -310,6 +396,6 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
         est_direction_sine=direction,
         est_beam_split=splits,
         est_channel=est,
-        iterations=max(f.iterations for f in fits),
-        converged=all(f.converged for f in fits),
+        iterations=int(fits.iterations.max()),
+        converged=bool(fits.converged.all()),
     )

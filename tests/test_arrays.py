@@ -12,6 +12,7 @@ from thzest.arrays import (
     array_gain,
     beam_split_far,
     beam_split_near,
+    Dictionary,
     build_dictionary,
     dirichlet,
     fraunhofer_distance,
@@ -222,3 +223,20 @@ class TestDictionary:
     def test_rejects_undercomplete_grid(self):
         with pytest.raises(ValueError):
             build_dictionary(CFG, 16)
+        with pytest.raises(ValueError):
+            Dictionary.on_grid(CFG, 16)
+
+    @pytest.mark.parametrize("n_antennas, grid_size, carrier_hz",
+                             [(16, 64, 300e9), (64, 512, 300e9),
+                              (256, 2048, 300e9), (5, 7, 140e9),
+                              (33, 100, 1e12)])
+    def test_unbuilt_atoms_match_built_bit_for_bit(self, n_antennas,
+                                                   grid_size, carrier_hz):
+        cfg = ArrayConfig.half_wavelength(n_antennas, carrier_hz)
+        built = build_dictionary(cfg, grid_size)
+        lazy = Dictionary.on_grid(cfg, grid_size)
+        np.testing.assert_array_equal(lazy.first_atom, built.atoms[:, 0])
+        assert "atoms" not in vars(lazy)
+        np.testing.assert_array_equal(built.first_atom, built.atoms[:, 0])
+        np.testing.assert_array_equal(lazy.grid_points, built.grid_points)
+        np.testing.assert_array_equal(lazy.atoms, built.atoms)

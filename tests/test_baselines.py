@@ -14,7 +14,6 @@ from thzest.baselines import (
     check_psd_covariance,
     ls_estimate,
     mmse_estimate,
-    omp_estimate,
     omp_estimate_joint,
     oracle_covariance,
 )
@@ -118,28 +117,31 @@ class TestOracleCovariance:
 
 
 class TestOmp:
+    # Per-subcarrier OMP is the one-column case of the joint form.
     def test_exact_recovery_on_grid(self):
         rng = np.random.default_rng(4)
         b = gen_pilot_matrix(CFG, 12, rng_seed=rng)
         x = np.zeros(64, dtype=complex)
         x[[10, 40]] = [2.0, 1.0 - 1j]
         h = DICT.atoms @ x
-        support, est = omp_estimate(b, DICT.atoms, b @ h, sparsity=2)
+        support, est = omp_estimate_joint(b, DICT.atoms, (b @ h)[:, None],
+                                          sparsity=2)
         assert set(support) == {10, 40}
-        np.testing.assert_allclose(est, h, atol=1e-8)
+        np.testing.assert_allclose(est[:, 0], h, atol=1e-8)
 
     def test_support_size_matches_sparsity(self):
         rng = np.random.default_rng(5)
         b = gen_pilot_matrix(CFG, 12, rng_seed=rng)
         y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        support, _ = omp_estimate(b, DICT.atoms, y, sparsity=3)
+        support, _ = omp_estimate_joint(b, DICT.atoms, y[:, None], sparsity=3)
         assert len(support) == 3
         assert len(set(support)) == 3
 
     def test_rejects_zero_sparsity(self):
         b = gen_pilot_matrix(CFG, 12, rng_seed=0)
         with pytest.raises(ValueError):
-            omp_estimate(b, DICT.atoms, np.zeros(12, dtype=complex), 0)
+            omp_estimate_joint(b, DICT.atoms, np.zeros((12, 1), dtype=complex),
+                               0)
 
 
 class TestOmpJoint:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from thzest import harness
+from thzest import arrays, harness
 from thzest.arrays import ArrayConfig, SubcarrierGrid
 from thzest.channel import gen_channel, gen_pilot_matrix
 from thzest.crb import ParamVector, crb
@@ -162,6 +162,28 @@ class TestEstimatorContext:
                                              ("mmse",))
         assert len(calls) == TINY_GRID.n_subcarriers
         assert all(c is r for c, r in zip(calls, ctx.mmse_covs))
+
+    @pytest.mark.parametrize("estimators, built", [
+        ((), False), (("ls", "mmse"), False), (("sbce",), False),
+        (("sbce", "omp"), True)])
+    def test_atom_matrix_built_only_for_omp(self, monkeypatch, estimators,
+                                            built):
+        # SBCE reads only the grid and the first atom; only joint OMP reads
+        # the N_T x grid matrix.  The sweep and `thzest crb` run through
+        # EstimatorContext.build.
+        widths = []
+        real = arrays._grid_steering
+
+        def recording(cfg, grid):
+            widths.append(len(grid))
+            return real(cfg, grid)
+
+        monkeypatch.setattr(arrays, "_grid_steering", recording)
+        config = dataclasses.replace(TINY, estimators=estimators, trials=1)
+        run_point(config, 0, config.snr_db)
+        assert (64 in widths) == built
+        if "sbce" in estimators:
+            assert 1 in widths
 
     def test_bad_oracle_covariance_rejected(self, monkeypatch):
         monkeypatch.setattr(harness, "oracle_covariance",

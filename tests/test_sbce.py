@@ -156,16 +156,20 @@ def _check_against_dense(a, n_grid, sigma, noise_ratio, y):
     gram = (effective * sigma) @ effective.conj().T
     noise_var = noise_ratio * float(np.mean(np.real(np.diag(gram))))
     u = np.linalg.solve(gram + noise_var * np.eye(len(y)), y)
-    post = sbce._e_step(sbce._dft_factor(a, n_grid), sigma, noise_var, y)
+    # The E-step on a stack of one row.
+    post = sbce._e_step(sbce._dft_factor(a[np.newaxis], n_grid),
+                        sigma[np.newaxis], np.array([noise_var]),
+                        y[np.newaxis])
     z, post_var, trace_term = dense_e_step(effective, sigma, noise_var, y)
     z_scale = np.max(sigma * np.linalg.norm(effective, axis=0)) * \
         np.linalg.norm(u)
-    np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-12 * z_scale)
-    np.testing.assert_allclose(post.post_var, post_var, rtol=1e-12,
+    np.testing.assert_allclose(post.z[0], z, rtol=1e-12,
+                               atol=1e-12 * z_scale)
+    np.testing.assert_allclose(post.post_var[0], post_var, rtol=1e-12,
                                atol=1e-12 * np.max(sigma))
-    assert post.trace_term == pytest.approx(trace_term, rel=1e-9)
+    assert post.trace_term[0] == pytest.approx(trace_term, rel=1e-9)
     fit_scale = np.linalg.norm(gram, 2) * np.linalg.norm(u)
-    np.testing.assert_allclose(post.fitted, effective @ z, rtol=1e-12,
+    np.testing.assert_allclose(post.fitted[0], effective @ z, rtol=1e-12,
                                atol=1e-12 * fit_scale)
 
 
@@ -360,27 +364,30 @@ def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
 
 def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                                     carrier_hz, config):
-    """Reference EM loop that rebuilds the factor of B C D on every unpinned
-    iteration."""
+    """Reference EM loop for one subcarrier, on stacks of one row, that
+    rebuilds the factor of B C D on every unpinned iteration.
+
+    Returns (A, sigma, mu^2, c, peak, iterations, converged, pinned)."""
     n_pilots, n_antennas = pilot_matrix.shape
     n_grid = dictionary.grid_size
     sigma = np.ones(n_grid)
     energy = float(np.linalg.norm(y) ** 2) / n_pilots
     noise_var = max(1e-6, 0.01 * energy)
     c = np.ones(n_antennas, dtype=complex)
-    factor = sbce._dft_factor(pilot_matrix * (c * dictionary.atoms[:, 0]),
-                              n_grid)
+    factor = sbce._dft_factor(
+        (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis], n_grid)
     peak, prev_peaks, flips, pinned = 0, [-1, -1], 0, False
     for it in range(1, config.max_iters + 1):
-        post = sbce._e_step(factor, sigma, noise_var, y)
-        residual = float(np.linalg.norm(y - post.fitted) ** 2)
-        noise_var = max((residual + max(post.trace_term, 0.0)) / n_pilots,
+        post = sbce._e_step(factor, sigma[np.newaxis], np.array([noise_var]),
+                            y[np.newaxis])
+        residual = float(np.linalg.norm(y - post.fitted[0]) ** 2)
+        noise_var = max((residual + max(post.trace_term[0], 0.0)) / n_pilots,
                         sbce.NOISE_FLOOR_REL * energy)
-        quality = np.clip(1.0 - post.post_var / np.maximum(sigma, 1e-300),
+        quality = np.clip(1.0 - post.post_var[0] / np.maximum(sigma, 1e-300),
                           1e-12, 1.0)
-        sigma_new = np.abs(post.z) ** 2 / quality
+        sigma_new = np.abs(post.z[0]) ** 2 / quality
         if not pinned:
-            peak = int(np.argmax(np.abs(post.z) ** 2))
+            peak = int(np.argmax(np.abs(post.z[0]) ** 2))
             if peak == prev_peaks[0] and peak != prev_peaks[1]:
                 flips += 1
             elif peak != prev_peaks[1]:
@@ -394,17 +401,20 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                 n_antennas, float(dictionary.grid_points[peak]), freq_hz,
                 carrier_hz)
             factor = sbce._dft_factor(
-                pilot_matrix * (c * dictionary.atoms[:, 0]), n_grid)
+                (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis],
+                n_grid)
         delta = np.linalg.norm(sigma_new - sigma)
         sigma = sigma_new
         if delta / np.linalg.norm(sigma) < config.convergence_tol:
-            return factor.a, sigma, noise_var, c, peak, it, True
-    return factor.a, sigma, noise_var, c, peak, config.max_iters, False
+            return factor.a[0], sigma, noise_var, c, peak, it, True, pinned
+    return (factor.a[0], sigma, noise_var, c, peak, config.max_iters, False,
+            pinned)
 
 
 class TestEmLoop:
     def test_loop_e_step_matches_posterior_update(self, monkeypatch):
-        # The loop's first E-step, replayed through the public function.
+        # The loop's first E-step, replayed row by row through the public
+        # function.
         b, received, d, grid = _noisy_observation(0, 10.0)
         seen = []
         real_e_step = sbce._e_step
@@ -415,19 +425,22 @@ class TestEmLoop:
             return post
 
         monkeypatch.setattr(sbce, "_e_step", recording)
-        sbce._fit_subcarrier(received[:, 0], b, d, float(grid.frequencies[0]),
-                             300e9, SbceConfig(max_iters=1))
+        sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9,
+                              SbceConfig(max_iters=1))
         assert len(seen) == 1
-        (_, sigma, noise_var, y), post = seen[0]
-        # The first E-step runs on the unperturbed B D.
+        (_, sigmas, noise_vars, ys), post = seen[0]
+        assert len(ys) == grid.n_subcarriers
+        # The first E-step runs on the unperturbed B D in every row.
         effective = b @ d.atoms
-        z, pi = posterior_update(effective, sigma, noise_var, y)
-        np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(post.post_var, np.real(np.diag(pi)),
-                                   rtol=1e-12, atol=1e-14)
-        # Tr{P' Pi P'^H} of the loop equals the trace of the formed Pi.
-        trace = float(np.real(np.trace(effective @ pi @ effective.conj().T)))
-        assert post.trace_term == pytest.approx(trace, rel=1e-9)
+        for r, (sigma, noise_var, y) in enumerate(zip(sigmas, noise_vars, ys)):
+            z, pi = posterior_update(effective, sigma, noise_var, y)
+            np.testing.assert_allclose(post.z[r], z, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(post.post_var[r], np.real(np.diag(pi)),
+                                       rtol=1e-12, atol=1e-14)
+            # Tr{P' Pi P'^H} of the loop equals the trace of the formed Pi.
+            trace = float(np.real(np.trace(
+                effective @ pi @ effective.conj().T)))
+            assert post.trace_term[r] == pytest.approx(trace, rel=1e-9)
 
     # Seed 0 at 0 dB pins a limit cycle on three subcarriers; seed 4 at
     # -5 dB hits the iteration cap, once after pinning.
@@ -445,14 +458,65 @@ class TestEmLoop:
 
         monkeypatch.setattr(sbce, "update_perturbation_diag", counting)
         cfg = SbceConfig()
+        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9,
+                                     cfg)
         for m, freq in enumerate(grid.frequencies):
-            calls.clear()
-            fit = sbce._fit_subcarrier(received[:, m], b, d, float(freq),
-                                       300e9, cfg)
             ref = _fit_rebuilding_every_iteration(received[:, m], b, d,
                                                   float(freq), 300e9, cfg)
-            got = (fit.factor.a, fit.sigma, fit.noise_var, fit.c,
-                   fit.peak_index, fit.iterations, fit.converged)
+            got = [field[m] for field in fits]
             for a, r in zip(got, ref):
                 np.testing.assert_array_equal(a, r)
-            assert 1 <= len(calls) <= fit.iterations
+            rebuilds = sum(1 for args in calls if args[2] == float(freq))
+            assert 1 <= rebuilds <= fits.iterations[m]
+
+    def test_stack_mixes_converged_pinned_and_capped_rows(self, monkeypatch):
+        # One stack of seed 4 at -5 dB holds rows that converge at
+        # iterations 38 and 85, a row that hits the cap, and a pinned row
+        # that hits the cap.  Each row leaves the stack at its own
+        # iteration and matches its own reference fit bit for bit.
+        b, received, d, grid = _noisy_observation(4, -5.0)
+        cfg = SbceConfig()
+        refs = [_fit_rebuilding_every_iteration(received[:, m], b, d,
+                                                float(f), 300e9, cfg)
+                for m, f in enumerate(grid.frequencies)]
+        stack_sizes = []
+        real_e_step = sbce._e_step
+
+        def recording(factor, sigma, noise_var, y):
+            stack_sizes.append(len(y))
+            return real_e_step(factor, sigma, noise_var, y)
+
+        monkeypatch.setattr(sbce, "_e_step", recording)
+        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9,
+                                     cfg)
+        for m, ref in enumerate(refs):
+            for a, r in zip(fits, ref):
+                np.testing.assert_array_equal(a[m], r)
+        pinned = np.array([ref[7] for ref in refs])
+        capped = ~fits.converged
+        assert sorted(fits.iterations[fits.converged]) == [38, 85]
+        assert np.all(fits.iterations[capped] == cfg.max_iters)
+        assert np.any(capped & ~pinned) and np.any(capped & pinned)
+        assert stack_sizes == [4] * 38 + [3] * (85 - 38) + \
+            [2] * (cfg.max_iters - 85)
+
+    def test_row_cap_splits_stacks_without_changing_fits(self, monkeypatch):
+        b, received, d, grid = _noisy_observation(0, 0.0)
+        cfg = SbceConfig()
+        whole = sbce._fit_subcarriers(received, b, d, grid.frequencies,
+                                      300e9, cfg)
+        stack_sizes = []
+        real_e_step = sbce._e_step
+
+        def recording(factor, sigma, noise_var, y):
+            stack_sizes.append(len(y))
+            return real_e_step(factor, sigma, noise_var, y)
+
+        monkeypatch.setattr(sbce, "_e_step", recording)
+        # Room for three rows of P x F = 12 x 64 per stack: stacks of 3 and 1.
+        monkeypatch.setattr(sbce, "STACK_ELEMENTS", 3 * 12 * 64)
+        split = sbce._fit_subcarriers(received, b, d, grid.frequencies,
+                                      300e9, cfg)
+        assert max(stack_sizes) == 3 and stack_sizes[-1] == 1
+        for a, r in zip(whole, split):
+            np.testing.assert_array_equal(a, r)
