@@ -5,12 +5,9 @@ from .arrays import (
     Dictionary,
     Direction,
     SubcarrierGrid,
-    array_gain,
-    beam_split_far,
     beam_split_near,
     build_dictionary,
     fraunhofer_distance,
-    spatial_direction,
     steering_far,
     steering_near,
     ula_fraunhofer_distance,
@@ -23,16 +20,15 @@ from .channel import (
     gen_pilot_matrix,
     observe,
 )
-from .sbce import SbceConfig, SbceResult, run_sbce
-from .harness import ExperimentConfig, nmse, rmse_deg, run_sweep
+from .sbce import SbceResult, run_sbce
+from .harness import ExperimentConfig, nmse, run_sweep
 
 __all__ = [
     "ArrayConfig", "Dictionary", "Direction", "SubcarrierGrid",
-    "array_gain", "beam_split_far", "beam_split_near", "build_dictionary",
-    "fraunhofer_distance", "spatial_direction", "steering_far",
-    "steering_near", "ula_fraunhofer_distance",
+    "beam_split_near", "build_dictionary", "fraunhofer_distance",
+    "steering_far", "steering_near", "ula_fraunhofer_distance",
     "ChannelRealization", "PathParams", "PilotObservation",
     "gen_channel", "gen_pilot_matrix", "observe",
-    "SbceConfig", "SbceResult", "run_sbce",
-    "ExperimentConfig", "nmse", "rmse_deg", "run_sweep",
+    "SbceResult", "run_sbce",
+    "ExperimentConfig", "nmse", "run_sweep",
 ]

@@ -109,42 +109,6 @@ def steering_far(config: ArrayConfig, sine_dir: float, freq_hz: float) -> np.nda
     return np.exp(1j * phase * idx * sine_dir) / np.sqrt(config.n_antennas)
 
 
-def spatial_direction(sine_dir: float, freq_hz: float, carrier_hz: float) -> float:
-    """Beamspace direction the array actually points at for this subcarrier."""
-    _check_sine(sine_dir)
-    return (freq_hz / carrier_hz) * sine_dir
-
-
-def beam_split_far(sine_dir: float, freq_hz: float, carrier_hz: float) -> float:
-    """Sine-space gap between spatial and physical direction."""
-    _check_sine(sine_dir)
-    return (freq_hz / carrier_hz - 1.0) * sine_dir
-
-
-def dirichlet(a: float, n: int) -> float:
-    """Normalized Dirichlet kernel sin(N*pi*a)/(N*sin(pi*a)).
-
-    The removable singularities at integer a return the analytic limit +-1.
-    """
-    frac = a - np.round(a)
-    if abs(frac) < 1e-12:
-        # At even integers the limit is +1, at odd integers (-1)^(N-1) * ...;
-        # only the magnitude matters for gains, but return the exact limit.
-        k = int(np.round(a))
-        return float((-1.0) ** (k * (n - 1)))
-    return float(np.sin(n * np.pi * a) / (n * np.sin(np.pi * a)))
-
-
-def array_gain(config: ArrayConfig, phys_sine: float, spatial_sine: float,
-               freq_hz: float) -> float:
-    """Power gain of a beam aimed at spatial_sine on a source at phys_sine."""
-    _check_sine(phys_sine)
-    _check_sine(spatial_sine)
-    a = config.element_spacing_m * (
-        config.carrier_freq_hz * spatial_sine - freq_hz * phys_sine) / SPEED_OF_LIGHT
-    return dirichlet(a, config.n_antennas) ** 2
-
-
 def steering_near(config: ArrayConfig, sine_dir: float, range_m: float,
                   freq_hz: float, mode: str = "taylor") -> np.ndarray:
     """Near-field steering vector, exact spherical or second-order Taylor.

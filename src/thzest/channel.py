@@ -58,11 +58,6 @@ class PilotObservation:
     beamformer: np.ndarray = field(repr=False)  # P x N_T
     received: np.ndarray = field(repr=False)    # P x M
     noise_var: float
-    seed: int
-
-    @property
-    def n_pilots(self) -> int:
-        return self.beamformer.shape[0]
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -157,5 +152,4 @@ def observe(channel: ChannelRealization, beamformer: np.ndarray,
     noise_var = signal_power / (n_pilots * 10.0 ** (snr_db / 10.0))
     noise = np.sqrt(noise_var / 2.0) * (
         rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
-    seed = rng_seed if isinstance(rng_seed, int) else -1
-    return PilotObservation(beamformer, clean + noise, float(noise_var), seed)
+    return PilotObservation(beamformer, clean + noise, float(noise_var))

@@ -150,11 +150,11 @@ def scenario_to_json(channel: ChannelRealization,
         "received": {"shape": list(obs.received.shape),
                      "data": _complex_to_json(obs.received)},
         "noise_var": obs.noise_var,
-        "seed": obs.seed,
     }
 
 
 def scenario_from_json(doc: dict):
+    """Inverse of scenario_to_json; a "seed" key of older files is ignored."""
     cfg = ArrayConfig(**doc["config"])
     grid = SubcarrierGrid.build(**doc["grid"])
     paths = tuple(
@@ -169,7 +169,7 @@ def scenario_from_json(doc: dict):
                                       doc["beamformer"]["shape"]),
         received=_complex_from_json(doc["received"]["data"],
                                     doc["received"]["shape"]),
-        noise_var=doc["noise_var"], seed=doc["seed"])
+        noise_var=doc["noise_var"])
     return channel, obs
 
 
@@ -260,8 +260,16 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if not failed else EXIT_RUNTIME
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: exit code 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thzest",
         description="Wideband THz channel estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -292,11 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_scenario_gen)
     p_run = scen_sub.add_parser("run", help="run estimators on a scenario")
     p_run.add_argument("scenario_file")
-    add_common(p_run)
+    p_run.add_argument("--estimators", help="comma list, e.g. sbce,ls")
     p_run.set_defaults(func=cmd_scenario_run)
 
     p_self = sub.add_parser("selftest", help="run the quick invariant suite")
-    add_common(p_self)
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

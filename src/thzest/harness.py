@@ -28,7 +28,6 @@ from .sbce import SingularCovarianceError, run_sbce
 class EstimatorContext:
     """Everything besides the observation that the estimators read."""
 
-    array_cfg: ArrayConfig
     grid: SubcarrierGrid
     dictionary: Dictionary
     n_paths: int
@@ -54,7 +53,7 @@ class EstimatorContext:
                          for f in grid.frequencies]
             for cov in mmse_covs:
                 check_psd_covariance(cov)
-        return cls(array_cfg, grid, dictionary, n_paths, mmse_covs)
+        return cls(grid, dictionary, n_paths, mmse_covs)
 
 
 # Each entry maps (ctx, obs) to (N_T x M estimate, SbceResult or None).  The
@@ -62,7 +61,7 @@ class EstimatorContext:
 # rebinding of e.g. `harness.run_sbce` reaches the dispatch.
 
 def _sbce(ctx: EstimatorContext, obs):
-    fit = run_sbce(obs, ctx.dictionary, ctx.grid, array_config=ctx.array_cfg)
+    fit = run_sbce(obs, ctx.dictionary, ctx.grid)
     return fit.est_channel, fit
 
 
@@ -252,15 +251,6 @@ def nmse(true_channels, est_channels) -> float:
     return float(np.mean(ratios))
 
 
-def rmse_deg(true_values_deg, est_values_deg) -> float:
-    """Root-mean-square error of degree-valued sequences."""
-    t = np.asarray(true_values_deg, dtype=float)
-    e = np.asarray(est_values_deg, dtype=float)
-    if t.shape != e.shape:
-        raise ValueError("mismatched lengths")
-    return float(np.sqrt(np.mean((t - e) ** 2)))
-
-
 def _split_to_deg(direction_sine: float, split: float) -> float:
     """Degrees between the implied spatial and physical angles."""
     hi = np.clip(direction_sine + split, -1.0, 1.0)
@@ -302,7 +292,7 @@ def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
 
 def _run_single(config, ctx, sweep_idx, snr_db, range_m, trial, user) -> dict:
     base = [config.seed, sweep_idx, trial, user]
-    array_cfg, grid = ctx.array_cfg, ctx.grid
+    array_cfg, grid = ctx.dictionary.config, ctx.grid
     channel = gen_channel(array_cfg, grid, config.n_paths,
                           scenario=config.scenario,
                           rng_seed=np.random.default_rng(base + [0]),

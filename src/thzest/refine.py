@@ -78,8 +78,8 @@ def refine_direction(coarse_dir: float, observation_cols: np.ndarray,
                      config: ArrayConfig) -> float:
     """Fine-grid search for the zero of the likelihood stationarity expression.
 
-    The scan spans one coarse grid cell either side of coarse_dir in
-    N_SCAN_POINTS points.  Falls back to coarse_dir when the expression never
+    The scan spans half a coarse grid cell either side of coarse_dir, one
+    cell in total, in N_SCAN_POINTS points.  Falls back to coarse_dir when the expression never
     changes sign over the interval, which covers intervals that contain no
     signal energy.
     """

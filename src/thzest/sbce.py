@@ -17,18 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import (SPEED_OF_LIGHT, ArrayConfig, Dictionary, SubcarrierGrid,
-                     steering_far)
+from .arrays import SPEED_OF_LIGHT, Dictionary, SubcarrierGrid, steering_far
 
 
 class SingularCovarianceError(RuntimeError):
     """Raised when an observation covariance is numerically singular."""
-
-
-@dataclass(frozen=True)
-class SbceConfig:
-    convergence_tol: float = 1e-3
-    max_iters: int = 200
 
 
 @dataclass(frozen=True)
@@ -44,6 +37,11 @@ class SbceResult:
 #: energy ||y||^2 / P.  Without it the estimate collapses at SNRs far above
 #: any of interest and the Cholesky factor of Pi_y breaks down.
 NOISE_FLOOR_REL = 1e-12
+
+#: A fit has converged once an iteration moves sigma by less than this,
+#: relative to ||sigma||; it stops unconverged after MAX_ITERS iterations.
+CONVERGENCE_TOL = 1e-3
+MAX_ITERS = 200
 
 
 class _DftFactor(NamedTuple):
@@ -219,7 +217,7 @@ class _Fits(NamedTuple):
 
 def _fit_subcarriers(received: np.ndarray, pilot_matrix: np.ndarray,
                      dictionary: Dictionary, freqs: np.ndarray,
-                     carrier_hz: float, config: SbceConfig) -> _Fits:
+                     carrier_hz: float) -> _Fits:
     """Run the EM loop of every column of received, never forming Pi or B C D.
 
     The fits are independent, but run as stacks of at most STACK_ELEMENTS
@@ -236,14 +234,13 @@ def _fit_subcarriers(received: np.ndarray, pilot_matrix: np.ndarray,
     for start in range(0, n_rows, per_stack):
         rows = np.arange(start, min(start + per_stack, n_rows))
         _fit_stack(fits, rows, received, pilot_matrix, dictionary, freqs,
-                   carrier_hz, config)
+                   carrier_hz)
     return fits
 
 
 def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
                pilot_matrix: np.ndarray, dictionary: Dictionary,
-               freqs: np.ndarray, carrier_hz: float,
-               config: SbceConfig) -> None:
+               freqs: np.ndarray, carrier_hz: float) -> None:
     """EM loop over a stack of rows, one per subcarrier, written into fits.
 
     Each iteration is one `_e_step` for every live row.  A row's factor is
@@ -282,7 +279,7 @@ def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
         fits.iterations[out] = iterations
         fits.converged[out] = converged
 
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         post = _e_step(_DftFactor(a, a_hat, f_a, n_grid), sigma, noise_var, y)
 
         # mu^2 update from the same E-step quantities.
@@ -329,7 +326,7 @@ def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
             delta_sigma = np.linalg.norm(sigma_new[r] - sigma[r])
             norm_sigma = np.linalg.norm(sigma_new[r])
             done[r] = norm_sigma > 0 and \
-                delta_sigma / norm_sigma < config.convergence_tol
+                delta_sigma / norm_sigma < CONVERGENCE_TOL
         sigma = sigma_new
         if done.any():
             store(done, it, True)
@@ -341,20 +338,18 @@ def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
                                   flips, pinned))
             if not len(rows):
                 return
-    store(np.ones(len(rows), dtype=bool), config.max_iters, False)
+    store(np.ones(len(rows), dtype=bool), MAX_ITERS, False)
 
 
-def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
-             config: SbceConfig = SbceConfig(),
-             array_config: ArrayConfig | None = None) -> SbceResult:
-    """Estimate direction, per-subcarrier beam-split, and the channel."""
+def run_sbce(observation, dictionary: Dictionary,
+             grid: SubcarrierGrid) -> SbceResult:
+    """Estimate direction, splits and channel on the dictionary's array."""
     from .refine import refine_direction
 
     pilot_matrix = observation.beamformer
     n_antennas = pilot_matrix.shape[1]
-    if array_config is None:
-        array_config = ArrayConfig.half_wavelength(n_antennas, grid.carrier_freq_hz)
-    if dictionary.config.n_antennas != n_antennas:
+    array_config = dictionary.config
+    if array_config.n_antennas != n_antennas:
         raise ValueError("dimension mismatch: dictionary rows != n_antennas")
     ratio = 2.0 * array_config.element_spacing_m \
         * array_config.carrier_freq_hz / SPEED_OF_LIGHT
@@ -364,7 +359,7 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     carrier = grid.carrier_freq_hz
 
     fits = _fit_subcarriers(observation.received, pilot_matrix, dictionary,
-                            grid.frequencies, carrier, config)
+                            grid.frequencies, carrier)
 
     center = grid.center_index
     # The refinement reads B C D of the centre subcarrier: B C D = A W.

@@ -1,0 +1,78 @@
+"""Second-difference oracle for the closed-form Fisher information of
+`thzest.crb`, shared by the CRB unit tests and acceptance criterion 6."""
+
+import numpy as np
+
+from thzest.arrays import ArrayConfig
+from thzest.crb import ParamVector, _steering_and_derivs
+
+
+def numeric_fim(config: ArrayConfig, params: ParamVector,
+                pilot_matrix: np.ndarray, signal_powers,
+                noise_var: float, freq_hz: float) -> np.ndarray:
+    """Signal-parameter FIM from second differences of the log-likelihood.
+
+    Builds the full FIM over (signal parameters, signal powers, noise
+    variance) by numerically differentiating ln|Pi_y(w)| + Tr{Pi_y(w)^{-1}
+    Pi_y(w0)}, then removes the nuisance block by Schur complement.  Serves
+    as the independent oracle for the closed form.
+    """
+    powers = np.atleast_1d(np.asarray(signal_powers, dtype=float))
+    n_paths = params.n_paths
+    n_sig = (3 if params.is_near_field else 2) * n_paths
+
+    def unpack(w):
+        directions = w[:n_paths]
+        splits = w[n_paths:2 * n_paths]
+        if params.is_near_field:
+            ranges = w[2 * n_paths:3 * n_paths]
+            p = ParamVector(directions, splits, ranges)
+        else:
+            p = ParamVector(directions, splits)
+        pw = w[n_sig:n_sig + n_paths]
+        nv = w[n_sig + n_paths]
+        return p, pw, nv
+
+    def cov_of(w):
+        p, pw, nv = unpack(w)
+        a_mat = pilot_matrix @ _steering_and_derivs(config, p, freq_hz)[0]
+        return (a_mat * pw[np.newaxis, :]) @ a_mat.conj().T + \
+            nv * np.eye(a_mat.shape[0])
+
+    w0 = np.concatenate([
+        params.directions, params.splits,
+        params.ranges if params.is_near_field else np.zeros(0),
+        powers, [noise_var]])
+    cov0 = cov_of(w0)
+
+    def nll(w):
+        cov = cov_of(w)
+        sign, logdet = np.linalg.slogdet(cov)
+        return float(logdet + np.real(np.trace(np.linalg.solve(cov, cov0))))
+
+    steps = np.full(w0.shape, 1e-4)
+    if params.is_near_field:
+        steps[2 * n_paths:3 * n_paths] = 1e-4 * np.abs(params.ranges)
+    steps[n_sig:n_sig + n_paths] = 1e-4 * np.maximum(powers, 1e-12)
+    steps[n_sig + n_paths] = 1e-4 * noise_var
+
+    n_all = w0.shape[0]
+    hess = np.zeros((n_all, n_all))
+    f0 = nll(w0)
+    for i in range(n_all):
+        e_i = np.zeros(n_all)
+        e_i[i] = steps[i]
+        hess[i, i] = (nll(w0 + e_i) - 2.0 * f0 + nll(w0 - e_i)) / steps[i] ** 2
+        for j in range(i + 1, n_all):
+            e_j = np.zeros(n_all)
+            e_j[j] = steps[j]
+            val = (nll(w0 + e_i + e_j) - nll(w0 + e_i - e_j)
+                   - nll(w0 - e_i + e_j) + nll(w0 - e_i - e_j)) / \
+                (4.0 * steps[i] * steps[j])
+            hess[i, j] = val
+            hess[j, i] = val
+
+    f_vv = hess[:n_sig, :n_sig]
+    f_vn = hess[:n_sig, n_sig:]
+    f_nn = hess[n_sig:, n_sig:]
+    return f_vv - f_vn @ np.linalg.solve(f_nn, f_vn.T)

@@ -9,15 +9,11 @@ from thzest.arrays import (
     ArrayConfig,
     Direction,
     SubcarrierGrid,
-    array_gain,
-    beam_split_far,
     beam_split_near,
     Dictionary,
     build_dictionary,
-    dirichlet,
     fraunhofer_distance,
     near_field_spatial_direction,
-    spatial_direction,
     steering_far,
     steering_near,
     ula_fraunhofer_distance,
@@ -101,18 +97,8 @@ class TestSteeringFar:
 
 
 class TestSplitMaps:
-    @settings(deadline=None, max_examples=50)
-    @given(sine=st.floats(-1.0, 1.0), f_rel=st.floats(0.9, 1.1))
-    def test_split_is_spatial_minus_physical(self, sine, f_rel):
-        f = f_rel * 300e9
-        assert beam_split_far(sine, f, 300e9) == pytest.approx(
-            spatial_direction(sine, f, 300e9) - sine, abs=1e-15)
-
-    def test_no_split_at_carrier(self):
-        assert beam_split_far(0.7, 300e9, 300e9) == 0.0
-
     def test_near_split_reduces_to_far_at_infinity(self):
-        far = beam_split_far(0.5, 310e9, 300e9)
+        far = (310e9 / 300e9 - 1.0) * 0.5
         near = beam_split_near(0.5, np.arcsin(0.5), 1e12, 310e9, 300e9, 16)
         assert near == pytest.approx(far, abs=1e-12)
 
@@ -124,39 +110,6 @@ class TestSplitMaps:
         shifted = near_field_spatial_direction(0.5, np.arcsin(0.5), 5.0,
                                                310e9, 300e9, 9)
         assert shifted < base
-
-
-class TestDirichlet:
-    def test_matches_ratio_away_from_integers(self):
-        for a in (0.013, 0.31, -0.77, 1.43):
-            expected = np.sin(16 * np.pi * a) / (16 * np.sin(np.pi * a))
-            assert dirichlet(a, 16) == pytest.approx(expected, rel=1e-12)
-
-    def test_integer_limits(self):
-        assert dirichlet(0.0, 16) == 1.0
-        assert dirichlet(1.0, 16) == (-1.0) ** 15
-        assert dirichlet(2.0, 16) == 1.0
-        # Continuity across the singularity.
-        assert dirichlet(1e-9, 16) == pytest.approx(dirichlet(0.0, 16), abs=1e-6)
-
-    @settings(deadline=None, max_examples=100)
-    @given(a=st.floats(-3.0, 3.0), n=st.integers(2, 64))
-    def test_magnitude_bounded_by_one(self, a, n):
-        assert abs(dirichlet(a, n)) <= 1.0 + 1e-12
-
-
-class TestArrayGain:
-    def test_unity_when_beam_matches_source(self):
-        # The kernel argument vanishes when f_c * spatial = f * physical.
-        f = 310e9
-        phys = 0.6
-        spatial = f * phys / 300e9
-        assert array_gain(CFG, phys, spatial, f) == pytest.approx(1.0)
-
-    def test_loss_under_mismatch(self):
-        f = 330e9
-        # Beam steered to the physical direction instead of the shifted one.
-        assert array_gain(CFG, 0.6, 0.6, f) < 0.9
 
 
 class TestSteeringNear:

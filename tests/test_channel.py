@@ -124,9 +124,3 @@ class TestPilotsAndObservation:
         ch = gen_channel(CFG, GRID, 1, rng_seed=2)
         with pytest.raises(ValueError):
             observe(ch, np.ones((4, 9)), 10.0)
-
-    def test_generator_seed_records_sentinel(self):
-        ch = gen_channel(CFG, GRID, 1, rng_seed=2)
-        b = gen_pilot_matrix(CFG, 8, rng_seed=3)
-        obs = observe(ch, b, 10.0, rng_seed=np.random.default_rng(0))
-        assert obs.seed == -1

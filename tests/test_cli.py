@@ -201,6 +201,26 @@ class TestExitCodes:
         if code == EXIT_CONFIG:
             assert stderr.getvalue().startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--trials", "abc"],
+        ["sweep", "--bogus"],
+        ["scenario", "run", "SCENARIO", "--out", "x.json"],
+        ["selftest", "--preset", "paper"],
+    ], ids=["sweep-trials-abc", "sweep-bogus", "scenario-run-out",
+            "selftest-preset"])
+    def test_usage_error_exits_one_with_message(self, tmp_path, capsys, argv):
+        scen = tmp_path / "scen.json"
+        assert main(["scenario", "gen", "--config",
+                     _write_tiny_config(tmp_path), "--out", str(scen)]) \
+            == EXIT_OK
+        argv = [str(scen) if a == "SCENARIO" else a for a in argv]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err
+
 
 class TestScenarioRoundTrip:
     def test_json_round_trip_preserves_observation(self):
@@ -225,8 +245,13 @@ class TestScenarioRoundTrip:
                      "--out", str(scen)]) == EXIT_OK
         doc = json.loads(scen.read_text())
         assert doc["received"]["shape"] == [8, 2]
+        assert "seed" not in doc
         code = main(["scenario", "run", str(scen), "--estimators", "ls,omp"])
         assert code == EXIT_OK
+        # Files written by older versions carry a "seed" key; it is ignored.
+        scen.write_text(json.dumps(dict(doc, seed=-1)))
+        assert main(["scenario", "run", str(scen), "--estimators", "ls"]) \
+            == EXIT_OK
         assert main(["scenario", "run", str(scen),
                      "--estimators", "foo"]) == EXIT_CONFIG
 

@@ -8,11 +8,12 @@ from thzest.channel import gen_pilot_matrix
 from thzest.crb import (
     ParamVector,
     crb,
-    numeric_fim,
     perturbed_steering,
     steering_derivatives_far,
     steering_derivatives_near,
 )
+
+from fim_oracle import numeric_fim
 
 CFG4 = ArrayConfig.half_wavelength(4, 300e9)
 CFG16 = ArrayConfig.half_wavelength(16, 300e9)

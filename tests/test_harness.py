@@ -19,7 +19,6 @@ from thzest.harness import (
     config_from_mapping,
     nmse,
     records_to_csv,
-    rmse_deg,
     run_point,
     run_sweep,
     summarize_point,
@@ -43,12 +42,6 @@ class TestMetrics:
             nmse([np.ones(2)], [])
         with pytest.raises(ValueError):
             nmse([np.zeros(2)], [np.ones(2)])
-
-    def test_rmse_deg_oracle(self):
-        assert rmse_deg([0.0, 0.0], [3.0, 4.0]) == pytest.approx(
-            math.sqrt(12.5))
-        with pytest.raises(ValueError):
-            rmse_deg([1.0], [1.0, 2.0])
 
     def test_split_to_deg(self):
         got = _split_to_deg(0.5, 0.05)

@@ -104,6 +104,8 @@ class TestRefineDirection:
                                    sigma, 1e-6, idx, CFG)
         assert abs(refined - true_sine) < abs(coarse - true_sine)
         assert abs(refined - true_sine) < 2e-4
+        # The scan spans half a cell (1/N of the 2/N spacing) either side.
+        assert abs(refined - coarse) <= 1 / 128
 
     def test_falls_back_without_sign_change(self):
         # All-zero snapshots carry no stationarity information.

@@ -13,7 +13,6 @@ from thzest.arrays import (
 from thzest import sbce
 from thzest.channel import PilotObservation, gen_pilot_matrix
 from thzest.sbce import (
-    SbceConfig,
     SingularCovarianceError,
     beam_split_from_c,
     posterior_update,
@@ -310,15 +309,14 @@ def _noiseless_observation(grid_index=20, grid_size=64, n_pilots=16,
     b = gen_pilot_matrix(CFG, n_pilots, rng_seed=9)
     h = np.stack([np.sqrt(16) * steering_far(CFG, sine, float(f))
                   for f in grid.frequencies], axis=1)
-    obs = PilotObservation(beamformer=b, received=b @ h,
-                           noise_var=1e-12, seed=0)
+    obs = PilotObservation(beamformer=b, received=b @ h, noise_var=1e-12)
     return obs, d, grid, sine, h
 
 
 class TestRunSbce:
     def test_noiseless_on_grid_recovery(self):
         obs, d, grid, sine, h = _noiseless_observation()
-        result = run_sbce(obs, d, grid, array_config=CFG)
+        result = run_sbce(obs, d, grid)
         assert result.converged
         assert result.est_direction_sine == pytest.approx(sine, abs=1e-9)
         err = np.linalg.norm(result.est_channel - h) ** 2 / np.linalg.norm(h) ** 2
@@ -326,7 +324,7 @@ class TestRunSbce:
 
     def test_reported_splits_follow_frequency_ratio(self):
         obs, d, grid, sine, _ = _noiseless_observation()
-        result = run_sbce(obs, d, grid, array_config=CFG)
+        result = run_sbce(obs, d, grid)
         for m, f in enumerate(grid.frequencies):
             expected = (float(f) / 300e9 - 1.0) * result.est_direction_sine
             assert result.est_beam_split[m] == pytest.approx(expected, abs=1e-9)
@@ -335,12 +333,13 @@ class TestRunSbce:
         obs, _, grid, _, _ = _noiseless_observation()
         other = build_dictionary(ArrayConfig.half_wavelength(8, 300e9), 32)
         with pytest.raises(ValueError):
-            run_sbce(obs, other, grid, array_config=CFG)
+            run_sbce(obs, other, grid)
 
-    def test_iteration_cap_respected(self):
+    def test_iteration_cap_respected(self, monkeypatch):
         obs, d, grid, _, _ = _noiseless_observation()
-        cfg = SbceConfig(max_iters=3, convergence_tol=1e-30)
-        result = run_sbce(obs, d, grid, cfg, CFG)
+        monkeypatch.setattr(sbce, "MAX_ITERS", 3)
+        monkeypatch.setattr(sbce, "CONVERGENCE_TOL", 1e-30)
+        result = run_sbce(obs, d, grid)
         assert result.iterations == 3
         assert not result.converged
 
@@ -363,7 +362,7 @@ def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
 
 
 def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
-                                    carrier_hz, config):
+                                    carrier_hz):
     """Reference EM loop for one subcarrier, on stacks of one row, that
     rebuilds the factor of B C D on every unpinned iteration.
 
@@ -377,7 +376,7 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
     factor = sbce._dft_factor(
         (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis], n_grid)
     peak, prev_peaks, flips, pinned = 0, [-1, -1], 0, False
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, sbce.MAX_ITERS + 1):
         post = sbce._e_step(factor, sigma[np.newaxis], np.array([noise_var]),
                             y[np.newaxis])
         residual = float(np.linalg.norm(y - post.fitted[0]) ** 2)
@@ -405,9 +404,9 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                 n_grid)
         delta = np.linalg.norm(sigma_new - sigma)
         sigma = sigma_new
-        if delta / np.linalg.norm(sigma) < config.convergence_tol:
+        if delta / np.linalg.norm(sigma) < sbce.CONVERGENCE_TOL:
             return factor.a[0], sigma, noise_var, c, peak, it, True, pinned
-    return (factor.a[0], sigma, noise_var, c, peak, config.max_iters, False,
+    return (factor.a[0], sigma, noise_var, c, peak, sbce.MAX_ITERS, False,
             pinned)
 
 
@@ -425,8 +424,8 @@ class TestEmLoop:
             return post
 
         monkeypatch.setattr(sbce, "_e_step", recording)
-        sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9,
-                              SbceConfig(max_iters=1))
+        monkeypatch.setattr(sbce, "MAX_ITERS", 1)
+        sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
         assert len(seen) == 1
         (_, sigmas, noise_vars, ys), post = seen[0]
         assert len(ys) == grid.n_subcarriers
@@ -457,12 +456,10 @@ class TestEmLoop:
             return real_diag(*args)
 
         monkeypatch.setattr(sbce, "update_perturbation_diag", counting)
-        cfg = SbceConfig()
-        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9,
-                                     cfg)
+        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
         for m, freq in enumerate(grid.frequencies):
             ref = _fit_rebuilding_every_iteration(received[:, m], b, d,
-                                                  float(freq), 300e9, cfg)
+                                                  float(freq), 300e9)
             got = [field[m] for field in fits]
             for a, r in zip(got, ref):
                 np.testing.assert_array_equal(a, r)
@@ -475,9 +472,8 @@ class TestEmLoop:
         # that hits the cap.  Each row leaves the stack at its own
         # iteration and matches its own reference fit bit for bit.
         b, received, d, grid = _noisy_observation(4, -5.0)
-        cfg = SbceConfig()
         refs = [_fit_rebuilding_every_iteration(received[:, m], b, d,
-                                                float(f), 300e9, cfg)
+                                                float(f), 300e9)
                 for m, f in enumerate(grid.frequencies)]
         stack_sizes = []
         real_e_step = sbce._e_step
@@ -487,24 +483,21 @@ class TestEmLoop:
             return real_e_step(factor, sigma, noise_var, y)
 
         monkeypatch.setattr(sbce, "_e_step", recording)
-        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9,
-                                     cfg)
+        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
         for m, ref in enumerate(refs):
             for a, r in zip(fits, ref):
                 np.testing.assert_array_equal(a[m], r)
         pinned = np.array([ref[7] for ref in refs])
         capped = ~fits.converged
         assert sorted(fits.iterations[fits.converged]) == [38, 85]
-        assert np.all(fits.iterations[capped] == cfg.max_iters)
+        assert np.all(fits.iterations[capped] == sbce.MAX_ITERS)
         assert np.any(capped & ~pinned) and np.any(capped & pinned)
         assert stack_sizes == [4] * 38 + [3] * (85 - 38) + \
-            [2] * (cfg.max_iters - 85)
+            [2] * (sbce.MAX_ITERS - 85)
 
     def test_row_cap_splits_stacks_without_changing_fits(self, monkeypatch):
         b, received, d, grid = _noisy_observation(0, 0.0)
-        cfg = SbceConfig()
-        whole = sbce._fit_subcarriers(received, b, d, grid.frequencies,
-                                      300e9, cfg)
+        whole = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
         stack_sizes = []
         real_e_step = sbce._e_step
 
@@ -515,8 +508,7 @@ class TestEmLoop:
         monkeypatch.setattr(sbce, "_e_step", recording)
         # Room for three rows of P x F = 12 x 64 per stack: stacks of 3 and 1.
         monkeypatch.setattr(sbce, "STACK_ELEMENTS", 3 * 12 * 64)
-        split = sbce._fit_subcarriers(received, b, d, grid.frequencies,
-                                      300e9, cfg)
+        split = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
         assert max(stack_sizes) == 3 and stack_sizes[-1] == 1
         for a, r in zip(whole, split):
             np.testing.assert_array_equal(a, r)
