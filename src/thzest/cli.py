@@ -61,21 +61,16 @@ def load_config_file(path: str) -> dict:
 def _apply_common_flags(config: ExperimentConfig,
                         args: argparse.Namespace) -> ExperimentConfig:
     updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["output_path"] = args.out
+    for flag, key in (("seed", "seed"), ("out", "output_path"),
+                      ("sweep", "sweep"), ("threads", "threads"),
+                      ("trials", "trials")):
+        if getattr(args, flag, None) is not None:
+            updates[key] = getattr(args, flag)
     if getattr(args, "estimators", None):
         updates["estimators"] = tuple(args.estimators.split(","))
-    if getattr(args, "sweep", None):
-        updates["sweep"] = args.sweep
     if getattr(args, "values", None):
         updates["sweep_values"] = tuple(
             float(v) for v in args.values.split(","))
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
     return dataclasses.replace(config, **updates)
 
 
@@ -274,29 +269,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wideband THz channel estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--estimators", help="comma list, e.g. sbce,ls")
-        p.add_argument("--sweep", choices=["snr", "bandwidth", "range", "none"])
-        p.add_argument("--values", help="comma list of sweep values")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--trials", type=int)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file")
+    common.add_argument("--preset", choices=sorted(PRESETS))
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out", help="output file path")
+    axis = argparse.ArgumentParser(add_help=False, parents=[common])
+    axis.add_argument("--sweep", choices=["snr", "bandwidth", "range", "none"])
+    axis.add_argument("--values", help="comma list of sweep values")
+    axis.add_argument("--threads", type=int)
+    axis.add_argument("--trials", type=int)
 
-    p_sweep = sub.add_parser("sweep", help="Monte-Carlo metric sweep")
-    add_common(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[axis],
+                             help="Monte-Carlo metric sweep")
+    p_sweep.add_argument("--estimators", help="comma list, e.g. sbce,ls")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_crb = sub.add_parser("crb", help="bounds-only table")
-    add_common(p_crb)
+    p_crb = sub.add_parser("crb", parents=[axis], help="bounds-only table")
     p_crb.set_defaults(func=cmd_crb)
 
     p_scen = sub.add_parser("scenario", help="persist / replay one scenario")
     scen_sub = p_scen.add_subparsers(dest="scenario_command", required=True)
-    p_gen = scen_sub.add_parser("gen", help="generate a scenario JSON")
-    add_common(p_gen)
+    p_gen = scen_sub.add_parser("gen", parents=[common],
+                                help="generate a scenario JSON")
     p_gen.set_defaults(func=cmd_scenario_gen)
     p_run = scen_sub.add_parser("run", help="run estimators on a scenario")
     p_run.add_argument("scenario_file")

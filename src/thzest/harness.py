@@ -157,10 +157,17 @@ class ExperimentConfig:
         check_value = _check_snr if self.sweep == "snr" else _check_real
         for value in self.sweep_values:
             check_value("sweep value", value)
+            if self.sweep == "range" and value <= 0:
+                raise ValueError("range sweep values must be > 0")
+            if self.sweep == "bandwidth" and value < 0:
+                raise ValueError("bandwidth sweep values must be >= 0")
         if self.sweep != "none" and len(self.sweep_values) == 0:
             raise ValueError("sweep value list must be nonempty")
         if self.scenario not in ("far", "near"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.scenario != "near" and (self.sweep == "range"
+                                        or self.range_m is not None):
+            raise ValueError("a range sweep or range_m needs scenario = near")
         if not isinstance(self.estimators, tuple):
             raise ValueError("estimators must be a list of names")
         unknown = [e for e in self.estimators if e not in ALL_ESTIMATORS]

@@ -27,19 +27,6 @@ def _solve_hermitian(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def covariance_excluding(effective_matrix: np.ndarray, sigma: np.ndarray,
-                         noise_var: float, excluded_index: int) -> np.ndarray:
-    """Model covariance with the excluded atom's prior variance zeroed."""
-    if not 0 <= excluded_index < sigma.shape[0]:
-        raise ValueError("excluded_index out of range")
-    trimmed = sigma.copy()
-    trimmed[excluded_index] = 0.0
-    weighted = effective_matrix * trimmed[np.newaxis, :]
-    cov = weighted @ effective_matrix.conj().T
-    cov = 0.5 * (cov + cov.conj().T)
-    return cov + noise_var * np.eye(effective_matrix.shape[0])
-
-
 def _stationarity_curve(grid: np.ndarray, sample_cov: np.ndarray,
                         cov_excl: np.ndarray, c: np.ndarray,
                         pilot_matrix: np.ndarray,
@@ -73,23 +60,21 @@ def _col_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def refine_direction(coarse_dir: float, observation_cols: np.ndarray,
                      pilot_matrix: np.ndarray, c: np.ndarray,
-                     effective_matrix: np.ndarray, sigma: np.ndarray,
-                     noise_var: float, excluded_index: int,
+                     cov_excl: np.ndarray, n_grid: int,
                      config: ArrayConfig) -> float:
     """Fine-grid search for the zero of the likelihood stationarity expression.
 
-    The scan spans half a coarse grid cell either side of coarse_dir, one
-    cell in total, in N_SCAN_POINTS points.  Falls back to coarse_dir when the expression never
-    changes sign over the interval, which covers intervals that contain no
-    signal energy.
+    cov_excl is the model covariance without the coarse atom.  The scan
+    spans half a cell of the n_grid-point grid either side of coarse_dir,
+    in N_SCAN_POINTS points.  Falls back to coarse_dir when the expression
+    never changes sign over the interval, which covers intervals that
+    contain no signal energy.
     """
     if abs(coarse_dir) > 1.0:
         raise ValueError("invalid direction: |coarse_dir| > 1")
-    half_width = 1.0 / sigma.shape[0]
+    half_width = 1.0 / n_grid
     cols = np.atleast_2d(observation_cols.T).T
     sample_cov = cols @ cols.conj().T / cols.shape[1]
-    cov_excl = covariance_excluding(effective_matrix, sigma, noise_var,
-                                    excluded_index)
 
     grid = np.linspace(coarse_dir - half_width, coarse_dir + half_width,
                        N_SCAN_POINTS)

@@ -52,13 +52,12 @@ class _DftFactor(NamedTuple):
     factor A = B diag(c * d_0) and W_in = w^{in}.  a_hat = F ifft(A, F) and
     f_a = fft(A, F) are its zero-padded row transforms, F >= 2 N_T - 1.
     Every array carries a leading row axis: a is R x P x N_T, a_hat and f_a
-    are R x P x F.
+    are R x P x F.  N is the length of the sigma that goes with it.
     """
 
     a: np.ndarray
     a_hat: np.ndarray
     f_a: np.ndarray
-    n_grid: int
 
 
 def _fft_size(n_antennas: int) -> int:
@@ -66,15 +65,10 @@ def _fft_size(n_antennas: int) -> int:
     return 1 << (2 * n_antennas - 2).bit_length()
 
 
-def _row_transforms(a: np.ndarray):
-    """(a_hat, f_a) of R x P x N_T factors, two FFTs for all rows."""
+def _dft_factor(a: np.ndarray) -> _DftFactor:
+    """R x P x N_T factors A_r with their row transforms, two FFTs for all."""
     n_fft = _fft_size(a.shape[-1])
-    return n_fft * np.fft.ifft(a, n_fft), np.fft.fft(a, n_fft)
-
-
-def _dft_factor(a: np.ndarray, n_grid: int) -> _DftFactor:
-    """Factors of P'_r = A_r W over an N-point grid, with F a power of two."""
-    return _DftFactor(a, *_row_transforms(a), n_grid)
+    return _DftFactor(a, n_fft * np.fft.ifft(a, n_fft), np.fft.fft(a, n_fft))
 
 
 def _herm(stack: np.ndarray) -> np.ndarray:
@@ -92,6 +86,21 @@ class _EStep(NamedTuple):
     fitted: np.ndarray      # R x P: P' z
 
 
+def _gram(factor: _DftFactor, sigma: np.ndarray) -> np.ndarray:
+    """S = P' Sigma P'^H = A T A^H of every row, T Toeplitz with T_ik =
+    tau_{i-k}, tau_d = sum_n sigma_n w^{dn}; embedded in an F-point circulant
+    with spectrum lam, S = a_hat diag(lam) a_hat^H / F.  R x P x P."""
+    a, a_hat, _ = factor
+    k, n_fft, n_grid = a.shape[-1], a_hat.shape[-1], sigma.shape[-1]
+    tau = n_grid * np.fft.ifft(sigma)
+    col = np.zeros((len(sigma), n_fft), dtype=complex)
+    col[:, :k] = tau[:, :k]
+    col[:, n_fft - k + 1:] = tau[:, n_grid - k + 1:]
+    lam = np.fft.fft(col).real
+    s_mat = (a_hat * lam[:, np.newaxis, :]) @ _herm(a_hat) / n_fft
+    return 0.5 * (s_mat + _herm(s_mat))
+
+
 def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
             y: np.ndarray) -> _EStep:
     """Posterior of the sparse coefficients of every row, P' = A W never formed.
@@ -99,10 +108,8 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
     Row r has its own factor A_r, prior variances sigma[r] (R x N), noise
     variance noise_var[r] and observation y[r] (R x P); each FFT, product
     and factorisation below serves all rows in one call.  Per row, with
-    S = P' Sigma P'^H, Pi_y = S + mu^2 I = L L^H and u = Pi_y^{-1} y:
-    - S = A T A^H with T Toeplitz, T_ik = tau_{i-k}, tau_d = sum_n sigma_n
-      w^{dn}; embedded in an F-point circulant with spectrum lam this is
-      S = a_hat diag(lam) a_hat^H / F;
+    S = P' Sigma P'^H from `_gram`, Pi_y = S + mu^2 I = L L^H and
+    u = Pi_y^{-1} y:
     - Pi_nn = sigma_n - sigma_n^2 rho_n with rho_n = ||L^{-1} A w_n||^2
       = sum_d q_d w^{dn}, q the row autocorrelation of L^{-1} A summed over
       rows and folded onto N lags;
@@ -110,15 +117,9 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
     - Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2.
     Each row costs O(P^2 F + N log N) instead of O(P^2 N).
     """
-    a, a_hat, f_a, n_grid = factor
-    k, n_fft = a.shape[-1], a_hat.shape[-1]
-    tau = n_grid * np.fft.ifft(sigma)
-    col = np.zeros((len(sigma), n_fft), dtype=complex)
-    col[:, :k] = tau[:, :k]
-    col[:, n_fft - k + 1:] = tau[:, n_grid - k + 1:]
-    lam = np.fft.fft(col).real
-    s_mat = (a_hat * lam[:, np.newaxis, :]) @ _herm(a_hat) / n_fft
-    s_mat = 0.5 * (s_mat + _herm(s_mat))
+    a, a_hat, f_a = factor
+    k, n_fft, n_grid = a.shape[-1], a_hat.shape[-1], sigma.shape[-1]
+    s_mat = _gram(factor, sigma)
     eye = np.eye(s_mat.shape[-1])
     try:
         chol = np.linalg.cholesky(s_mat + noise_var[:, np.newaxis, np.newaxis]
@@ -158,9 +159,8 @@ def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
     from the same E-step the EM loop runs, on a stack of one row: any P x N
     matrix is A W with A = fft(P', axis=1) / N.
     """
-    n_grid = effective_matrix.shape[1]
     factor = _dft_factor(
-        np.fft.fft(effective_matrix, axis=1)[np.newaxis] / n_grid, n_grid)
+        np.fft.fft(effective_matrix, axis=1)[np.newaxis] / len(sigma))
     post = _e_step(factor, sigma[np.newaxis], np.array([noise_var]),
                    y[np.newaxis])
     l_inv = post.l_inv[0]
@@ -204,15 +204,22 @@ STACK_ELEMENTS = 1 << 15
 
 
 class _Fits(NamedTuple):
-    """Converged EM quantities, one row per subcarrier."""
+    """Converged EM quantities per subcarrier; C and A follow from the peak."""
 
-    a: np.ndarray            # M x P x N_T factor A of the final B C D
     sigma: np.ndarray        # M x N
     noise_var: np.ndarray    # M
-    c: np.ndarray            # M x N_T
     peak_index: np.ndarray   # M
     iterations: np.ndarray   # M
     converged: np.ndarray    # M
+
+
+def _perturbed_factor(pilot_matrix: np.ndarray, dictionary: Dictionary,
+                      peaks, freqs, carrier_hz: float):
+    """c_r of C_r and A_r = B diag(c_r * d_0) of rows with the given peaks."""
+    c = np.array([update_perturbation_diag(
+        pilot_matrix.shape[1], float(dictionary.grid_points[peak]), float(f),
+        carrier_hz) for peak, f in zip(peaks, freqs)])
+    return c, pilot_matrix * (c * dictionary.first_atom)[:, np.newaxis]
 
 
 def _fit_subcarriers(received: np.ndarray, pilot_matrix: np.ndarray,
@@ -225,9 +232,7 @@ def _fit_subcarriers(received: np.ndarray, pilot_matrix: np.ndarray,
     """
     n_pilots, n_antennas = pilot_matrix.shape
     n_rows = received.shape[1]
-    fits = _Fits(np.zeros((n_rows, n_pilots, n_antennas), dtype=complex),
-                 np.zeros((n_rows, dictionary.grid_size)), np.zeros(n_rows),
-                 np.zeros((n_rows, n_antennas), dtype=complex),
+    fits = _Fits(np.zeros((n_rows, dictionary.grid_size)), np.zeros(n_rows),
                  np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int),
                  np.zeros(n_rows, dtype=bool))
     per_stack = max(1, STACK_ELEMENTS // (n_pilots * _fft_size(n_antennas)))
@@ -244,43 +249,40 @@ def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
     """EM loop over a stack of rows, one per subcarrier, written into fits.
 
     Each iteration is one `_e_step` for every live row.  A row's factor is
-    rebuilt only when the peak atom it was built for changes.  A row leaves
-    the stack when it converges; the stack is compacted only then.
+    rebuilt only when its peak atom changes.  A row leaves the stack when it
+    converges; the stack is compacted only then.
     """
-    n_pilots, n_antennas = pilot_matrix.shape
-    n_grid = dictionary.grid_size
-    atom0 = dictionary.first_atom
+    n_pilots = pilot_matrix.shape[0]
     n_live = len(rows)
 
     y = received.T[rows]
     energy = np.array([float(np.linalg.norm(received[:, m]) ** 2) / n_pilots
                        for m in rows])
     noise_var = np.array([max(1e-6, 0.01 * e) for e in energy])
-    sigma = np.ones((n_live, n_grid))
-    c = np.ones((n_live, n_antennas), dtype=complex)
-    a = pilot_matrix * (c * atom0)[:, np.newaxis]
-    a_hat, f_a = _row_transforms(a)
-    built_for = np.full(n_live, -1)     # peak atom that c and A belong to
-    peak = np.zeros(n_live, dtype=int)
+    sigma = np.ones((n_live, dictionary.grid_size))
+    # Peak atom -1 stands for C = I, the factor of every row at the start.
+    peak = np.full(n_live, -1)
+    a = np.tile(pilot_matrix * dictionary.first_atom, (n_live, 1, 1))
+    _, a_hat, f_a = _dft_factor(a)
     # When the true direction falls midway between two grid cells the peak
     # can alternate between them forever, with the perturbation rebuild and
     # the prior variances flipping in a period-2 limit cycle.  Detect the
     # alternation and pin the row's perturbation to the stronger cell; with
     # a fixed dictionary the remaining iterations converge smoothly.
-    prev_peaks = np.full((n_live, 2), -1)
+    before = np.full(n_live, -1)        # the peak before the current one
     flips = np.zeros(n_live, dtype=int)
     pinned = np.zeros(n_live, dtype=bool)
 
     def store(done, iterations, converged):
         """Write the rows flagged in done into fits."""
         out = rows[done]
-        for field, value in zip(fits, (a, sigma, noise_var, c, peak)):
+        for field, value in zip(fits, (sigma, noise_var, peak)):
             field[out] = value[done]
         fits.iterations[out] = iterations
         fits.converged[out] = converged
 
     for it in range(1, MAX_ITERS + 1):
-        post = _e_step(_DftFactor(a, a_hat, f_a, n_grid), sigma, noise_var, y)
+        post = _e_step(_DftFactor(a, a_hat, f_a), sigma, noise_var, y)
 
         # mu^2 update from the same E-step quantities.
         residuals = [float(np.linalg.norm(d) ** 2) for d in y - post.fitted]
@@ -299,9 +301,8 @@ def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
         sigma_new = power / quality
         rebuild = []
         for r in np.flatnonzero(~pinned):
-            new = int(np.argmax(power[r]))
-            before, last = prev_peaks[r]
-            if new == before and new != last:
+            new, last = int(np.argmax(power[r])), peak[r]
+            if new == before[r] and new != last:
                 flips[r] += 1
             elif new != last:
                 flips[r] = 0
@@ -309,17 +310,14 @@ def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
                 if sigma_new[r, last] > sigma_new[r, new]:
                     new = last
                 pinned[r] = True
-            prev_peaks[r] = last, new
-            peak[r] = new
-            if new != built_for[r]:
-                c[r] = update_perturbation_diag(
-                    n_antennas, float(dictionary.grid_points[new]),
-                    float(freqs[rows[r]]), carrier_hz)
-                built_for[r] = new
+            before[r], peak[r] = last, new
+            if new != last:
                 rebuild.append(r)
         if rebuild:
-            a[rebuild] = pilot_matrix * (c[rebuild] * atom0)[:, np.newaxis]
-            a_hat[rebuild], f_a[rebuild] = _row_transforms(a[rebuild])
+            _, a[rebuild] = _perturbed_factor(
+                pilot_matrix, dictionary, peak[rebuild], freqs[rows[rebuild]],
+                carrier_hz)
+            _, a_hat[rebuild], f_a[rebuild] = _dft_factor(a[rebuild])
 
         done = np.zeros(len(rows), dtype=bool)
         for r in range(len(rows)):
@@ -331,11 +329,10 @@ def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
         if done.any():
             store(done, it, True)
             keep = ~done
-            (rows, y, energy, noise_var, sigma, c, a, a_hat, f_a, built_for,
-             peak, prev_peaks, flips, pinned) = (
-                x[keep] for x in (rows, y, energy, noise_var, sigma, c, a,
-                                  a_hat, f_a, built_for, peak, prev_peaks,
-                                  flips, pinned))
+            (rows, y, energy, noise_var, sigma, a, a_hat, f_a, peak, before,
+             flips, pinned) = (
+                x[keep] for x in (rows, y, energy, noise_var, sigma, a, a_hat,
+                                  f_a, peak, before, flips, pinned))
             if not len(rows):
                 return
     store(np.ones(len(rows), dtype=bool), MAX_ITERS, False)
@@ -362,15 +359,19 @@ def run_sbce(observation, dictionary: Dictionary,
                             grid.frequencies, carrier)
 
     center = grid.center_index
-    # The refinement reads B C D of the centre subcarrier: B C D = A W.
-    n_grid = dictionary.grid_size
-    effective = n_grid * np.fft.ifft(fits.a[center], n_grid, axis=1)
+    # The refinement reads the centre row's model covariance without its
+    # peak atom, S + mu^2 I with sigma_peak = 0, from the factor of its peak.
     peak = int(fits.peak_index[center])
+    c, a = _perturbed_factor(pilot_matrix, dictionary, [peak],
+                             grid.frequencies[[center]], carrier)
+    trimmed = fits.sigma[[center]].copy()
+    trimmed[0, peak] = 0.0
+    cov_excl = _gram(_dft_factor(a), trimmed)[0] \
+        + fits.noise_var[center] * np.eye(len(pilot_matrix))
     direction = refine_direction(
         float(dictionary.grid_points[peak]),
-        observation.received[:, [center]], pilot_matrix, fits.c[center],
-        effective, fits.sigma[center], float(fits.noise_var[center]), peak,
-        array_config)
+        observation.received[:, [center]], pilot_matrix, c[0], cov_excl,
+        dictionary.grid_size, array_config)
     direction = float(np.clip(direction, -1.0, 1.0))
 
     nominal = steering_far(array_config, direction,

@@ -206,8 +206,10 @@ class TestExitCodes:
         ["sweep", "--bogus"],
         ["scenario", "run", "SCENARIO", "--out", "x.json"],
         ["selftest", "--preset", "paper"],
+        ["scenario", "gen", "--trials", "2"],
+        ["crb", "--estimators", "ls"],
     ], ids=["sweep-trials-abc", "sweep-bogus", "scenario-run-out",
-            "selftest-preset"])
+            "selftest-preset", "scenario-gen-trials", "crb-estimators"])
     def test_usage_error_exits_one_with_message(self, tmp_path, capsys, argv):
         scen = tmp_path / "scen.json"
         assert main(["scenario", "gen", "--config",

@@ -78,6 +78,12 @@ class TestConfig:
         {"sweep_values": 20.0},
         {"estimators": "ls"},
         {"estimators": (3,)},
+        # A range enters only the near-field channel.
+        {"sweep": "range", "sweep_values": (5.0,)},
+        {"range_m": 5.0},
+        {"scenario": "near", "sweep": "range", "sweep_values": (5.0, 0.0)},
+        {"scenario": "near", "sweep": "range", "sweep_values": (-1.0,)},
+        {"sweep": "bandwidth", "sweep_values": (-30e9, 30e9)},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ValueError):

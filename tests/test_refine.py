@@ -5,11 +5,11 @@ import pytest
 
 from thzest.arrays import ArrayConfig, build_dictionary, steering_far
 from thzest.channel import gen_pilot_matrix
+from thzest import sbce
 from thzest.sbce import SingularCovarianceError
 from thzest.refine import (
     _solve_hermitian,
     _stationarity_curve,
-    covariance_excluding,
     refine_direction,
 )
 
@@ -35,10 +35,22 @@ def _setup(true_sine, noise_var=1e-6, n_snapshots=64, seed=0):
     return cols, effective, sigma, coarse_idx
 
 
+def covariance_excluding(effective_matrix, sigma, noise_var, excluded_index):
+    """Reference model covariance with the excluded atom's prior variance
+    zeroed, from the formed P x N matrix P': P' Sigma P'^H + mu^2 I."""
+    trimmed = sigma.copy()
+    trimmed[excluded_index] = 0.0
+    weighted = effective_matrix * trimmed[np.newaxis, :]
+    cov = weighted @ effective_matrix.conj().T
+    cov = 0.5 * (cov + cov.conj().T)
+    return cov + noise_var * np.eye(effective_matrix.shape[0])
+
+
 class TestCovarianceExcluding:
     def test_removes_one_atom(self):
+        # The Gram matrix of the DFT factor A = B diag(d_0) of P' = B D,
+        # with the atom's sigma zeroed, against the sum over the other atoms.
         _, effective, sigma, idx = _setup(0.21)
-        full_minus = covariance_excluding(effective, sigma, 0.3, idx)
         manual = np.zeros((16, 16), dtype=complex)
         for n in range(128):
             if n == idx:
@@ -46,12 +58,14 @@ class TestCovarianceExcluding:
             manual += sigma[n] * np.outer(effective[:, n],
                                           effective[:, n].conj())
         manual += 0.3 * np.eye(16)
-        np.testing.assert_allclose(full_minus, manual, atol=1e-10)
-
-    def test_index_bounds(self):
-        _, effective, sigma, _ = _setup(0.21)
-        with pytest.raises(ValueError):
-            covariance_excluding(effective, sigma, 0.3, 128)
+        trimmed = sigma.copy()
+        trimmed[idx] = 0.0
+        factor = sbce._dft_factor((PILOTS * DICT.atoms[:, 0])[np.newaxis])
+        got = sbce._gram(factor, trimmed[np.newaxis])[0] + 0.3 * np.eye(16)
+        np.testing.assert_allclose(got, manual, atol=1e-10)
+        np.testing.assert_allclose(
+            covariance_excluding(effective, sigma, 0.3, idx), manual,
+            atol=1e-10)
 
 
 def _perturbed_atom(config, sine_dir, c, pilot_matrix):
@@ -99,9 +113,9 @@ class TestRefineDirection:
         true_sine = float(DICT.grid_points[77]) + (1 / 128) * 0.66
         cols, effective, sigma, idx = _setup(true_sine)
         coarse = float(DICT.grid_points[idx])
-        refined = refine_direction(coarse, cols, PILOTS,
-                                   np.ones(32, dtype=complex), effective,
-                                   sigma, 1e-6, idx, CFG)
+        refined = refine_direction(
+            coarse, cols, PILOTS, np.ones(32, dtype=complex),
+            covariance_excluding(effective, sigma, 1e-6, idx), 128, CFG)
         assert abs(refined - true_sine) < abs(coarse - true_sine)
         assert abs(refined - true_sine) < 2e-4
         # The scan spans half a cell (1/N of the 2/N spacing) either side.
@@ -112,25 +126,26 @@ class TestRefineDirection:
         _, effective, sigma, idx = _setup(0.21)
         cols = np.zeros((16, 4), dtype=complex)
         coarse = float(DICT.grid_points[idx])
-        refined = refine_direction(coarse, cols, PILOTS,
-                                   np.ones(32, dtype=complex), effective,
-                                   sigma, 1e-6, idx, CFG)
+        refined = refine_direction(
+            coarse, cols, PILOTS, np.ones(32, dtype=complex),
+            covariance_excluding(effective, sigma, 1e-6, idx), 128, CFG)
         assert refined == coarse
 
     def test_grid_clipped_to_unit_interval(self):
         _, effective, sigma, idx = _setup(0.21)
         cols = np.zeros((16, 4), dtype=complex)
-        refined = refine_direction(1.0, cols, PILOTS,
-                                   np.ones(32, dtype=complex), effective,
-                                   sigma, 1e-6, idx, CFG)
+        refined = refine_direction(
+            1.0, cols, PILOTS, np.ones(32, dtype=complex),
+            covariance_excluding(effective, sigma, 1e-6, idx), 128, CFG)
         assert abs(refined) <= 1.0
 
     def test_rejects_invalid_coarse_direction(self):
         _, effective, sigma, idx = _setup(0.21)
         with pytest.raises(ValueError):
-            refine_direction(1.5, np.zeros((16, 2), dtype=complex), PILOTS,
-                             np.ones(32, dtype=complex), effective, sigma,
-                             1e-6, idx, CFG)
+            refine_direction(
+                1.5, np.zeros((16, 2), dtype=complex), PILOTS,
+                np.ones(32, dtype=complex),
+                covariance_excluding(effective, sigma, 1e-6, idx), 128, CFG)
 
 
 def _stationarity_reference(grid, sample_cov, cov_excl, c, pilot_matrix,
@@ -167,8 +182,8 @@ class TestVectorisedScan:
                                       CFG)
         np.testing.assert_allclose(got, ref, rtol=1e-9,
                                    atol=1e-12 * np.max(np.abs(ref)))
-        refined = refine_direction(coarse, cols, PILOTS, c, effective, sigma,
-                                   noise_var, idx, CFG)
+        refined = refine_direction(coarse, cols, PILOTS, c, cov_excl, 128,
+                                   CFG)
         signs = np.sign(ref)
         expected = coarse if np.all(signs >= 0) or np.all(signs <= 0) \
             else float(grid[int(np.argmin(np.abs(ref)))])

@@ -10,7 +10,7 @@ from thzest.arrays import (
     build_dictionary,
     steering_far,
 )
-from thzest import sbce
+from thzest import refine, sbce
 from thzest.channel import PilotObservation, gen_pilot_matrix
 from thzest.sbce import (
     SingularCovarianceError,
@@ -156,7 +156,7 @@ def _check_against_dense(a, n_grid, sigma, noise_ratio, y):
     noise_var = noise_ratio * float(np.mean(np.real(np.diag(gram))))
     u = np.linalg.solve(gram + noise_var * np.eye(len(y)), y)
     # The E-step on a stack of one row.
-    post = sbce._e_step(sbce._dft_factor(a[np.newaxis], n_grid),
+    post = sbce._e_step(sbce._dft_factor(a[np.newaxis]),
                         sigma[np.newaxis], np.array([noise_var]),
                         y[np.newaxis])
     z, post_var, trace_term = dense_e_step(effective, sigma, noise_var, y)
@@ -343,6 +343,41 @@ class TestRunSbce:
         assert result.iterations == 3
         assert not result.converged
 
+    # Seed 0 at 0 dB pins the centre row; seed 3 at 10 dB does not.
+    @pytest.mark.parametrize("seed, snr_db", [(0, 0.0), (3, 10.0)])
+    def test_refinement_reads_covariance_without_peak(self, monkeypatch, seed,
+                                                      snr_db):
+        # run_sbce hands refine_direction the centre row's model covariance
+        # with the peak atom left out: sum over n != peak of
+        # sigma_n g_n g_n^H + mu^2 I, g_n the columns of B C D.
+        b, received, d, grid = _noisy_observation(seed, snr_db)
+        calls = []
+        real = refine.refine_direction
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(refine, "refine_direction", recording)
+        run_sbce(PilotObservation(beamformer=b, received=received,
+                                  noise_var=0.0), d, grid)
+        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
+        center = grid.center_index
+        peak = int(fits.peak_index[center])
+        c = update_perturbation_diag(32, float(d.grid_points[peak]),
+                                     float(grid.frequencies[center]), 300e9)
+        g = (b * c) @ d.atoms
+        keep = np.arange(d.grid_size) != peak
+        g, sigma = g[:, keep], fits.sigma[center, keep]
+        expected = (g * sigma) @ g.conj().T + \
+            fits.noise_var[center] * np.eye(len(b))
+        [(coarse, cols, pilots, c_got, cov_excl, n_grid, config)] = calls
+        assert coarse == d.grid_points[peak] and n_grid == d.grid_size
+        np.testing.assert_array_equal(c_got, c)
+        np.testing.assert_array_equal(cols, received[:, [center]])
+        assert np.linalg.norm(cov_excl - expected) <= \
+            1e-10 * np.linalg.norm(expected)
+
 
 def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
                        n_pilots=12):
@@ -366,15 +401,15 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
     """Reference EM loop for one subcarrier, on stacks of one row, that
     rebuilds the factor of B C D on every unpinned iteration.
 
-    Returns (A, sigma, mu^2, c, peak, iterations, converged, pinned)."""
+    Returns the `_Fits` fields (sigma, mu^2, peak, iterations, converged),
+    then c, A and whether the row was pinned."""
     n_pilots, n_antennas = pilot_matrix.shape
-    n_grid = dictionary.grid_size
-    sigma = np.ones(n_grid)
+    sigma = np.ones(dictionary.grid_size)
     energy = float(np.linalg.norm(y) ** 2) / n_pilots
     noise_var = max(1e-6, 0.01 * energy)
     c = np.ones(n_antennas, dtype=complex)
     factor = sbce._dft_factor(
-        (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis], n_grid)
+        (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis])
     peak, prev_peaks, flips, pinned = 0, [-1, -1], 0, False
     for it in range(1, sbce.MAX_ITERS + 1):
         post = sbce._e_step(factor, sigma[np.newaxis], np.array([noise_var]),
@@ -400,14 +435,23 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                 n_antennas, float(dictionary.grid_points[peak]), freq_hz,
                 carrier_hz)
             factor = sbce._dft_factor(
-                (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis],
-                n_grid)
+                (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis])
         delta = np.linalg.norm(sigma_new - sigma)
         sigma = sigma_new
         if delta / np.linalg.norm(sigma) < sbce.CONVERGENCE_TOL:
-            return factor.a[0], sigma, noise_var, c, peak, it, True, pinned
-    return (factor.a[0], sigma, noise_var, c, peak, sbce.MAX_ITERS, False,
+            return sigma, noise_var, peak, it, True, c, factor.a[0], pinned
+    return (sigma, noise_var, peak, sbce.MAX_ITERS, False, c, factor.a[0],
             pinned)
+
+
+def _assert_rebuilt_perturbation(pilot_matrix, dictionary, peak, freq_hz,
+                                 ref):
+    """c and A rebuilt from a fit's peak equal the reference loop's last
+    ones, bit for bit."""
+    c, a = sbce._perturbed_factor(pilot_matrix, dictionary, [peak],
+                                  [freq_hz], 300e9)
+    np.testing.assert_array_equal(c[0], ref[5])
+    np.testing.assert_array_equal(a[0], ref[6])
 
 
 class TestEmLoop:
@@ -465,6 +509,8 @@ class TestEmLoop:
                 np.testing.assert_array_equal(a, r)
             rebuilds = sum(1 for args in calls if args[2] == float(freq))
             assert 1 <= rebuilds <= fits.iterations[m]
+            _assert_rebuilt_perturbation(b, d, fits.peak_index[m],
+                                         float(freq), ref)
 
     def test_stack_mixes_converged_pinned_and_capped_rows(self, monkeypatch):
         # One stack of seed 4 at -5 dB holds rows that converge at
@@ -487,6 +533,8 @@ class TestEmLoop:
         for m, ref in enumerate(refs):
             for a, r in zip(fits, ref):
                 np.testing.assert_array_equal(a[m], r)
+            _assert_rebuilt_perturbation(b, d, fits.peak_index[m],
+                                         float(grid.frequencies[m]), ref)
         pinned = np.array([ref[7] for ref in refs])
         capped = ~fits.converged
         assert sorted(fits.iterations[fits.converged]) == [38, 85]
