@@ -1,13 +1,12 @@
 """Sparse-Bayesian-learning EM channel estimator with beam-split tracking.
 
-Each subcarrier has its own EM fit, independent of the others.  Each EM
-iteration updates the posterior of the sparse beamspace coefficients,
-re-estimates the per-atom prior variances and the noise floor, and refits
-the diagonal unit-modulus perturbation that maps the carrier-frequency
-dictionary onto the subcarrier's split-shifted steering directions.  The
-fits run together as one stack of rows, one per subcarrier, so that every
-FFT, matrix product and factorisation of an iteration serves all of them;
-a row leaves the stack when its fit converges.
+The channel is line-of-sight dominant, so one EM fit serves every
+subcarrier: SBCE fits the centre subcarrier alone and maps that fit onto
+the others through the diagonal unit-modulus perturbation C_m, which turns
+the carrier-frequency steering vector into subcarrier m's split-shifted one.
+Each EM iteration updates the posterior of the sparse beamspace
+coefficients, re-estimates the per-atom prior variances and the noise
+floor, and refits the perturbation from the peak atom.
 """
 
 from __future__ import annotations
@@ -26,6 +25,9 @@ class SingularCovarianceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SbceResult:
+    """SBCE's estimates; `iterations` and `converged` describe its one EM
+    fit, that of the centre subcarrier."""
+
     est_direction_sine: float
     est_beam_split: np.ndarray     # length M
     est_channel: np.ndarray        # N_T x M
@@ -196,99 +198,54 @@ def beam_split_from_c(c: np.ndarray) -> float:
     return float(np.mean(phases[1:] / (np.pi * idx)))
 
 
-#: Most complex elements of an R x P x F stack of factor transforms that one
-#: E-step call serves.  Bigger stacks save little per-call overhead but grow
-#: the E-step's temporaries: all 8 desk subcarriers (P = 16, F = 128) share
-#: one stack, while paper-size ones (P = 32, F = 512) run two at a time.
-STACK_ELEMENTS = 1 << 15
+class _Fit(NamedTuple):
+    """Converged EM quantities of one fit; C and A follow from the peak."""
 
-
-class _Fits(NamedTuple):
-    """Converged EM quantities per subcarrier; C and A follow from the peak."""
-
-    sigma: np.ndarray        # M x N
-    noise_var: np.ndarray    # M
-    peak_index: np.ndarray   # M
-    iterations: np.ndarray   # M
-    converged: np.ndarray    # M
+    sigma: np.ndarray        # N
+    noise_var: float
+    peak_index: int
+    iterations: int
+    converged: bool
 
 
 def _perturbed_factor(pilot_matrix: np.ndarray, dictionary: Dictionary,
-                      peaks, freqs, carrier_hz: float):
-    """c_r of C_r and A_r = B diag(c_r * d_0) of rows with the given peaks."""
-    c = np.array([update_perturbation_diag(
-        pilot_matrix.shape[1], float(dictionary.grid_points[peak]), float(f),
-        carrier_hz) for peak, f in zip(peaks, freqs)])
-    return c, pilot_matrix * (c * dictionary.first_atom)[:, np.newaxis]
+                      peak: int, freq_hz: float, carrier_hz: float):
+    """c of C and A = B diag(c * d_0) of the given peak atom."""
+    c = update_perturbation_diag(
+        pilot_matrix.shape[1], float(dictionary.grid_points[peak]), freq_hz,
+        carrier_hz)
+    return c, pilot_matrix * (c * dictionary.first_atom)
 
 
-def _fit_subcarriers(received: np.ndarray, pilot_matrix: np.ndarray,
-                     dictionary: Dictionary, freqs: np.ndarray,
-                     carrier_hz: float) -> _Fits:
-    """Run the EM loop of every column of received, never forming Pi or B C D.
+def _fit(y: np.ndarray, pilot_matrix: np.ndarray, dictionary: Dictionary,
+         freq_hz: float, carrier_hz: float) -> _Fit:
+    """EM loop of one subcarrier's observation y, never forming Pi or B C D.
 
-    The fits are independent, but run as stacks of at most STACK_ELEMENTS
-    worth of rows, so that each E-step call serves every live row.
-    """
-    n_pilots, n_antennas = pilot_matrix.shape
-    n_rows = received.shape[1]
-    fits = _Fits(np.zeros((n_rows, dictionary.grid_size)), np.zeros(n_rows),
-                 np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int),
-                 np.zeros(n_rows, dtype=bool))
-    per_stack = max(1, STACK_ELEMENTS // (n_pilots * _fft_size(n_antennas)))
-    for start in range(0, n_rows, per_stack):
-        rows = np.arange(start, min(start + per_stack, n_rows))
-        _fit_stack(fits, rows, received, pilot_matrix, dictionary, freqs,
-                   carrier_hz)
-    return fits
-
-
-def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
-               pilot_matrix: np.ndarray, dictionary: Dictionary,
-               freqs: np.ndarray, carrier_hz: float) -> None:
-    """EM loop over a stack of rows, one per subcarrier, written into fits.
-
-    Each iteration is one `_e_step` for every live row.  A row's factor is
-    rebuilt only when its peak atom changes.  A row leaves the stack when it
-    converges; the stack is compacted only then.
+    Each iteration is one `_e_step` on a stack of one row.  The factor is
+    rebuilt only when the peak atom changes.
     """
     n_pilots = pilot_matrix.shape[0]
-    n_live = len(rows)
-
-    y = received.T[rows]
-    energy = np.array([float(np.linalg.norm(received[:, m]) ** 2) / n_pilots
-                       for m in rows])
-    noise_var = np.array([max(1e-6, 0.01 * e) for e in energy])
-    sigma = np.ones((n_live, dictionary.grid_size))
-    # Peak atom -1 stands for C = I, the factor of every row at the start.
-    peak = np.full(n_live, -1)
-    a = np.tile(pilot_matrix * dictionary.first_atom, (n_live, 1, 1))
-    _, a_hat, f_a = _dft_factor(a)
+    energy = float(np.linalg.norm(y) ** 2) / n_pilots
+    noise_var = max(1e-6, 0.01 * energy)
+    sigma = np.ones(dictionary.grid_size)
+    # Peak atom -1 stands for C = I, the factor at the start.
+    peak = -1
+    factor = _dft_factor((pilot_matrix * dictionary.first_atom)[np.newaxis])
     # When the true direction falls midway between two grid cells the peak
     # can alternate between them forever, with the perturbation rebuild and
     # the prior variances flipping in a period-2 limit cycle.  Detect the
-    # alternation and pin the row's perturbation to the stronger cell; with
-    # a fixed dictionary the remaining iterations converge smoothly.
-    before = np.full(n_live, -1)        # the peak before the current one
-    flips = np.zeros(n_live, dtype=int)
-    pinned = np.zeros(n_live, dtype=bool)
-
-    def store(done, iterations, converged):
-        """Write the rows flagged in done into fits."""
-        out = rows[done]
-        for field, value in zip(fits, (sigma, noise_var, peak)):
-            field[out] = value[done]
-        fits.iterations[out] = iterations
-        fits.converged[out] = converged
+    # alternation and pin the perturbation to the stronger cell; with a
+    # fixed dictionary the remaining iterations converge smoothly.
+    before, flips, pinned = -1, 0, False    # before: the peak before `peak`
 
     for it in range(1, MAX_ITERS + 1):
-        post = _e_step(_DftFactor(a, a_hat, f_a), sigma, noise_var, y)
+        post = _e_step(factor, sigma[np.newaxis], np.array([noise_var]),
+                       y[np.newaxis])
 
         # mu^2 update from the same E-step quantities.
-        residuals = [float(np.linalg.norm(d) ** 2) for d in y - post.fitted]
-        noise_var = np.array([
-            max((residual + max(trace, 0.0)) / n_pilots, NOISE_FLOOR_REL * e)
-            for residual, trace, e in zip(residuals, post.trace_term, energy)])
+        residual = float(np.linalg.norm(y - post.fitted[0]) ** 2)
+        noise_var = max((residual + max(post.trace_term[0], 0.0)) / n_pilots,
+                        NOISE_FLOOR_REL * energy)
 
         # Tipping's fixed-point form sigma_n = |z_n|^2 / gamma_n with
         # gamma_n = 1 - Pi_nn / sigma_n.  Same stationary points as the EM
@@ -296,51 +253,40 @@ def _fit_stack(fits: _Fits, rows: np.ndarray, received: np.ndarray,
         # the iterations, and unlike the bare point form sigma_n = |z_n|^2
         # it cannot collapse to all-zero.
         quality = np.clip(
-            1.0 - post.post_var / np.maximum(sigma, 1e-300), 1e-12, 1.0)
-        power = np.abs(post.z) ** 2
+            1.0 - post.post_var[0] / np.maximum(sigma, 1e-300), 1e-12, 1.0)
+        power = np.abs(post.z[0]) ** 2
         sigma_new = power / quality
-        rebuild = []
-        for r in np.flatnonzero(~pinned):
-            new, last = int(np.argmax(power[r])), peak[r]
-            if new == before[r] and new != last:
-                flips[r] += 1
+        if not pinned:
+            new, last = int(np.argmax(power)), peak
+            if new == before and new != last:
+                flips += 1
             elif new != last:
-                flips[r] = 0
-            if flips[r] >= 3:
-                if sigma_new[r, last] > sigma_new[r, new]:
+                flips = 0
+            if flips >= 3:
+                if sigma_new[last] > sigma_new[new]:
                     new = last
-                pinned[r] = True
-            before[r], peak[r] = last, new
+                pinned = True
+            before, peak = last, new
             if new != last:
-                rebuild.append(r)
-        if rebuild:
-            _, a[rebuild] = _perturbed_factor(
-                pilot_matrix, dictionary, peak[rebuild], freqs[rows[rebuild]],
-                carrier_hz)
-            _, a_hat[rebuild], f_a[rebuild] = _dft_factor(a[rebuild])
+                _, a = _perturbed_factor(pilot_matrix, dictionary, peak,
+                                         freq_hz, carrier_hz)
+                factor = _dft_factor(a[np.newaxis])
 
-        done = np.zeros(len(rows), dtype=bool)
-        for r in range(len(rows)):
-            delta_sigma = np.linalg.norm(sigma_new[r] - sigma[r])
-            norm_sigma = np.linalg.norm(sigma_new[r])
-            done[r] = norm_sigma > 0 and \
-                delta_sigma / norm_sigma < CONVERGENCE_TOL
+        delta_sigma = np.linalg.norm(sigma_new - sigma)
+        norm_sigma = np.linalg.norm(sigma_new)
         sigma = sigma_new
-        if done.any():
-            store(done, it, True)
-            keep = ~done
-            (rows, y, energy, noise_var, sigma, a, a_hat, f_a, peak, before,
-             flips, pinned) = (
-                x[keep] for x in (rows, y, energy, noise_var, sigma, a, a_hat,
-                                  f_a, peak, before, flips, pinned))
-            if not len(rows):
-                return
-    store(np.ones(len(rows), dtype=bool), MAX_ITERS, False)
+        if norm_sigma > 0 and delta_sigma / norm_sigma < CONVERGENCE_TOL:
+            return _Fit(sigma, noise_var, peak, it, True)
+    return _Fit(sigma, noise_var, peak, MAX_ITERS, False)
 
 
 def run_sbce(observation, dictionary: Dictionary,
              grid: SubcarrierGrid) -> SbceResult:
-    """Estimate direction, splits and channel on the dictionary's array."""
+    """Estimate direction, splits and channel on the dictionary's array.
+
+    One EM fit of the centre subcarrier gives the direction; each
+    subcarrier's split and channel follow from it through C_m.
+    """
     from .refine import refine_direction
 
     pilot_matrix = observation.beamformer
@@ -355,22 +301,22 @@ def run_sbce(observation, dictionary: Dictionary,
                          f"2 d f_c / c0 = {ratio!r}")
     carrier = grid.carrier_freq_hz
 
-    fits = _fit_subcarriers(observation.received, pilot_matrix, dictionary,
-                            grid.frequencies, carrier)
-
     center = grid.center_index
-    # The refinement reads the centre row's model covariance without its
-    # peak atom, S + mu^2 I with sigma_peak = 0, from the factor of its peak.
-    peak = int(fits.peak_index[center])
-    c, a = _perturbed_factor(pilot_matrix, dictionary, [peak],
-                             grid.frequencies[[center]], carrier)
-    trimmed = fits.sigma[[center]].copy()
-    trimmed[0, peak] = 0.0
-    cov_excl = _gram(_dft_factor(a), trimmed)[0] \
-        + fits.noise_var[center] * np.eye(len(pilot_matrix))
+    freq = float(grid.frequencies[center])
+    fit = _fit(observation.received[:, center], pilot_matrix, dictionary,
+               freq, carrier)
+
+    # The refinement reads the fit's model covariance without its peak
+    # atom, S + mu^2 I with sigma_peak = 0, from the factor of its peak.
+    peak = fit.peak_index
+    c, a = _perturbed_factor(pilot_matrix, dictionary, peak, freq, carrier)
+    trimmed = fit.sigma.copy()
+    trimmed[peak] = 0.0
+    cov_excl = _gram(_dft_factor(a[np.newaxis]), trimmed[np.newaxis])[0] \
+        + fit.noise_var * np.eye(len(pilot_matrix))
     direction = refine_direction(
         float(dictionary.grid_points[peak]),
-        observation.received[:, [center]], pilot_matrix, c[0], cov_excl,
+        observation.received[:, [center]], pilot_matrix, c, cov_excl,
         dictionary.grid_size, array_config)
     direction = float(np.clip(direction, -1.0, 1.0))
 
@@ -392,6 +338,6 @@ def run_sbce(observation, dictionary: Dictionary,
         est_direction_sine=direction,
         est_beam_split=splits,
         est_channel=est,
-        iterations=int(fits.iterations.max()),
-        converged=bool(fits.converged.all()),
+        iterations=fit.iterations,
+        converged=fit.converged,
     )

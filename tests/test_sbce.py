@@ -343,11 +343,37 @@ class TestRunSbce:
         assert result.iterations == 3
         assert not result.converged
 
-    # Seed 0 at 0 dB pins the centre row; seed 3 at 10 dB does not.
+    def test_fits_only_the_centre_subcarrier(self, monkeypatch):
+        # One EM fit, of the centre column, on stacks of one row: its
+        # iterations and convergence are the result's.  Seed 0 at 0 dB
+        # separates it from a fit of every column, which would run 117
+        # iterations.
+        b, received, d, grid = _noisy_observation(0, 0.0)
+        rows = []
+        real_e_step = sbce._e_step
+
+        def recording(factor, sigma, noise_var, y):
+            rows.append((len(factor.a), len(sigma), len(noise_var), len(y)))
+            return real_e_step(factor, sigma, noise_var, y)
+
+        monkeypatch.setattr(sbce, "_e_step", recording)
+        result = run_sbce(PilotObservation(beamformer=b, received=received,
+                                           noise_var=0.0), d, grid)
+        monkeypatch.undo()
+        center = grid.center_index
+        fit = sbce._fit(received[:, center], b, d,
+                        float(grid.frequencies[center]), 300e9)
+        assert (result.iterations, result.converged) == \
+            (fit.iterations, fit.converged) == (38, True)
+        assert rows == [(1, 1, 1, 1)] * fit.iterations
+        assert max(sbce._fit(received[:, m], b, d, float(f), 300e9).iterations
+                   for m, f in enumerate(grid.frequencies)) == 117
+
+    # Seed 0 at 0 dB pins the centre fit; seed 3 at 10 dB does not.
     @pytest.mark.parametrize("seed, snr_db", [(0, 0.0), (3, 10.0)])
     def test_refinement_reads_covariance_without_peak(self, monkeypatch, seed,
                                                       snr_db):
-        # run_sbce hands refine_direction the centre row's model covariance
+        # run_sbce hands refine_direction the centre fit's model covariance
         # with the peak atom left out: sum over n != peak of
         # sigma_n g_n g_n^H + mu^2 I, g_n the columns of B C D.
         b, received, d, grid = _noisy_observation(seed, snr_db)
@@ -361,16 +387,16 @@ class TestRunSbce:
         monkeypatch.setattr(refine, "refine_direction", recording)
         run_sbce(PilotObservation(beamformer=b, received=received,
                                   noise_var=0.0), d, grid)
-        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
         center = grid.center_index
-        peak = int(fits.peak_index[center])
-        c = update_perturbation_diag(32, float(d.grid_points[peak]),
-                                     float(grid.frequencies[center]), 300e9)
+        freq = float(grid.frequencies[center])
+        fit = sbce._fit(received[:, center], b, d, freq, 300e9)
+        peak = fit.peak_index
+        c = update_perturbation_diag(32, float(d.grid_points[peak]), freq,
+                                     300e9)
         g = (b * c) @ d.atoms
         keep = np.arange(d.grid_size) != peak
-        g, sigma = g[:, keep], fits.sigma[center, keep]
-        expected = (g * sigma) @ g.conj().T + \
-            fits.noise_var[center] * np.eye(len(b))
+        g, sigma = g[:, keep], fit.sigma[keep]
+        expected = (g * sigma) @ g.conj().T + fit.noise_var * np.eye(len(b))
         [(coarse, cols, pilots, c_got, cov_excl, n_grid, config)] = calls
         assert coarse == d.grid_points[peak] and n_grid == d.grid_size
         np.testing.assert_array_equal(c_got, c)
@@ -401,8 +427,8 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
     """Reference EM loop for one subcarrier, on stacks of one row, that
     rebuilds the factor of B C D on every unpinned iteration.
 
-    Returns the `_Fits` fields (sigma, mu^2, peak, iterations, converged),
-    then c, A and whether the row was pinned."""
+    Returns the `_Fit` fields (sigma, mu^2, peak, iterations, converged),
+    then c, A and whether the fit was pinned."""
     n_pilots, n_antennas = pilot_matrix.shape
     sigma = np.ones(dictionary.grid_size)
     energy = float(np.linalg.norm(y) ** 2) / n_pilots
@@ -448,16 +474,16 @@ def _assert_rebuilt_perturbation(pilot_matrix, dictionary, peak, freq_hz,
                                  ref):
     """c and A rebuilt from a fit's peak equal the reference loop's last
     ones, bit for bit."""
-    c, a = sbce._perturbed_factor(pilot_matrix, dictionary, [peak],
-                                  [freq_hz], 300e9)
-    np.testing.assert_array_equal(c[0], ref[5])
-    np.testing.assert_array_equal(a[0], ref[6])
+    c, a = sbce._perturbed_factor(pilot_matrix, dictionary, peak, freq_hz,
+                                  300e9)
+    np.testing.assert_array_equal(c, ref[5])
+    np.testing.assert_array_equal(a, ref[6])
 
 
 class TestEmLoop:
     def test_loop_e_step_matches_posterior_update(self, monkeypatch):
-        # The loop's first E-step, replayed row by row through the public
-        # function.
+        # The loop's first E-step on the centre column, replayed through the
+        # public function.
         b, received, d, grid = _noisy_observation(0, 10.0)
         seen = []
         real_e_step = sbce._e_step
@@ -469,21 +495,21 @@ class TestEmLoop:
 
         monkeypatch.setattr(sbce, "_e_step", recording)
         monkeypatch.setattr(sbce, "MAX_ITERS", 1)
-        sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
+        center = grid.center_index
+        sbce._fit(received[:, center], b, d, float(grid.frequencies[center]),
+                  300e9)
         assert len(seen) == 1
-        (_, sigmas, noise_vars, ys), post = seen[0]
-        assert len(ys) == grid.n_subcarriers
-        # The first E-step runs on the unperturbed B D in every row.
+        (_, [sigma], [noise_var], [y]), post = seen[0]
+        np.testing.assert_array_equal(y, received[:, center])
+        # The first E-step runs on the unperturbed B D.
         effective = b @ d.atoms
-        for r, (sigma, noise_var, y) in enumerate(zip(sigmas, noise_vars, ys)):
-            z, pi = posterior_update(effective, sigma, noise_var, y)
-            np.testing.assert_allclose(post.z[r], z, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(post.post_var[r], np.real(np.diag(pi)),
-                                       rtol=1e-12, atol=1e-14)
-            # Tr{P' Pi P'^H} of the loop equals the trace of the formed Pi.
-            trace = float(np.real(np.trace(
-                effective @ pi @ effective.conj().T)))
-            assert post.trace_term[r] == pytest.approx(trace, rel=1e-9)
+        z, pi = posterior_update(effective, sigma, noise_var, y)
+        np.testing.assert_allclose(post.z[0], z, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(post.post_var[0], np.real(np.diag(pi)),
+                                   rtol=1e-12, atol=1e-14)
+        # Tr{P' Pi P'^H} of the loop equals the trace of the formed Pi.
+        trace = float(np.real(np.trace(effective @ pi @ effective.conj().T)))
+        assert post.trace_term[0] == pytest.approx(trace, rel=1e-9)
 
     # Seed 0 at 0 dB pins a limit cycle on three subcarriers; seed 4 at
     # -5 dB hits the iteration cap, once after pinning.
@@ -500,63 +526,35 @@ class TestEmLoop:
             return real_diag(*args)
 
         monkeypatch.setattr(sbce, "update_perturbation_diag", counting)
-        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
         for m, freq in enumerate(grid.frequencies):
+            calls.clear()
+            fit = sbce._fit(received[:, m], b, d, float(freq), 300e9)
+            assert 1 <= len(calls) <= fit.iterations
             ref = _fit_rebuilding_every_iteration(received[:, m], b, d,
                                                   float(freq), 300e9)
-            got = [field[m] for field in fits]
-            for a, r in zip(got, ref):
+            for a, r in zip(fit, ref):
                 np.testing.assert_array_equal(a, r)
-            rebuilds = sum(1 for args in calls if args[2] == float(freq))
-            assert 1 <= rebuilds <= fits.iterations[m]
-            _assert_rebuilt_perturbation(b, d, fits.peak_index[m],
-                                         float(freq), ref)
+            _assert_rebuilt_perturbation(b, d, fit.peak_index, float(freq),
+                                         ref)
 
-    def test_stack_mixes_converged_pinned_and_capped_rows(self, monkeypatch):
-        # One stack of seed 4 at -5 dB holds rows that converge at
-        # iterations 38 and 85, a row that hits the cap, and a pinned row
-        # that hits the cap.  Each row leaves the stack at its own
-        # iteration and matches its own reference fit bit for bit.
+    def test_fits_mix_converged_pinned_and_capped_columns(self):
+        # The columns of seed 4 at -5 dB hold fits that converge at
+        # iterations 38 and 85, one that hits the cap, and a pinned one
+        # that hits the cap.  Each matches its reference fit bit for bit.
         b, received, d, grid = _noisy_observation(4, -5.0)
-        refs = [_fit_rebuilding_every_iteration(received[:, m], b, d,
-                                                float(f), 300e9)
-                for m, f in enumerate(grid.frequencies)]
-        stack_sizes = []
-        real_e_step = sbce._e_step
-
-        def recording(factor, sigma, noise_var, y):
-            stack_sizes.append(len(y))
-            return real_e_step(factor, sigma, noise_var, y)
-
-        monkeypatch.setattr(sbce, "_e_step", recording)
-        fits = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
-        for m, ref in enumerate(refs):
-            for a, r in zip(fits, ref):
-                np.testing.assert_array_equal(a[m], r)
-            _assert_rebuilt_perturbation(b, d, fits.peak_index[m],
-                                         float(grid.frequencies[m]), ref)
-        pinned = np.array([ref[7] for ref in refs])
-        capped = ~fits.converged
-        assert sorted(fits.iterations[fits.converged]) == [38, 85]
-        assert np.all(fits.iterations[capped] == sbce.MAX_ITERS)
+        fits, pinned = [], []
+        for m, f in enumerate(grid.frequencies):
+            fit = sbce._fit(received[:, m], b, d, float(f), 300e9)
+            ref = _fit_rebuilding_every_iteration(received[:, m], b, d,
+                                                  float(f), 300e9)
+            for a, r in zip(fit, ref):
+                np.testing.assert_array_equal(a, r)
+            _assert_rebuilt_perturbation(b, d, fit.peak_index, float(f), ref)
+            fits.append(fit)
+            pinned.append(ref[7])
+        iterations = np.array([fit.iterations for fit in fits])
+        converged = np.array([fit.converged for fit in fits])
+        pinned, capped = np.array(pinned), ~converged
+        assert sorted(iterations[converged]) == [38, 85]
+        assert np.all(iterations[capped] == sbce.MAX_ITERS)
         assert np.any(capped & ~pinned) and np.any(capped & pinned)
-        assert stack_sizes == [4] * 38 + [3] * (85 - 38) + \
-            [2] * (sbce.MAX_ITERS - 85)
-
-    def test_row_cap_splits_stacks_without_changing_fits(self, monkeypatch):
-        b, received, d, grid = _noisy_observation(0, 0.0)
-        whole = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
-        stack_sizes = []
-        real_e_step = sbce._e_step
-
-        def recording(factor, sigma, noise_var, y):
-            stack_sizes.append(len(y))
-            return real_e_step(factor, sigma, noise_var, y)
-
-        monkeypatch.setattr(sbce, "_e_step", recording)
-        # Room for three rows of P x F = 12 x 64 per stack: stacks of 3 and 1.
-        monkeypatch.setattr(sbce, "STACK_ELEMENTS", 3 * 12 * 64)
-        split = sbce._fit_subcarriers(received, b, d, grid.frequencies, 300e9)
-        assert max(stack_sizes) == 3 and stack_sizes[-1] == 1
-        for a, r in zip(whole, split):
-            np.testing.assert_array_equal(a, r)
