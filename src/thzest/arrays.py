@@ -193,7 +193,7 @@ class Dictionary:
 
     @cached_property
     def atoms(self) -> np.ndarray:
-        return _grid_steering(self.config, self.grid_points)
+        return _grid_atoms(self.config, self.grid_size, self.first_atom)
 
     @cached_property
     def first_atom(self) -> np.ndarray:
@@ -206,6 +206,32 @@ def _grid_steering(config: ArrayConfig, grid: np.ndarray) -> np.ndarray:
     idx = np.arange(config.n_antennas)
     phase = 2.0 * np.pi * config.element_spacing_m * config.carrier_freq_hz / SPEED_OF_LIGHT
     atoms = np.exp(1j * phase * np.outer(idx, grid)) / np.sqrt(config.n_antennas)
+    atoms.setflags(write=False)
+    return atoms
+
+
+def _grid_atoms(config: ArrayConfig, grid_size: int,
+                first_atom: np.ndarray) -> np.ndarray:
+    """The N_T x grid_size atom matrix of the equispaced grid, as columns.
+
+    The grid steps by 2/G in sine, so atom n = atom_0 * v**n elementwise
+    with v_i = exp(2j phi i / G), phi = 2 pi d f_c / c0.  The powers v**n,
+    n = 64 a + b, are the products of two small exponential tables, v**b
+    (N_T x 64) and v**(64 a) (N_T x G/64), so the build costs N_T (64 + G/64)
+    complex exponentials and one outer product written in place, not
+    N_T G exponentials.  Column 0 is first_atom, bit for bit.
+    """
+    block = 64
+    n_blocks = -(-grid_size // block)
+    idx = np.arange(config.n_antennas)
+    step = 4.0 * np.pi * config.element_spacing_m * config.carrier_freq_hz / (
+        SPEED_OF_LIGHT * grid_size)
+    fine = np.exp(1j * step * np.outer(idx, np.arange(block)))
+    coarse = np.exp(1j * step * np.outer(idx, block * np.arange(n_blocks)))
+    atoms = np.empty((config.n_antennas, n_blocks, block), dtype=complex)
+    np.multiply((first_atom[:, np.newaxis] * coarse)[:, :, np.newaxis],
+                fine[:, np.newaxis, :], out=atoms)
+    atoms = atoms.reshape(config.n_antennas, -1)[:, :grid_size]
     atoms.setflags(write=False)
     return atoms
 

@@ -8,31 +8,64 @@ from .arrays import SPEED_OF_LIGHT, ArrayConfig
 
 
 def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares channel estimate B^+ y."""
-    h, *_ = np.linalg.lstsq(pilot_matrix, y, rcond=None)
-    return h
+    """Minimum-norm least-squares channel estimate B^H (B B^H)^{-1} y.
+
+    y is one observation or a P x M stack of them, one per column.  B must
+    have full row rank, so P <= N_T; a taller B is a ValueError.  Unlike
+    `lstsq` or `pinv`, this form gives the same bytes under any BLAS thread
+    count.
+    """
+    n_pilots, n_antennas = pilot_matrix.shape
+    if n_pilots > n_antennas:
+        raise ValueError(f"least squares needs n_pilots <= n_antennas, got "
+                         f"{n_pilots} pilots for {n_antennas} antennas")
+    b_h = pilot_matrix.conj().T
+    return b_h @ np.linalg.solve(pilot_matrix @ b_h, y)
 
 
 def check_psd_covariance(channel_cov: np.ndarray) -> None:
-    """Raise ValueError unless channel_cov is Hermitian positive semidefinite."""
+    """Raise ValueError unless channel_cov is Hermitian positive semidefinite.
+
+    PSD here means that R + tau I has a Cholesky factor, with tau =
+    1e-8 max(1, max_i R_ii).  The largest diagonal entry never exceeds the
+    largest eigenvalue, so this rejects every matrix that the eigenvalue
+    rule lambda_min < -1e-8 max(1, lambda_max) rejects, at the cost of one
+    factorisation instead of an eigendecomposition.
+    """
     herm_err = np.max(np.abs(channel_cov - channel_cov.conj().T))
     if herm_err > 1e-8 * max(1.0, np.max(np.abs(channel_cov))):
         raise ValueError("non-PSD covariance: channel_cov is not Hermitian")
-    eigvals = np.linalg.eigvalsh(0.5 * (channel_cov + channel_cov.conj().T))
-    if eigvals[0] < -1e-8 * max(1.0, eigvals[-1]):
-        raise ValueError("non-PSD covariance: negative eigenvalue")
+    hermitian = 0.5 * (channel_cov + channel_cov.conj().T)
+    tau = 1e-8 * max(1.0, float(np.max(np.real(np.diagonal(hermitian)))))
+    try:
+        np.linalg.cholesky(hermitian + tau * np.eye(hermitian.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ValueError("non-PSD covariance: negative eigenvalue") from None
 
 
 def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
                   channel_cov: np.ndarray, noise_var: float) -> np.ndarray:
     """LMMSE estimate R B^H (B R B^H + mu^2 I)^{-1} y.
 
-    channel_cov must be Hermitian positive semidefinite; callers that build
-    it check it once with `check_psd_covariance`.
+    Either y is one observation and channel_cov one N_T x N_T covariance,
+    or y is P x M and channel_cov an (M, N_T, N_T) stack, one covariance
+    per column; the estimate then is N_T x M, from one batched solve.  A
+    real covariance stack meets B^H in one real GEMM with [Re B^H | Im B^H]
+    and is never copied to complex.  channel_cov must be Hermitian positive
+    semidefinite; callers that build it check it once with
+    `check_psd_covariance`.
     """
-    cross = channel_cov @ pilot_matrix.conj().T
+    b_h = pilot_matrix.conj().T
+    if np.iscomplexobj(channel_cov):
+        cross = channel_cov @ b_h
+    else:
+        n_antennas, n_pilots = b_h.shape
+        parts = channel_cov.reshape(-1, n_antennas) @ np.concatenate(
+            [b_h.real, b_h.imag], axis=1)
+        cross = (parts[:, :n_pilots] + 1j * parts[:, n_pilots:]).reshape(
+            channel_cov.shape[:-1] + (n_pilots,))
     gram = pilot_matrix @ cross + noise_var * np.eye(pilot_matrix.shape[0])
-    return cross @ np.linalg.solve(gram, y)
+    return (cross @ np.linalg.solve(gram, y.T[..., np.newaxis]))[..., 0].T
 
 
 def _bessel_j0(x: np.ndarray) -> np.ndarray:
@@ -40,12 +73,14 @@ def _bessel_j0(x: np.ndarray) -> np.ndarray:
 
     The integrand is even and 2*pi-periodic in t, so n midpoints miss only
     the Fourier terms J_{2kn}(x), k >= 1.  With n > max|x| + 32 those fall
-    below rounding.
+    below rounding.  It is also even about t = pi/2, so the sum doubles the
+    first n//2 nodes and, for odd n, adds the middle node's cos(0) = 1.
     """
     x = np.asarray(x, dtype=float)
     n = int(np.max(np.abs(x), initial=0.0)) + 33
-    t = (np.arange(n) + 0.5) * (np.pi / n)
-    return np.mean(np.cos(np.multiply.outer(x, np.cos(t))), axis=-1)
+    t = (np.arange(n // 2) + 0.5) * (np.pi / n)
+    half = np.sum(np.cos(np.multiply.outer(x, np.cos(t))), axis=-1)
+    return (2.0 * half + n % 2) / n
 
 
 def oracle_covariance(config: ArrayConfig, freq_hz: float) -> np.ndarray:

@@ -101,16 +101,16 @@ def steering_derivatives_near(config: ArrayConfig, angle_rad: float,
     return d_angle, d_range, d_split
 
 
-def _steering_and_derivs(config: ArrayConfig, params: ParamVector,
-                         freq_hz: float):
-    """Columns of A' and the per-parameter derivative columns.
+def _steering_and_derivs(config: ArrayConfig, params: ParamVector, freq_hz):
+    """Columns of A' and of its derivatives, stacked as (A', D, paths).
 
-    Parameter ordering: all angles, then all splits, then all ranges.
-    Returns (A', list of (param_index, path_index, derivative_vector)).
+    D has one column per parameter in the order all angles, all splits,
+    all ranges, and paths[k] is the path that parameter k belongs to.  A
+    scalar freq_hz gives N_T-row matrices; an (F, 1) column of frequencies
+    gives stacks with a leading frequency axis.
     """
     n_paths = params.n_paths
-    cols = []
-    derivs = []
+    cols, d_angles, d_splits, d_ranges = [], [], [], []
     for l in range(n_paths):
         angle = float(params.directions[l])
         split = float(params.splits[l])
@@ -119,22 +119,20 @@ def _steering_and_derivs(config: ArrayConfig, params: ParamVector,
             cols.append(perturbed_steering(config, angle, split, freq_hz, r))
             d_angle, d_range, d_split = steering_derivatives_near(
                 config, angle, r, split, freq_hz)
-            derivs.append((l, l, d_angle))
-            derivs.append((n_paths + l, l, d_split))
-            derivs.append((2 * n_paths + l, l, d_range))
+            d_ranges.append(d_range)
         else:
             cols.append(perturbed_steering(config, angle, split, freq_hz))
             d_angle, d_split = steering_derivatives_far(
                 config, angle, split, freq_hz)
-            derivs.append((l, l, d_angle))
-            derivs.append((n_paths + l, l, d_split))
-    a_mat = np.stack(cols, axis=1)
-    derivs.sort(key=lambda t: t[0])
-    return a_mat, derivs
+        d_angles.append(d_angle)
+        d_splits.append(d_split)
+    derivs = d_angles + d_splits + d_ranges
+    paths = np.tile(np.arange(n_paths), len(derivs) // n_paths)
+    return np.stack(cols, axis=-1), np.stack(derivs, axis=-1), paths
 
 
 def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray,
-        signal_powers, noise_var: float, freq_hz: float) -> CrbReport:
+        signal_powers, noise_var: float, freq_hz) -> CrbReport:
     """Closed-form FIM and CRB diagonal for the stacked signal parameters.
 
     F_ij = (2/mu^2) Re Tr{M K_ij} with M = S A'^H Pi_y^{-1} A' S and
@@ -145,31 +143,37 @@ def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray,
     diagonal of the inverse: for a single far-field path at one subcarrier
     the angle and split derivatives are collinear and the joint FIM is
     exactly singular.
+
+    freq_hz is one frequency or a 1-D array of F of them.  An array gives
+    the bounds at every frequency in one pass, with a leading frequency
+    axis on `fim` (F x K x K) and `crb_diag` (F x K); a scalar is the
+    one-frequency case with that axis dropped.
     """
-    a_mat, derivs = _steering_and_derivs(config, params, freq_hz)
+    freqs = np.atleast_1d(np.asarray(freq_hz, dtype=float))
+    a_mat, d_mat, paths = _steering_and_derivs(config, params,
+                                               freqs[:, np.newaxis])
     a_obs = pilot_matrix @ a_mat
-    d_obs = [(i, l, pilot_matrix @ v) for i, l, v in derivs]
+    d_obs = pilot_matrix @ d_mat
 
     powers = np.atleast_1d(np.asarray(signal_powers, dtype=float))
     if powers.shape[0] != params.n_paths:
         raise ValueError("signal_powers length must match path count")
-    p_dim = a_obs.shape[0]
-    cov_y = (a_obs * powers[np.newaxis, :]) @ a_obs.conj().T + \
-        noise_var * np.eye(p_dim)
-    m_mat = np.diag(powers) @ a_obs.conj().T @ np.linalg.solve(cov_y, a_obs) \
-        @ np.diag(powers)
+    eye = np.eye(a_obs.shape[-2])
+    a_obs_h = a_obs.conj().swapaxes(-1, -2)
+    cov_y = (a_obs * powers) @ a_obs_h + noise_var * eye
+    m_mat = powers[:, np.newaxis] * (
+        a_obs_h @ np.linalg.solve(cov_y, a_obs)) * powers
 
-    proj = np.eye(p_dim) - a_obs @ np.linalg.pinv(a_obs)
-    n_params = len(d_obs)
-    fim = np.zeros((n_params, n_params))
-    for i, l_i, d_i in d_obs:
-        pd_i = proj @ d_i
-        for j, l_j, d_j in d_obs:
-            k_ij = np.vdot(pd_i, proj @ d_j)
-            fim[i, j] = (2.0 / noise_var) * float(np.real(m_mat[l_j, l_i] * k_ij))
-    fim = 0.5 * (fim + fim.T)
+    proj_d = (eye - a_obs @ np.linalg.pinv(a_obs)) @ d_obs
+    k_mat = proj_d.conj().swapaxes(-1, -2) @ proj_d
+    # fim[i, j] pairs K_ij with M[path of j, path of i].
+    fim = (2.0 / noise_var) * np.real(
+        m_mat[..., paths[np.newaxis, :], paths[:, np.newaxis]] * k_mat)
+    fim = 0.5 * (fim + fim.swapaxes(-1, -2))
 
+    diag = np.diagonal(fim, axis1=-2, axis2=-1)
     with np.errstate(divide="ignore"):
-        crb_diag = np.where(np.diag(fim) > 0.0, 1.0 / np.diag(fim), np.inf)
+        crb_diag = np.where(diag > 0.0, 1.0 / diag, np.inf)
+    if np.ndim(freq_hz) == 0:
+        return CrbReport(fim[0], crb_diag[0])
     return CrbReport(fim, crb_diag)
-

@@ -31,7 +31,7 @@ class EstimatorContext:
     grid: SubcarrierGrid
     dictionary: Dictionary
     n_paths: int
-    mmse_covs: list | None    # oracle covariance per subcarrier
+    mmse_covs: np.ndarray | None    # (M, N_T, N_T) oracle covariances
 
     @classmethod
     def build(cls, array_cfg: ArrayConfig, grid: SubcarrierGrid,
@@ -39,9 +39,12 @@ class EstimatorContext:
         """Set-up work is done only for the estimators that need it.
 
         The N_T x grid atom matrix is built here only when omp will run:
-        SBCE reads only the grid and its first atom.  The oracle covariances
-        are built only when mmse will run, and checked positive semidefinite
-        here once, not per estimate.
+        SBCE reads only the grid and its first atom.  The atoms are the
+        first atom times powers of one phase step (`arrays._grid_atoms`).
+        The oracle covariances are built only when mmse will run, each
+        written into one preallocated real (M, N_T, N_T) stack that
+        `mmse_estimate` reads in one pass, and each checked positive
+        semidefinite as it is written, once per set-up, not per estimate.
         """
         if "omp" in estimators:
             dictionary = build_dictionary(array_cfg, grid_size)
@@ -49,9 +52,10 @@ class EstimatorContext:
             dictionary = Dictionary.on_grid(array_cfg, grid_size)
         mmse_covs = None
         if "mmse" in estimators:
-            mmse_covs = [oracle_covariance(array_cfg, float(f))
-                         for f in grid.frequencies]
-            for cov in mmse_covs:
+            n = array_cfg.n_antennas
+            mmse_covs = np.empty((grid.n_subcarriers, n, n))
+            for cov, freq in zip(mmse_covs, grid.frequencies):
+                cov[...] = oracle_covariance(array_cfg, float(freq))
                 check_psd_covariance(cov)
         return cls(grid, dictionary, n_paths, mmse_covs)
 
@@ -66,8 +70,7 @@ def _sbce(ctx: EstimatorContext, obs):
 
 
 def _ls(ctx: EstimatorContext, obs):
-    return np.stack([ls_estimate(obs.beamformer, obs.received[:, m])
-                     for m in range(ctx.grid.n_subcarriers)], axis=1), None
+    return ls_estimate(obs.beamformer, obs.received), None
 
 
 def _omp(ctx: EstimatorContext, obs):
@@ -77,10 +80,8 @@ def _omp(ctx: EstimatorContext, obs):
 
 
 def _mmse(ctx: EstimatorContext, obs):
-    return np.stack([
-        mmse_estimate(obs.beamformer, obs.received[:, m], ctx.mmse_covs[m],
-                      obs.noise_var)
-        for m in range(ctx.grid.n_subcarriers)], axis=1), None
+    return mmse_estimate(obs.beamformer, obs.received, ctx.mmse_covs,
+                         obs.noise_var), None
 
 
 ESTIMATORS = {"sbce": _sbce, "ls": _ls, "omp": _omp, "mmse": _mmse}
@@ -142,6 +143,9 @@ class ExperimentConfig:
         for name in ("n_antennas", "n_subcarriers", "n_pilots", "grid_size",
                      "n_paths", "n_users", "trials", "threads"):
             _check_int(name, getattr(self, name), minimum=1)
+        if self.n_pilots > self.n_antennas:
+            raise ValueError("n_pilots must be <= n_antennas, so that the "
+                             "pilot matrix has full row rank")
         _check_int("seed", self.seed, minimum=0)
         _check_real("carrier_freq_hz", self.carrier_freq_hz, positive=True)
         _check_real("bandwidth_hz", self.bandwidth_hz)
@@ -347,18 +351,13 @@ def _trial_crb(array_cfg, grid, pilots, los, noise_var):
     params = ParamVector(directions=[los.direction.angle_rad], splits=[0.0],
                          ranges=ranges)
     power = abs(los.gain) ** 2 * array_cfg.n_antennas
-    split_vars = []
-    dir_var = float("nan")
-    for m in range(grid.n_subcarriers):
-        rep = crb(array_cfg, params, pilots, [power], noise_var,
-                  float(grid.frequencies[m]))
-        if m == grid.center_index:
-            dir_var = float(rep.crb_diag[0])
-        theta = np.clip((grid.frequencies[m] / grid.carrier_freq_hz)
-                        * los.direction.sine, -0.999999, 0.999999)
-        conv = math.degrees(1.0) / math.sqrt(1.0 - theta ** 2)
-        split_vars.append(float(rep.crb_diag[1]) * conv ** 2)
-    return dir_var, float(np.mean(split_vars))
+    bounds = crb(array_cfg, params, pilots, [power], noise_var,
+                 grid.frequencies).crb_diag
+    theta = np.clip((grid.frequencies / grid.carrier_freq_hz)
+                    * los.direction.sine, -0.999999, 0.999999)
+    conv = math.degrees(1.0) / np.sqrt(1.0 - theta ** 2)
+    return (float(bounds[grid.center_index, 0]),
+            float(np.mean(bounds[:, 1] * conv ** 2)))
 
 
 def run_point(config: ExperimentConfig, sweep_idx: int,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thzest import arrays
 from thzest.arrays import (
     SPEED_OF_LIGHT,
     ArrayConfig,
@@ -193,3 +194,19 @@ class TestDictionary:
         np.testing.assert_array_equal(built.first_atom, built.atoms[:, 0])
         np.testing.assert_array_equal(lazy.grid_points, built.grid_points)
         np.testing.assert_array_equal(lazy.atoms, built.atoms)
+
+    @pytest.mark.parametrize("n_antennas, grid_size, carrier_hz, spacing", [
+        (16, 64, 300e9, 0.5), (64, 512, 300e9, 0.5), (256, 2048, 300e9, 0.5),
+        (5, 7, 140e9, 0.5), (33, 100, 1e12, 0.5), (64, 512, 300e9, 0.3),
+        (40, 130, 300e9, 0.8)])
+    def test_atoms_match_direct_steering(self, n_antennas, grid_size,
+                                         carrier_hz, spacing):
+        # atom_0 times powers of one phase step against an exponential per
+        # entry, for any element spacing (in wavelengths) and grid size.
+        cfg = ArrayConfig(n_antennas, carrier_hz,
+                          spacing * SPEED_OF_LIGHT / carrier_hz)
+        d = Dictionary.on_grid(cfg, grid_size)
+        direct = arrays._grid_steering(cfg, d.grid_points)
+        assert d.atoms.shape == direct.shape
+        np.testing.assert_allclose(d.atoms, direct, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(d.atoms[:, 0], d.first_atom)

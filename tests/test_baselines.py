@@ -1,11 +1,20 @@
 """Least-squares, LMMSE, and greedy-recovery baseline tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import thzest
 
 from thzest.arrays import (
     SPEED_OF_LIGHT,
     ArrayConfig,
+    SubcarrierGrid,
     build_dictionary,
     steering_far,
 )
@@ -40,6 +49,58 @@ class TestLeastSquares:
         assert np.linalg.norm(null_proj) < 1e-9
 
 
+    def test_rejects_more_pilots_than_antennas(self):
+        # B B^H is singular then, and a solve would return a finite
+        # estimate far from the least-squares one instead of failing.
+        b = gen_pilot_matrix(CFG, 20, rng_seed=0)
+        with pytest.raises(ValueError, match="n_pilots <= n_antennas"):
+            ls_estimate(b, np.zeros(20, dtype=complex))
+
+    def test_batch_matches_per_column_lstsq(self):
+        rng = np.random.default_rng(7)
+        for n_antennas, n_pilots in ((16, 8), (64, 16), (256, 32)):
+            cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
+            b = gen_pilot_matrix(cfg, n_pilots, rng_seed=rng)
+            y = rng.standard_normal((n_pilots, 8)) + \
+                1j * rng.standard_normal((n_pilots, 8))
+            est = ls_estimate(b, y)
+            for m in range(8):
+                ref = np.linalg.lstsq(b, y[:, m], rcond=None)[0]
+                np.testing.assert_allclose(est[:, m], ref, rtol=0,
+                                           atol=1e-12 * np.linalg.norm(ref))
+
+    def test_bytes_independent_of_blas_threads(self):
+        # Paper-size pilots: lstsq and pinv move bytes between one and two
+        # OpenBLAS threads, which would make the sweep CSV depend on them.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from thzest.arrays import ArrayConfig\n"
+            "from thzest.baselines import ls_estimate\n"
+            "from thzest.channel import gen_pilot_matrix\n"
+            "cfg = ArrayConfig.half_wavelength(256, 300e9)\n"
+            "digest = hashlib.sha256()\n"
+            "for seed in range(30):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    b = gen_pilot_matrix(cfg, 32, rng_seed=rng)\n"
+            "    y = rng.standard_normal((32, 8)) + "
+            "1j * rng.standard_normal((32, 8))\n"
+            "    digest.update(ls_estimate(b, y).tobytes())\n"
+            "print(digest.hexdigest())\n")
+        src = str(Path(thzest.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120, check=True)
+            digests.append(proc.stdout)
+        assert len(digests[0]) > 64
+        assert digests[0] == digests[1]
+
+
 class TestMmse:
     def test_high_snr_full_rank_recovery(self):
         rng = np.random.default_rng(2)
@@ -55,6 +116,24 @@ class TestMmse:
         est = mmse_estimate(b, y, np.eye(16, dtype=complex), 1e6)
         assert np.linalg.norm(est) < 1e-3
 
+    def test_stack_matches_single_covariance_calls(self):
+        # One batched solve over an (M, N_T, N_T) real stack against the
+        # M = 1 calls, and against R B^H formed with the covariance as a
+        # complex matrix.
+        rng = np.random.default_rng(8)
+        cfg = ArrayConfig.half_wavelength(64, 300e9)
+        b = gen_pilot_matrix(cfg, 16, rng_seed=rng)
+        freqs = SubcarrierGrid.build(8, 30e9, 300e9).frequencies
+        covs = np.stack([oracle_covariance(cfg, float(f)) for f in freqs])
+        y = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+        est = mmse_estimate(b, y, covs, 0.1)
+        assert est.shape == (64, 8)
+        for m in range(8):
+            for cov in (covs[m], covs[m].astype(complex)):
+                ref = mmse_estimate(b, y[:, m], cov, 0.1)
+                np.testing.assert_allclose(est[:, m], ref, rtol=0,
+                                           atol=1e-12 * np.linalg.norm(ref))
+
     def test_rejects_non_hermitian_covariance(self):
         bad = np.eye(16, dtype=complex)
         bad[0, 1] = 1.0
@@ -64,6 +143,42 @@ class TestMmse:
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError):
             check_psd_covariance(-np.eye(16, dtype=complex))
+
+
+def _eigenvalue_rule_rejects(cov):
+    """The eigenvalue form of the PSD rule, with eigvalsh's own rounding
+    (n eps ||R||) counted in the matrix's favour, so that a matrix at the
+    threshold to within rounding is not a case either rule decides."""
+    eig = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))
+    slack = cov.shape[0] * np.finfo(float).eps * np.max(np.abs(eig))
+    return eig[0] < -1e-8 * max(1.0, eig[-1]) - slack
+
+
+class TestPsdCheck:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           log_scale=st.floats(-6.0, 6.0), log_depth=st.floats(-3.0, 3.0),
+           negative=st.booleans(), is_complex=st.booleans())
+    def test_rejects_all_the_eigenvalue_rule_rejects(self, n, seed, log_scale,
+                                                     log_depth, negative,
+                                                     is_complex):
+        # Eigenvalues up to 10**log_scale; the smallest sits 10**log_depth
+        # times the eigenvalue rule's threshold below zero, or above it.
+        rng = np.random.default_rng(seed)
+        eig = 10.0 ** log_scale * rng.uniform(0.0, 1.0, n)
+        threshold = 1e-8 * max(1.0, float(np.max(eig)))
+        eig[0] = (-1.0 if negative else 1.0) * 10.0 ** log_depth * threshold
+        shape = (n, n)
+        z = rng.standard_normal(shape) + (
+            1j * rng.standard_normal(shape) if is_complex else 0.0)
+        q, _ = np.linalg.qr(z)
+        cov = (q * eig) @ q.conj().T
+        cov = 0.5 * (cov + cov.conj().T)
+        if _eigenvalue_rule_rejects(cov):
+            with pytest.raises(ValueError, match="non-PSD"):
+                check_psd_covariance(cov)
+        if np.min(np.linalg.eigvalsh(cov)) >= 0.0:
+            check_psd_covariance(cov)
 
 
 class TestOracleCovariance:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from thzest.arrays import ArrayConfig, steering_far
+from thzest.arrays import ArrayConfig, SubcarrierGrid, steering_far
 from thzest.channel import gen_pilot_matrix
 from thzest.crb import (
     ParamVector,
@@ -124,3 +124,41 @@ class TestNumericOracle:
         ref = numeric_fim(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(rep.fim, ref, atol=2e-2 * scale)
+
+
+class TestFrequencyVector:
+    FREQS = SubcarrierGrid.build(8, 30e9, 300e9).frequencies
+
+    @pytest.mark.parametrize("params", [
+        ParamVector([0.3], [0.0]),
+        ParamVector([0.3], [0.0], [3.0]),
+        ParamVector([0.3, -0.6], [0.0, 0.01]),
+        ParamVector([0.3, -0.6], [0.0, 0.01], [3.0, 1.5]),
+    ])
+    def test_matches_scalar_calls(self, params):
+        pilots = gen_pilot_matrix(CFG16, 12, rng_seed=2)
+        powers = [16.0] * params.n_paths
+        rep = crb(CFG16, params, pilots, powers, 0.01, self.FREQS)
+        n_params = (3 if params.is_near_field else 2) * params.n_paths
+        assert rep.fim.shape == (8, n_params, n_params)
+        assert rep.crb_diag.shape == (8, n_params)
+        for m, f in enumerate(self.FREQS):
+            one = crb(CFG16, params, pilots, powers, 0.01, float(f))
+            np.testing.assert_allclose(rep.fim[m], one.fim, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(one.fim)))
+            np.testing.assert_allclose(rep.crb_diag[m], one.crb_diag,
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        ParamVector([0.25], [0.0]),
+        ParamVector([0.25], [0.0], [0.05]),
+        ParamVector([0.25, -0.5], [0.0, 0.0]),
+    ])
+    def test_matches_numeric_oracle_per_frequency(self, params):
+        freqs = np.array([294e9, 306e9, 312e9])
+        powers = [4.0] * params.n_paths
+        rep = crb(CFG4, params, np.eye(4), powers, 0.05, freqs)
+        for m, f in enumerate(freqs):
+            ref = numeric_fim(CFG4, params, np.eye(4), powers, 0.05, f)
+            np.testing.assert_allclose(rep.fim[m], ref,
+                                       atol=2e-2 * np.max(np.abs(ref)))

@@ -66,6 +66,7 @@ class TestConfig:
         {"trials": 2.5},
         {"n_antennas": True},
         {"threads": 0},
+        {"n_pilots": 65},
         {"seed": -1},
         {"snr_db": float("nan")},
         {"snr_db": float("inf")},
@@ -155,12 +156,18 @@ class TestRunPoint:
 
 class TestEstimatorContext:
     def test_oracle_covariances_checked_once_each(self, monkeypatch):
+        # One check per subcarrier, each on its slot of the stored stack,
+        # after the covariance has been written there.
         calls = []
-        monkeypatch.setattr(harness, "check_psd_covariance", calls.append)
+        monkeypatch.setattr(harness, "check_psd_covariance",
+                            lambda cov: calls.append((cov, cov.copy())))
         ctx = harness.EstimatorContext.build(TINY_ARRAY, TINY_GRID, 64, 1,
                                              ("mmse",))
         assert len(calls) == TINY_GRID.n_subcarriers
-        assert all(c is r for c, r in zip(calls, ctx.mmse_covs))
+        assert ctx.mmse_covs.shape == (TINY_GRID.n_subcarriers, 16, 16)
+        for (checked, seen), stored in zip(calls, ctx.mmse_covs):
+            assert np.shares_memory(checked, stored)
+            np.testing.assert_array_equal(seen, stored)
 
     @pytest.mark.parametrize("estimators, built", [
         ((), False), (("ls", "mmse"), False), (("sbce",), False),
@@ -170,17 +177,23 @@ class TestEstimatorContext:
         # SBCE reads only the grid and the first atom; only joint OMP reads
         # the N_T x grid matrix.  The sweep and `thzest crb` run through
         # EstimatorContext.build.
-        widths = []
-        real = arrays._grid_steering
+        widths, builds = [], []
+        steering, atoms = arrays._grid_steering, arrays._grid_atoms
 
-        def recording(cfg, grid):
+        def recording_steering(cfg, grid):
             widths.append(len(grid))
-            return real(cfg, grid)
+            return steering(cfg, grid)
 
-        monkeypatch.setattr(arrays, "_grid_steering", recording)
+        def recording_atoms(cfg, grid_size, first_atom):
+            builds.append(grid_size)
+            return atoms(cfg, grid_size, first_atom)
+
+        monkeypatch.setattr(arrays, "_grid_steering", recording_steering)
+        monkeypatch.setattr(arrays, "_grid_atoms", recording_atoms)
         config = dataclasses.replace(TINY, estimators=estimators, trials=1)
         run_point(config, 0, config.snr_db)
-        assert (64 in widths) == built
+        assert builds == ([64] if built else [])
+        assert 64 not in widths
         if "sbce" in estimators:
             assert 1 in widths
 
