@@ -8,18 +8,19 @@ from .arrays import SPEED_OF_LIGHT, ArrayConfig
 
 
 def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares channel estimate B^H (B B^H)^{-1} y.
+    """Least-squares channel estimate from y = B h + noise.
 
-    y is one observation or a P x M stack of them, one per column.  B must
-    have full row rank, so P <= N_T; a taller B is a ValueError.  Unlike
-    `lstsq` or `pinv`, this form gives the same bytes under any BLAS thread
-    count.
+    y is one observation or a P x M stack of them, one per column.  With
+    P <= N_T this is the minimum-norm solution B^H (B B^H)^{-1} y; with more
+    pilots than antennas it is (B^H B)^{-1} B^H y.  Either way it is one
+    GEMM and one solve.  On 32 x 256 pilot matrices the minimum-norm form
+    gave identical bytes under OPENBLAS_NUM_THREADS=1 and 2, where `lstsq`
+    and `pinv` did not.  The tall form did not, on 300 x 256 ones.
     """
+    b_h = pilot_matrix.conj().T
     n_pilots, n_antennas = pilot_matrix.shape
     if n_pilots > n_antennas:
-        raise ValueError(f"least squares needs n_pilots <= n_antennas, got "
-                         f"{n_pilots} pilots for {n_antennas} antennas")
-    b_h = pilot_matrix.conj().T
+        return np.linalg.solve(b_h @ pilot_matrix, b_h @ y)
     return b_h @ np.linalg.solve(pilot_matrix @ b_h, y)
 
 
@@ -49,21 +50,18 @@ def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
 
     Either y is one observation and channel_cov one N_T x N_T covariance,
     or y is P x M and channel_cov an (M, N_T, N_T) stack, one covariance
-    per column; the estimate then is N_T x M, from one batched solve.  A
-    real covariance stack meets B^H in one real GEMM with [Re B^H | Im B^H]
-    and is never copied to complex.  channel_cov must be Hermitian positive
-    semidefinite; callers that build it check it once with
+    per column; the estimate then is N_T x M, from one batched solve.  The
+    covariances meet B^H in one GEMM with [Re B^H | Im B^H], so a real
+    stack is never copied to complex.  channel_cov must be Hermitian
+    positive semidefinite; callers that build it check it once with
     `check_psd_covariance`.
     """
     b_h = pilot_matrix.conj().T
-    if np.iscomplexobj(channel_cov):
-        cross = channel_cov @ b_h
-    else:
-        n_antennas, n_pilots = b_h.shape
-        parts = channel_cov.reshape(-1, n_antennas) @ np.concatenate(
-            [b_h.real, b_h.imag], axis=1)
-        cross = (parts[:, :n_pilots] + 1j * parts[:, n_pilots:]).reshape(
-            channel_cov.shape[:-1] + (n_pilots,))
+    n_antennas, n_pilots = b_h.shape
+    parts = channel_cov.reshape(-1, n_antennas) @ np.concatenate(
+        [b_h.real, b_h.imag], axis=1)
+    cross = (parts[:, :n_pilots] + 1j * parts[:, n_pilots:]).reshape(
+        channel_cov.shape[:-1] + (n_pilots,))
     gram = pilot_matrix @ cross + noise_var * np.eye(pilot_matrix.shape[0])
     return (cross @ np.linalg.solve(gram, y.T[..., np.newaxis]))[..., 0].T
 

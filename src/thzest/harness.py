@@ -143,9 +143,6 @@ class ExperimentConfig:
         for name in ("n_antennas", "n_subcarriers", "n_pilots", "grid_size",
                      "n_paths", "n_users", "trials", "threads"):
             _check_int(name, getattr(self, name), minimum=1)
-        if self.n_pilots > self.n_antennas:
-            raise ValueError("n_pilots must be <= n_antennas, so that the "
-                             "pilot matrix has full row rank")
         _check_int("seed", self.seed, minimum=0)
         _check_real("carrier_freq_hz", self.carrier_freq_hz, positive=True)
         _check_real("bandwidth_hz", self.bandwidth_hz)

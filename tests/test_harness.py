@@ -66,7 +66,6 @@ class TestConfig:
         {"trials": 2.5},
         {"n_antennas": True},
         {"threads": 0},
-        {"n_pilots": 65},
         {"seed": -1},
         {"snr_db": float("nan")},
         {"snr_db": float("inf")},
