@@ -149,22 +149,29 @@ def scenario_to_json(channel: ChannelRealization,
 
 
 def scenario_from_json(doc: dict):
-    """Inverse of scenario_to_json; a "seed" key of older files is ignored."""
-    cfg = ArrayConfig(**doc["config"])
-    grid = SubcarrierGrid.build(**doc["grid"])
-    paths = tuple(
-        PathParams(gain=complex(*p["gain"]), delay_s=p["delay_s"],
-                   direction=Direction.from_angle(p["angle_rad"]),
-                   range_m=p["range_m"], is_los=p["is_los"])
-        for p in doc["paths"])
-    h = channel_from_paths(cfg, grid, paths, doc["scenario"])
-    channel = ChannelRealization(paths, h, grid, cfg, doc["scenario"])
-    obs = PilotObservation(
-        beamformer=_complex_from_json(doc["beamformer"]["data"],
-                                      doc["beamformer"]["shape"]),
-        received=_complex_from_json(doc["received"]["data"],
-                                    doc["received"]["shape"]),
-        noise_var=doc["noise_var"])
+    """Inverse of scenario_to_json; a "seed" key of older files is ignored.
+
+    A document of the wrong structure or types, such as a list where an
+    object belongs or a string where a number does, raises ValueError.
+    """
+    try:
+        cfg = ArrayConfig(**doc["config"])
+        grid = SubcarrierGrid.build(**doc["grid"])
+        paths = tuple(
+            PathParams(gain=complex(*p["gain"]), delay_s=p["delay_s"],
+                       direction=Direction.from_angle(p["angle_rad"]),
+                       range_m=p["range_m"], is_los=p["is_los"])
+            for p in doc["paths"])
+        h = channel_from_paths(cfg, grid, paths, doc["scenario"])
+        channel = ChannelRealization(paths, h, grid, cfg, doc["scenario"])
+        obs = PilotObservation(
+            beamformer=_complex_from_json(doc["beamformer"]["data"],
+                                          doc["beamformer"]["shape"]),
+            received=_complex_from_json(doc["received"]["data"],
+                                        doc["received"]["shape"]),
+            noise_var=float(doc["noise_var"]))
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValueError(f"malformed scenario file: {exc}") from exc
     return channel, obs
 
 

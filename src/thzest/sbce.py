@@ -47,14 +47,13 @@ MAX_ITERS = 200
 
 
 class _DftFactor(NamedTuple):
-    """The perturbed dictionaries P'_r = B C_r D of a stack of rows as A_r W.
+    """The perturbed dictionary P' = B C D as A W.
 
     On the grid (2n - N - 1)/N of a half-wavelength array, atom n is atom 0
     times w^{in} with w = exp(2 pi j / N), so P' = A W with the P x N_T
     factor A = B diag(c * d_0) and W_in = w^{in}.  a_hat = F ifft(A, F) and
-    f_a = fft(A, F) are its zero-padded row transforms, F >= 2 N_T - 1.
-    Every array carries a leading row axis: a is R x P x N_T, a_hat and f_a
-    are R x P x F.  N is the length of the sigma that goes with it.
+    f_a = fft(A, F) are its zero-padded row transforms, P x F with
+    F >= 2 N_T - 1.  N is the length of the sigma that goes with it.
     """
 
     a: np.ndarray
@@ -62,94 +61,77 @@ class _DftFactor(NamedTuple):
     f_a: np.ndarray
 
 
-def _fft_size(n_antennas: int) -> int:
-    """F: the power of two >= 2 N_T - 1."""
-    return 1 << (2 * n_antennas - 2).bit_length()
-
-
 def _dft_factor(a: np.ndarray) -> _DftFactor:
-    """R x P x N_T factors A_r with their row transforms, two FFTs for all."""
-    n_fft = _fft_size(a.shape[-1])
+    """The P x N_T factor A with its row transforms, two FFTs of F points,
+    F the power of two >= 2 N_T - 1."""
+    n_fft = 1 << (2 * a.shape[1] - 2).bit_length()
     return _DftFactor(a, n_fft * np.fft.ifft(a, n_fft), np.fft.fft(a, n_fft))
 
 
-def _herm(stack: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return np.swapaxes(stack.conj(), -1, -2)
-
-
 class _EStep(NamedTuple):
-    """Posterior quantities of one E-step per row, all from P x P algebra."""
+    """Posterior quantities of one E-step, all from P x P algebra."""
 
-    l_inv: np.ndarray       # R x P x P: L^{-1} with Pi_y = L L^H
-    z: np.ndarray           # R x N: posterior mean
-    post_var: np.ndarray    # R x N: diag(Pi)
-    trace_term: np.ndarray  # R: Tr{P' Pi P'^H}
-    fitted: np.ndarray      # R x P: P' z
+    l_inv: np.ndarray       # P x P: L^{-1} with Pi_y = L L^H
+    z: np.ndarray           # N: posterior mean
+    post_var: np.ndarray    # N: diag(Pi)
+    trace_term: float       # Tr{P' Pi P'^H}
+    fitted: np.ndarray      # P: P' z
 
 
 def _gram(factor: _DftFactor, sigma: np.ndarray) -> np.ndarray:
-    """S = P' Sigma P'^H = A T A^H of every row, T Toeplitz with T_ik =
-    tau_{i-k}, tau_d = sum_n sigma_n w^{dn}; embedded in an F-point circulant
-    with spectrum lam, S = a_hat diag(lam) a_hat^H / F.  R x P x P."""
+    """S = P' Sigma P'^H = A T A^H, T Toeplitz with T_ik = tau_{i-k},
+    tau_d = sum_n sigma_n w^{dn}; embedded in an F-point circulant with
+    spectrum lam, S = a_hat diag(lam) a_hat^H / F.  P x P."""
     a, a_hat, _ = factor
-    k, n_fft, n_grid = a.shape[-1], a_hat.shape[-1], sigma.shape[-1]
+    k, n_fft, n_grid = a.shape[1], a_hat.shape[1], len(sigma)
     tau = n_grid * np.fft.ifft(sigma)
-    col = np.zeros((len(sigma), n_fft), dtype=complex)
-    col[:, :k] = tau[:, :k]
-    col[:, n_fft - k + 1:] = tau[:, n_grid - k + 1:]
+    col = np.zeros(n_fft, dtype=complex)
+    col[:k] = tau[:k]
+    col[n_fft - k + 1:] = tau[n_grid - k + 1:]
     lam = np.fft.fft(col).real
-    s_mat = (a_hat * lam[:, np.newaxis, :]) @ _herm(a_hat) / n_fft
-    return 0.5 * (s_mat + _herm(s_mat))
+    s_mat = (a_hat * lam) @ a_hat.conj().T / n_fft
+    return 0.5 * (s_mat + s_mat.conj().T)
 
 
-def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
+def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: float,
             y: np.ndarray) -> _EStep:
-    """Posterior of the sparse coefficients of every row, P' = A W never formed.
+    """Posterior of the sparse coefficients, P' = A W never formed.
 
-    Row r has its own factor A_r, prior variances sigma[r] (R x N), noise
-    variance noise_var[r] and observation y[r] (R x P); each FFT, product
-    and factorisation below serves all rows in one call.  Per row, with
-    S = P' Sigma P'^H from `_gram`, Pi_y = S + mu^2 I = L L^H and
-    u = Pi_y^{-1} y:
+    With prior variances sigma (N), noise variance mu^2 = noise_var,
+    observation y (P), S = P' Sigma P'^H from `_gram`, Pi_y = S + mu^2 I
+    = L L^H and u = Pi_y^{-1} y:
     - Pi_nn = sigma_n - sigma_n^2 rho_n with rho_n = ||L^{-1} A w_n||^2
       = sum_d q_d w^{dn}, q the row autocorrelation of L^{-1} A summed over
       rows and folded onto N lags;
     - z = sigma * fft(A^H u, N) and P' z = S u;
     - Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2.
-    Each row costs O(P^2 F + N log N) instead of O(P^2 N).
+    It costs O(P^2 F + N log N) instead of O(P^2 N).
     """
     a, a_hat, f_a = factor
-    k, n_fft, n_grid = a.shape[-1], a_hat.shape[-1], sigma.shape[-1]
+    k, n_fft, n_grid = a.shape[1], a_hat.shape[1], len(sigma)
     s_mat = _gram(factor, sigma)
-    eye = np.eye(s_mat.shape[-1])
     try:
-        chol = np.linalg.cholesky(s_mat + noise_var[:, np.newaxis, np.newaxis]
-                                  * eye)
+        chol = np.linalg.cholesky(s_mat + noise_var * np.eye(len(s_mat)))
         l_inv = np.linalg.inv(chol)
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(str(exc)) from exc
-    u = _herm(l_inv) @ (l_inv @ y[:, :, np.newaxis])
-    z = sigma * np.fft.fft((_herm(a) @ u)[:, :, 0], n_grid)
+    u = l_inv.conj().T @ (l_inv @ y)
+    z = sigma * np.fft.fft(a.conj().T @ u, n_grid)
     g = l_inv @ f_a
     g2 = g.real ** 2
     g2 += g.imag ** 2
-    lags = np.fft.ifft(np.sum(g2, axis=1))
-    folded = np.zeros((len(sigma), n_grid), dtype=complex)
-    folded[:, :k] = lags[:, :k]
-    folded[:, n_grid - k + 1:] += lags[:, n_fft - k + 1:]
+    lags = np.fft.ifft(np.sum(g2, axis=0))
+    folded = np.zeros(n_grid, dtype=complex)
+    folded[:k] = lags[:k]
+    folded[n_grid - k + 1:] += lags[n_fft - k + 1:]
     rho = n_grid * np.fft.ifft(folded).real
     post_var = sigma - sigma ** 2 * rho
-    # Scalar reductions stay per row: squaring an array of norms can differ
-    # in the last bit from squaring each norm.
-    spread = l_inv @ s_mat
-    trace_term = np.array([
-        float(np.real(np.trace(s))) - float(np.linalg.norm(ls) ** 2)
-        for s, ls in zip(s_mat, spread)])
+    trace_term = float(np.real(np.trace(s_mat))) \
+        - float(np.linalg.norm(l_inv @ s_mat) ** 2)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(post_var))
-            and np.all(np.isfinite(trace_term))):
+            and np.isfinite(trace_term)):
         raise SingularCovarianceError("non-finite posterior")
-    return _EStep(l_inv, z, post_var, trace_term, (s_mat @ u)[:, :, 0])
+    return _EStep(l_inv, z, post_var, trace_term, s_mat @ u)
 
 
 def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
@@ -158,21 +140,18 @@ def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
 
     Returns (z, Pi) with Pi_y = P' Sigma P'^H + mu^2 I,
     Pi = Sigma - Sigma P'^H Pi_y^{-1} P' Sigma and z = Sigma P'^H Pi_y^{-1} y,
-    from the same E-step the EM loop runs, on a stack of one row: any P x N
-    matrix is A W with A = fft(P', axis=1) / N.
+    from the same E-step the EM loop runs: any P x N matrix is A W with
+    A = fft(P', axis=1) / N.
     """
-    factor = _dft_factor(
-        np.fft.fft(effective_matrix, axis=1)[np.newaxis] / len(sigma))
-    post = _e_step(factor, sigma[np.newaxis], np.array([noise_var]),
-                   y[np.newaxis])
-    l_inv = post.l_inv[0]
+    factor = _dft_factor(np.fft.fft(effective_matrix, axis=1) / len(sigma))
+    post = _e_step(factor, sigma, noise_var, y)
     # cond(Pi_y) = cond(L)^2 = cond(L^{-1})^2 for the Cholesky factor L.
-    if np.linalg.cond(l_inv) ** 2 > 1e12:
+    if np.linalg.cond(post.l_inv) ** 2 > 1e12:
         raise SingularCovarianceError("observation covariance is singular")
-    v = l_inv @ (effective_matrix * sigma[np.newaxis, :])
+    v = post.l_inv @ (effective_matrix * sigma[np.newaxis, :])
     pi = np.diag(sigma).astype(complex) - v.conj().T @ v
     pi = 0.5 * (pi + pi.conj().T)
-    return post.z[0], pi
+    return post.z, pi
 
 
 def update_perturbation_diag(n_antennas: int, grid_dir: float,
@@ -183,8 +162,14 @@ def update_perturbation_diag(n_antennas: int, grid_dir: float,
     """
     if abs(grid_dir) > 1.0:
         raise ValueError("invalid direction: |grid_dir| > 1")
-    delta = (freq_hz / carrier_hz - 1.0) * grid_dir
-    return np.exp(1j * np.pi * np.arange(n_antennas) * delta)
+    return _split_diag(n_antennas, (freq_hz / carrier_hz - 1.0) * grid_dir)
+
+
+def _split_diag(n_antennas: int, delta: float | np.ndarray) -> np.ndarray:
+    """c_i = exp(j*pi*(i-1)*delta) of a split delta, or the N_T x M columns
+    of an array of M splits.  `run_sbce` maps its subcarriers through this
+    directly, so each `update_perturbation_diag` call is an EM rebuild."""
+    return np.exp(np.multiply.outer(1j * np.pi * np.arange(n_antennas), delta))
 
 
 def beam_split_from_c(c: np.ndarray) -> float:
@@ -199,38 +184,33 @@ def beam_split_from_c(c: np.ndarray) -> float:
 
 
 class _Fit(NamedTuple):
-    """Converged EM quantities of one fit; C and A follow from the peak."""
+    """Converged EM quantities of one fit, with the c of C and the factor of
+    its peak atom."""
 
     sigma: np.ndarray        # N
     noise_var: float
     peak_index: int
     iterations: int
     converged: bool
-
-
-def _perturbed_factor(pilot_matrix: np.ndarray, dictionary: Dictionary,
-                      peak: int, freq_hz: float, carrier_hz: float):
-    """c of C and A = B diag(c * d_0) of the given peak atom."""
-    c = update_perturbation_diag(
-        pilot_matrix.shape[1], float(dictionary.grid_points[peak]), freq_hz,
-        carrier_hz)
-    return c, pilot_matrix * (c * dictionary.first_atom)
+    c: np.ndarray            # N_T
+    factor: _DftFactor
 
 
 def _fit(y: np.ndarray, pilot_matrix: np.ndarray, dictionary: Dictionary,
          freq_hz: float, carrier_hz: float) -> _Fit:
     """EM loop of one subcarrier's observation y, never forming Pi or B C D.
 
-    Each iteration is one `_e_step` on a stack of one row.  The factor is
-    rebuilt only when the peak atom changes.
+    Each iteration is one `_e_step`.  The factor A = B diag(c * d_0) is
+    rebuilt only when the peak atom changes, which the first iteration
+    always does.
     """
-    n_pilots = pilot_matrix.shape[0]
+    n_pilots, n_antennas = pilot_matrix.shape
     energy = float(np.linalg.norm(y) ** 2) / n_pilots
     noise_var = max(1e-6, 0.01 * energy)
     sigma = np.ones(dictionary.grid_size)
     # Peak atom -1 stands for C = I, the factor at the start.
-    peak = -1
-    factor = _dft_factor((pilot_matrix * dictionary.first_atom)[np.newaxis])
+    peak, c = -1, np.ones(n_antennas, dtype=complex)
+    factor = _dft_factor(pilot_matrix * dictionary.first_atom)
     # When the true direction falls midway between two grid cells the peak
     # can alternate between them forever, with the perturbation rebuild and
     # the prior variances flipping in a period-2 limit cycle.  Detect the
@@ -239,12 +219,11 @@ def _fit(y: np.ndarray, pilot_matrix: np.ndarray, dictionary: Dictionary,
     before, flips, pinned = -1, 0, False    # before: the peak before `peak`
 
     for it in range(1, MAX_ITERS + 1):
-        post = _e_step(factor, sigma[np.newaxis], np.array([noise_var]),
-                       y[np.newaxis])
+        post = _e_step(factor, sigma, noise_var, y)
 
         # mu^2 update from the same E-step quantities.
-        residual = float(np.linalg.norm(y - post.fitted[0]) ** 2)
-        noise_var = max((residual + max(post.trace_term[0], 0.0)) / n_pilots,
+        residual = float(np.linalg.norm(y - post.fitted) ** 2)
+        noise_var = max((residual + max(post.trace_term, 0.0)) / n_pilots,
                         NOISE_FLOOR_REL * energy)
 
         # Tipping's fixed-point form sigma_n = |z_n|^2 / gamma_n with
@@ -253,8 +232,8 @@ def _fit(y: np.ndarray, pilot_matrix: np.ndarray, dictionary: Dictionary,
         # the iterations, and unlike the bare point form sigma_n = |z_n|^2
         # it cannot collapse to all-zero.
         quality = np.clip(
-            1.0 - post.post_var[0] / np.maximum(sigma, 1e-300), 1e-12, 1.0)
-        power = np.abs(post.z[0]) ** 2
+            1.0 - post.post_var / np.maximum(sigma, 1e-300), 1e-12, 1.0)
+        power = np.abs(post.z) ** 2
         sigma_new = power / quality
         if not pinned:
             new, last = int(np.argmax(power)), peak
@@ -268,16 +247,18 @@ def _fit(y: np.ndarray, pilot_matrix: np.ndarray, dictionary: Dictionary,
                 pinned = True
             before, peak = last, new
             if new != last:
-                _, a = _perturbed_factor(pilot_matrix, dictionary, peak,
-                                         freq_hz, carrier_hz)
-                factor = _dft_factor(a[np.newaxis])
+                c = update_perturbation_diag(
+                    n_antennas, float(dictionary.grid_points[peak]), freq_hz,
+                    carrier_hz)
+                factor = _dft_factor(
+                    pilot_matrix * (c * dictionary.first_atom))
 
         delta_sigma = np.linalg.norm(sigma_new - sigma)
         norm_sigma = np.linalg.norm(sigma_new)
         sigma = sigma_new
         if norm_sigma > 0 and delta_sigma / norm_sigma < CONVERGENCE_TOL:
-            return _Fit(sigma, noise_var, peak, it, True)
-    return _Fit(sigma, noise_var, peak, MAX_ITERS, False)
+            return _Fit(sigma, noise_var, peak, it, True, c, factor)
+    return _Fit(sigma, noise_var, peak, MAX_ITERS, False, c, factor)
 
 
 def run_sbce(observation, dictionary: Dictionary,
@@ -302,42 +283,37 @@ def run_sbce(observation, dictionary: Dictionary,
     carrier = grid.carrier_freq_hz
 
     center = grid.center_index
-    freq = float(grid.frequencies[center])
     fit = _fit(observation.received[:, center], pilot_matrix, dictionary,
-               freq, carrier)
+               float(grid.frequencies[center]), carrier)
 
     # The refinement reads the fit's model covariance without its peak
     # atom, S + mu^2 I with sigma_peak = 0, from the factor of its peak.
     peak = fit.peak_index
-    c, a = _perturbed_factor(pilot_matrix, dictionary, peak, freq, carrier)
     trimmed = fit.sigma.copy()
     trimmed[peak] = 0.0
-    cov_excl = _gram(_dft_factor(a[np.newaxis]), trimmed[np.newaxis])[0] \
+    cov_excl = _gram(fit.factor, trimmed) \
         + fit.noise_var * np.eye(len(pilot_matrix))
     direction = refine_direction(
         float(dictionary.grid_points[peak]),
-        observation.received[:, [center]], pilot_matrix, c, cov_excl,
+        observation.received[:, [center]], pilot_matrix, fit.c, cov_excl,
         dictionary.grid_size, array_config)
     direction = float(np.clip(direction, -1.0, 1.0))
 
-    nominal = steering_far(array_config, direction,
-                           array_config.carrier_freq_hz)
-    splits = np.zeros(grid.n_subcarriers)
-    est = np.zeros((n_antennas, grid.n_subcarriers), dtype=complex)
-    for m in range(grid.n_subcarriers):
-        c_m = update_perturbation_diag(n_antennas, direction,
-                                       float(grid.frequencies[m]), carrier)
-        splits[m] = beam_split_from_c(c_m)
-        steer = c_m * nominal
-        g = pilot_matrix @ steer
-        denom = float(np.real(np.vdot(g, g)))
-        gain = np.vdot(g, observation.received[:, m]) / denom if denom > 0 else 0.0
-        est[:, m] = steer * gain
+    # Subcarrier m's split is (f_m/f_c - 1) theta and its steering vector
+    # C_m a(theta); its gain is g^H y_m / ||g||^2 with g = B C_m a(theta),
+    # zero where g vanishes.
+    splits = (grid.frequencies / carrier - 1.0) * direction
+    steer = _split_diag(n_antennas, splits) * steering_far(
+        array_config, direction, array_config.carrier_freq_hz)[:, np.newaxis]
+    g = pilot_matrix @ steer
+    power = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
+    gain = np.divide(np.sum(g.conj() * observation.received, axis=0), power,
+                     out=np.zeros(len(power), dtype=complex), where=power > 0)
 
     return SbceResult(
         est_direction_sine=direction,
         est_beam_split=splits,
-        est_channel=est,
+        est_channel=steer * gain,
         iterations=fit.iterations,
         converged=fit.converged,
     )

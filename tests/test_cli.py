@@ -7,6 +7,8 @@ import json
 import os
 import pathlib
 import string
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -317,6 +319,41 @@ class TestScenarioRun:
         assert captured.err.startswith("error: ") and "half-wavelength" in \
             captured.err
 
+
+def _malformed(doc, case):
+    if case == "config-list":
+        doc["config"] = [1, 2, 3]
+    elif case == "string-count":
+        doc["config"]["n_antennas"] = "64"
+    elif case == "string-noise":
+        doc["noise_var"] = "high"
+    else:
+        doc = [doc]
+    return doc
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("case", ["config-list", "string-count",
+                                      "string-noise", "top-level-list"])
+    def test_exits_one_without_traceback(self, tmp_path, case):
+        # The console entry point in a fresh interpreter, so that a
+        # traceback would reach stderr instead of the test.
+        path = tmp_path / "scen.json"
+        assert main(["scenario", "gen", "--config",
+                     _write_tiny_config(tmp_path), "--out", str(path)]) \
+            == EXIT_OK
+        path.write_text(json.dumps(_malformed(json.loads(path.read_text()),
+                                              case)))
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "thzest.cli", "scenario", "run", str(path),
+             "--estimators", "ls,mmse"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: malformed scenario file: ")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 class TestHighSnrSweep:
     def test_sbce_has_no_failures_up_to_300_db(self, tmp_path):

@@ -60,8 +60,8 @@ class TestCovarianceExcluding:
         manual += 0.3 * np.eye(16)
         trimmed = sigma.copy()
         trimmed[idx] = 0.0
-        factor = sbce._dft_factor((PILOTS * DICT.atoms[:, 0])[np.newaxis])
-        got = sbce._gram(factor, trimmed[np.newaxis])[0] + 0.3 * np.eye(16)
+        factor = sbce._dft_factor(PILOTS * DICT.atoms[:, 0])
+        got = sbce._gram(factor, trimmed) + 0.3 * np.eye(16)
         np.testing.assert_allclose(got, manual, atol=1e-10)
         np.testing.assert_allclose(
             covariance_excluding(effective, sigma, 0.3, idx), manual,

@@ -155,20 +155,16 @@ def _check_against_dense(a, n_grid, sigma, noise_ratio, y):
     gram = (effective * sigma) @ effective.conj().T
     noise_var = noise_ratio * float(np.mean(np.real(np.diag(gram))))
     u = np.linalg.solve(gram + noise_var * np.eye(len(y)), y)
-    # The E-step on a stack of one row.
-    post = sbce._e_step(sbce._dft_factor(a[np.newaxis]),
-                        sigma[np.newaxis], np.array([noise_var]),
-                        y[np.newaxis])
+    post = sbce._e_step(sbce._dft_factor(a), sigma, noise_var, y)
     z, post_var, trace_term = dense_e_step(effective, sigma, noise_var, y)
     z_scale = np.max(sigma * np.linalg.norm(effective, axis=0)) * \
         np.linalg.norm(u)
-    np.testing.assert_allclose(post.z[0], z, rtol=1e-12,
-                               atol=1e-12 * z_scale)
-    np.testing.assert_allclose(post.post_var[0], post_var, rtol=1e-12,
+    np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-12 * z_scale)
+    np.testing.assert_allclose(post.post_var, post_var, rtol=1e-12,
                                atol=1e-12 * np.max(sigma))
-    assert post.trace_term[0] == pytest.approx(trace_term, rel=1e-9)
+    assert post.trace_term == pytest.approx(trace_term, rel=1e-9)
     fit_scale = np.linalg.norm(gram, 2) * np.linalg.norm(u)
-    np.testing.assert_allclose(post.fitted[0], effective @ z, rtol=1e-12,
+    np.testing.assert_allclose(post.fitted, effective @ z, rtol=1e-12,
                                atol=1e-12 * fit_scale)
 
 
@@ -344,16 +340,15 @@ class TestRunSbce:
         assert not result.converged
 
     def test_fits_only_the_centre_subcarrier(self, monkeypatch):
-        # One EM fit, of the centre column, on stacks of one row: its
-        # iterations and convergence are the result's.  Seed 0 at 0 dB
-        # separates it from a fit of every column, which would run 117
-        # iterations.
+        # One EM fit, of the centre column: its iterations and convergence
+        # are the result's.  Seed 0 at 0 dB separates it from a fit of
+        # every column, which would run 117 iterations.
         b, received, d, grid = _noisy_observation(0, 0.0)
-        rows = []
+        observed = []
         real_e_step = sbce._e_step
 
         def recording(factor, sigma, noise_var, y):
-            rows.append((len(factor.a), len(sigma), len(noise_var), len(y)))
+            observed.append(y)
             return real_e_step(factor, sigma, noise_var, y)
 
         monkeypatch.setattr(sbce, "_e_step", recording)
@@ -365,9 +360,57 @@ class TestRunSbce:
                         float(grid.frequencies[center]), 300e9)
         assert (result.iterations, result.converged) == \
             (fit.iterations, fit.converged) == (38, True)
-        assert rows == [(1, 1, 1, 1)] * fit.iterations
+        assert len(observed) == fit.iterations
+        for y in observed:
+            assert y.ndim == 1
+            np.testing.assert_array_equal(y, received[:, center])
         assert max(sbce._fit(received[:, m], b, d, float(f), 300e9).iterations
                    for m, f in enumerate(grid.frequencies)) == 117
+
+    def test_maps_subcarriers_in_closed_form(self):
+        # Split m is (f_m/f_c - 1) theta exactly, and the one-pass channel
+        # equals the per-column loop it replaced.
+        b, received, d, grid = _noisy_observation(3, 10.0)
+        result = run_sbce(PilotObservation(beamformer=b, received=received,
+                                           noise_var=0.0), d, grid)
+        theta = result.est_direction_sine
+        np.testing.assert_array_equal(
+            result.est_beam_split,
+            (grid.frequencies / grid.carrier_freq_hz - 1.0) * theta)
+        nominal = steering_far(d.config, theta, 300e9)
+        expected = np.zeros_like(result.est_channel)
+        for m, f in enumerate(grid.frequencies):
+            steer = update_perturbation_diag(32, theta, float(f), 300e9) \
+                * nominal
+            g = b @ steer
+            denom = float(np.real(np.vdot(g, g)))
+            gain = np.vdot(g, received[:, m]) / denom if denom > 0 else 0.0
+            expected[:, m] = steer * gain
+        assert np.max(np.abs(result.est_channel - expected)) <= 1e-12
+
+    # Seed 0 at 0 dB pins the centre fit; seed 3 at 10 dB does not.
+    @pytest.mark.parametrize("seed, snr_db", [(0, 0.0), (3, 10.0)])
+    def test_rebuilds_perturbation_only_in_the_fit(self, monkeypatch, seed,
+                                                   snr_db):
+        # The refinement reuses the fit's c and factor, and the subcarrier
+        # map builds no C of its own: every rebuild is an EM rebuild.
+        b, received, d, grid = _noisy_observation(seed, snr_db)
+        calls = []
+        real_diag = sbce.update_perturbation_diag
+
+        def counting(*args):
+            calls.append(args)
+            return real_diag(*args)
+
+        monkeypatch.setattr(sbce, "update_perturbation_diag", counting)
+        run_sbce(PilotObservation(beamformer=b, received=received,
+                                  noise_var=0.0), d, grid)
+        in_run = len(calls)
+        calls.clear()
+        center = grid.center_index
+        sbce._fit(received[:, center], b, d, float(grid.frequencies[center]),
+                  300e9)
+        assert in_run == len(calls) >= 1
 
     # Seed 0 at 0 dB pins the centre fit; seed 3 at 10 dB does not.
     @pytest.mark.parametrize("seed, snr_db", [(0, 0.0), (3, 10.0)])
@@ -424,30 +467,27 @@ def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
 
 def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                                     carrier_hz):
-    """Reference EM loop for one subcarrier, on stacks of one row, that
-    rebuilds the factor of B C D on every unpinned iteration.
+    """Reference EM loop for one subcarrier that rebuilds the factor of
+    B C D on every unpinned iteration.
 
-    Returns the `_Fit` fields (sigma, mu^2, peak, iterations, converged),
-    then c, A and whether the fit was pinned."""
+    Returns its `_Fit` and whether the fit was pinned."""
     n_pilots, n_antennas = pilot_matrix.shape
     sigma = np.ones(dictionary.grid_size)
     energy = float(np.linalg.norm(y) ** 2) / n_pilots
     noise_var = max(1e-6, 0.01 * energy)
     c = np.ones(n_antennas, dtype=complex)
-    factor = sbce._dft_factor(
-        (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis])
+    factor = sbce._dft_factor(pilot_matrix * (c * dictionary.atoms[:, 0]))
     peak, prev_peaks, flips, pinned = 0, [-1, -1], 0, False
     for it in range(1, sbce.MAX_ITERS + 1):
-        post = sbce._e_step(factor, sigma[np.newaxis], np.array([noise_var]),
-                            y[np.newaxis])
-        residual = float(np.linalg.norm(y - post.fitted[0]) ** 2)
-        noise_var = max((residual + max(post.trace_term[0], 0.0)) / n_pilots,
+        post = sbce._e_step(factor, sigma, noise_var, y)
+        residual = float(np.linalg.norm(y - post.fitted) ** 2)
+        noise_var = max((residual + max(post.trace_term, 0.0)) / n_pilots,
                         sbce.NOISE_FLOOR_REL * energy)
-        quality = np.clip(1.0 - post.post_var[0] / np.maximum(sigma, 1e-300),
+        quality = np.clip(1.0 - post.post_var / np.maximum(sigma, 1e-300),
                           1e-12, 1.0)
-        sigma_new = np.abs(post.z[0]) ** 2 / quality
+        sigma_new = np.abs(post.z) ** 2 / quality
         if not pinned:
-            peak = int(np.argmax(np.abs(post.z[0]) ** 2))
+            peak = int(np.argmax(np.abs(post.z) ** 2))
             if peak == prev_peaks[0] and peak != prev_peaks[1]:
                 flips += 1
             elif peak != prev_peaks[1]:
@@ -461,23 +501,23 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                 n_antennas, float(dictionary.grid_points[peak]), freq_hz,
                 carrier_hz)
             factor = sbce._dft_factor(
-                (pilot_matrix * (c * dictionary.atoms[:, 0]))[np.newaxis])
+                pilot_matrix * (c * dictionary.atoms[:, 0]))
         delta = np.linalg.norm(sigma_new - sigma)
         sigma = sigma_new
         if delta / np.linalg.norm(sigma) < sbce.CONVERGENCE_TOL:
-            return sigma, noise_var, peak, it, True, c, factor.a[0], pinned
-    return (sigma, noise_var, peak, sbce.MAX_ITERS, False, c, factor.a[0],
-            pinned)
+            return sbce._Fit(sigma, noise_var, peak, it, True, c,
+                             factor), pinned
+    return sbce._Fit(sigma, noise_var, peak, sbce.MAX_ITERS, False, c,
+                     factor), pinned
 
 
-def _assert_rebuilt_perturbation(pilot_matrix, dictionary, peak, freq_hz,
-                                 ref):
-    """c and A rebuilt from a fit's peak equal the reference loop's last
-    ones, bit for bit."""
-    c, a = sbce._perturbed_factor(pilot_matrix, dictionary, peak, freq_hz,
-                                  300e9)
-    np.testing.assert_array_equal(c, ref[5])
-    np.testing.assert_array_equal(a, ref[6])
+def _assert_fits_equal(fit, ref):
+    """A fit equals the reference bit for bit, down to the c and the
+    factor of its peak."""
+    for got, want in zip(fit[:-1], ref[:-1]):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(fit.factor, ref.factor):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestEmLoop:
@@ -499,17 +539,17 @@ class TestEmLoop:
         sbce._fit(received[:, center], b, d, float(grid.frequencies[center]),
                   300e9)
         assert len(seen) == 1
-        (_, [sigma], [noise_var], [y]), post = seen[0]
+        (_, sigma, noise_var, y), post = seen[0]
         np.testing.assert_array_equal(y, received[:, center])
         # The first E-step runs on the unperturbed B D.
         effective = b @ d.atoms
         z, pi = posterior_update(effective, sigma, noise_var, y)
-        np.testing.assert_allclose(post.z[0], z, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(post.post_var[0], np.real(np.diag(pi)),
+        np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(post.post_var, np.real(np.diag(pi)),
                                    rtol=1e-12, atol=1e-14)
         # Tr{P' Pi P'^H} of the loop equals the trace of the formed Pi.
         trace = float(np.real(np.trace(effective @ pi @ effective.conj().T)))
-        assert post.trace_term[0] == pytest.approx(trace, rel=1e-9)
+        assert post.trace_term == pytest.approx(trace, rel=1e-9)
 
     # Seed 0 at 0 dB pins a limit cycle on three subcarriers; seed 4 at
     # -5 dB hits the iteration cap, once after pinning.
@@ -530,12 +570,9 @@ class TestEmLoop:
             calls.clear()
             fit = sbce._fit(received[:, m], b, d, float(freq), 300e9)
             assert 1 <= len(calls) <= fit.iterations
-            ref = _fit_rebuilding_every_iteration(received[:, m], b, d,
-                                                  float(freq), 300e9)
-            for a, r in zip(fit, ref):
-                np.testing.assert_array_equal(a, r)
-            _assert_rebuilt_perturbation(b, d, fit.peak_index, float(freq),
-                                         ref)
+            ref, _ = _fit_rebuilding_every_iteration(received[:, m], b, d,
+                                                     float(freq), 300e9)
+            _assert_fits_equal(fit, ref)
 
     def test_fits_mix_converged_pinned_and_capped_columns(self):
         # The columns of seed 4 at -5 dB hold fits that converge at
@@ -545,13 +582,11 @@ class TestEmLoop:
         fits, pinned = [], []
         for m, f in enumerate(grid.frequencies):
             fit = sbce._fit(received[:, m], b, d, float(f), 300e9)
-            ref = _fit_rebuilding_every_iteration(received[:, m], b, d,
-                                                  float(f), 300e9)
-            for a, r in zip(fit, ref):
-                np.testing.assert_array_equal(a, r)
-            _assert_rebuilt_perturbation(b, d, fit.peak_index, float(f), ref)
+            ref, was_pinned = _fit_rebuilding_every_iteration(
+                received[:, m], b, d, float(f), 300e9)
+            _assert_fits_equal(fit, ref)
             fits.append(fit)
-            pinned.append(ref[7])
+            pinned.append(was_pinned)
         iterations = np.array([fit.iterations for fit in fits])
         converged = np.array([fit.converged for fit in fits])
         pinned, capped = np.array(pinned), ~converged
