@@ -5,7 +5,6 @@ from .arrays import (
     Dictionary,
     Direction,
     SubcarrierGrid,
-    beam_split_near,
     build_dictionary,
     fraunhofer_distance,
     steering_far,
@@ -25,7 +24,7 @@ from .harness import ExperimentConfig, nmse, run_sweep
 
 __all__ = [
     "ArrayConfig", "Dictionary", "Direction", "SubcarrierGrid",
-    "beam_split_near", "build_dictionary", "fraunhofer_distance",
+    "build_dictionary", "fraunhofer_distance",
     "steering_far", "steering_near", "ula_fraunhofer_distance",
     "ChannelRealization", "PathParams", "PilotObservation",
     "gen_channel", "gen_pilot_matrix", "observe",

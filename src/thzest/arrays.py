@@ -1,4 +1,4 @@
-"""Uniform linear array geometry: steering vectors, beam-split maps, dictionaries.
+"""Uniform linear array geometry: one steering phase model, dictionaries.
 
 Sine-space directions are dimensionless (sin of the physical angle), all
 frequencies are in Hz and distances in metres.  Antenna 1 is the phase
@@ -90,68 +90,71 @@ class Direction:
         return cls(float(np.arcsin(sine)), float(sine))
 
 
-def _check_sine(sine_dir: float) -> None:
-    if abs(sine_dir) > 1.0:
-        raise ValueError(f"invalid direction: |{sine_dir}| > 1")
+def _check_inputs(sine_dir, freq_hz, range_m=None) -> None:
+    if np.any(np.abs(sine_dir) > 1.0):
+        raise ValueError(
+            f"invalid direction: |{np.max(np.abs(sine_dir))}| > 1")
+    if np.any(np.asarray(freq_hz) <= 0.0):
+        raise ValueError("freq_hz must be positive")
+    if range_m is not None and range_m <= 0.0:
+        raise ValueError("invalid range: range_m must be positive")
 
 
-def steering_far(config: ArrayConfig, sine_dir: float, freq_hz: float) -> np.ndarray:
-    """Far-field steering vector at the given frequency.
+def _steering(config: ArrayConfig, sine_dir, freq_hz,
+              range_m: float | None = None) -> np.ndarray:
+    """The steering phase model: entry i (1-based) is exp(j psi_i)/sqrt(N) with
+
+        psi_i = 2 pi d f/c0 (i-1) [sine - (i-1) d (1 - sine^2)/(2 r)],
+
+    the second-order Taylor phase of a source at range r, or the plane wave
+    without a range.  K sines or M frequencies broadcast to N_T x K, the
+    antenna axis first; scalars give one N_T vector.
+    """
+    _check_inputs(sine_dir, freq_hz, range_m)
+    ndim = len(np.broadcast_shapes(np.shape(sine_dir), np.shape(freq_hz)))
+    idx = np.arange(config.n_antennas).reshape((-1,) + (1,) * ndim)
+    d = config.element_spacing_m
+    kappa = 2.0 * np.pi * d * np.asarray(freq_hz) / SPEED_OF_LIGHT
+    if range_m is not None:
+        sine_dir = sine_dir - idx * d * (1.0 - sine_dir ** 2) / (2.0 * range_m)
+    return np.exp(1j * (kappa * idx * sine_dir)) / np.sqrt(config.n_antennas)
+
+
+def _split_diag(n_antennas: int, delta) -> np.ndarray:
+    """c_i = exp(j*pi*(i-1)*delta) of a split delta, or the N_T x M columns
+    of an array of M splits: C a(theta) shifts the phase slope of a(theta)
+    by pi*delta."""
+    return np.exp(np.multiply.outer(1j * np.pi * np.arange(n_antennas), delta))
+
+
+def steering_far(config: ArrayConfig, sine_dir, freq_hz) -> np.ndarray:
+    """Far-field steering vector(s), `_steering` without a range.
 
     Entry i (1-based) is exp(j*pi*(i-1)*(f/f_c)*sine)/sqrt(N) for
     half-wavelength spacing; spacing enters through 2*d*f/c0 in general.
+    An array of K sines or of M frequencies gives N_T x K columns.
     """
-    _check_sine(sine_dir)
-    if freq_hz <= 0.0:
-        raise ValueError("freq_hz must be positive")
-    idx = np.arange(config.n_antennas)
-    phase = 2.0 * np.pi * config.element_spacing_m * freq_hz / SPEED_OF_LIGHT
-    return np.exp(1j * phase * idx * sine_dir) / np.sqrt(config.n_antennas)
+    return _steering(config, sine_dir, freq_hz)
 
 
 def steering_near(config: ArrayConfig, sine_dir: float, range_m: float,
-                  freq_hz: float, mode: str = "taylor") -> np.ndarray:
-    """Near-field steering vector, exact spherical or second-order Taylor.
+                  freq_hz, mode: str = "taylor") -> np.ndarray:
+    """Near-field steering vector, second-order Taylor or exact spherical.
 
-    Phases follow the per-element path-length excess r_i - r relative to
-    antenna 1, giving entry i = exp(-j*2*pi*(f/c0)*(r_i - r))/sqrt(N).
+    "taylor" is `_steering` at range_m.  "exact" follows the per-element
+    path-length excess r_i - r relative to antenna 1, entry
+    i = exp(-j*2*pi*(f/c0)*(r_i - r))/sqrt(N), for one sine and frequency.
     """
-    _check_sine(sine_dir)
-    if range_m <= 0.0:
-        raise ValueError("invalid range: range_m must be positive")
-    d = config.element_spacing_m
-    idx = np.arange(config.n_antennas)
-    offs = idx * d
-    if mode == "exact":
-        r_i = range_m * np.sqrt(
-            1.0 + (offs / range_m) ** 2 - 2.0 * offs * sine_dir / range_m)
-    elif mode == "taylor":
-        cos_dir = np.sqrt(1.0 - sine_dir ** 2)
-        r_i = range_m - offs * sine_dir + (offs * cos_dir) ** 2 / (2.0 * range_m)
-    else:
+    if mode == "taylor":
+        return _steering(config, sine_dir, freq_hz, range_m)
+    if mode != "exact":
         raise ValueError(f"unknown near-field mode {mode!r}")
+    _check_inputs(sine_dir, freq_hz, range_m)
+    offs = np.arange(config.n_antennas) * config.element_spacing_m
+    r_i = range_m * np.sqrt(
+        1.0 + (offs / range_m) ** 2 - 2.0 * offs * sine_dir / range_m)
     phase = -2.0 * np.pi * (freq_hz / SPEED_OF_LIGHT) * (r_i - range_m)
     return np.exp(1j * phase) / np.sqrt(config.n_antennas)
-
-
-def near_field_spatial_direction(sine_dir: float, angle_rad: float, range_m: float,
-                                 freq_hz: float, carrier_hz: float,
-                                 antenna_index: int) -> float:
-    """Antenna-dependent spatial direction seen by element i in the near field."""
-    _check_sine(sine_dir)
-    if range_m <= 0.0:
-        raise ValueError("invalid range: range_m must be positive")
-    eta = freq_hz / carrier_hz
-    correction = freq_hz * SPEED_OF_LIGHT * (antenna_index - 1) * \
-        np.cos(angle_rad) ** 2 / (4.0 * carrier_hz ** 2 * range_m)
-    return eta * sine_dir - correction
-
-
-def beam_split_near(sine_dir: float, angle_rad: float, range_m: float,
-                    freq_hz: float, carrier_hz: float, antenna_index: int) -> float:
-    """Near-field beam-split for element i: far-field split plus range term."""
-    return near_field_spatial_direction(
-        sine_dir, angle_rad, range_m, freq_hz, carrier_hz, antenna_index) - sine_dir
 
 
 def fraunhofer_distance(aperture_m: float, carrier_hz: float) -> float:
@@ -198,16 +201,10 @@ class Dictionary:
     @cached_property
     def first_atom(self) -> np.ndarray:
         """atoms[:, 0], bit for bit, without building the other atoms."""
-        return _grid_steering(self.config, self.grid_points[:1])[:, 0]
-
-
-def _grid_steering(config: ArrayConfig, grid: np.ndarray) -> np.ndarray:
-    """Carrier-frequency steering vectors at the sines of grid, as columns."""
-    idx = np.arange(config.n_antennas)
-    phase = 2.0 * np.pi * config.element_spacing_m * config.carrier_freq_hz / SPEED_OF_LIGHT
-    atoms = np.exp(1j * phase * np.outer(idx, grid)) / np.sqrt(config.n_antennas)
-    atoms.setflags(write=False)
-    return atoms
+        atom = steering_far(self.config, self.grid_points[0],
+                            self.config.carrier_freq_hz)
+        atom.setflags(write=False)
+        return atom
 
 
 def _grid_atoms(config: ArrayConfig, grid_size: int,

@@ -6,13 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import (
-    ArrayConfig,
-    Direction,
-    SubcarrierGrid,
-    steering_far,
-    steering_near,
-)
+from .arrays import ArrayConfig, Direction, SubcarrierGrid, _steering
 
 #: NLoS paths are drawn 10 dB weaker than the LoS path.
 NLOS_GAIN_DB = -10.0
@@ -66,33 +60,25 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def path_steering(config: ArrayConfig, path: PathParams, freq_hz: float,
-                  scenario: str) -> np.ndarray:
-    """Frequency-dependent steering vector of a single path."""
-    if scenario == "far":
-        return steering_far(config, path.direction.sine, freq_hz)
-    if scenario == "near":
-        if path.range_m is None:
-            raise ValueError("near-field path requires range_m")
-        return steering_near(config, path.direction.sine, path.range_m,
-                             freq_hz, mode="taylor")
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 def channel_from_paths(config: ArrayConfig, grid: SubcarrierGrid,
                        paths, scenario: str = "far") -> np.ndarray:
-    """Evaluate h[m] = sqrt(N_T/L) * sum_l alpha_l a'(theta_m,l) e^{-j2pi tau_l f_m}."""
+    """Evaluate h[m] = sqrt(N_T/L) * sum_l alpha_l a'(theta_m,l) e^{-j2pi tau_l f_m}.
+
+    Each path is one pass over all M subcarriers.  A near-field path's
+    steering carries its range; a far-field one ignores it.
+    """
+    if scenario not in ("far", "near"):
+        raise ValueError(f"unknown scenario {scenario!r}")
     paths = tuple(paths)
-    n_paths = len(paths)
+    freqs = grid.frequencies
     h = np.zeros((config.n_antennas, grid.n_subcarriers), dtype=complex)
-    scale = np.sqrt(config.n_antennas / n_paths)
-    for m, f_m in enumerate(grid.frequencies):
-        col = np.zeros(config.n_antennas, dtype=complex)
-        for p in paths:
-            col += p.gain * path_steering(config, p, f_m, scenario) * \
-                np.exp(-2j * np.pi * p.delay_s * f_m)
-        h[:, m] = scale * col
-    return h
+    for p in paths:
+        if scenario == "near" and p.range_m is None:
+            raise ValueError("near-field path requires range_m")
+        range_m = p.range_m if scenario == "near" else None
+        h += p.gain * _steering(config, p.direction.sine, freqs, range_m) * \
+            np.exp(-2j * np.pi * p.delay_s * freqs)
+    return np.sqrt(config.n_antennas / len(paths)) * h
 
 
 def gen_channel(config: ArrayConfig, grid: SubcarrierGrid, n_paths: int,

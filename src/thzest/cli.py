@@ -152,7 +152,9 @@ def scenario_from_json(doc: dict):
     """Inverse of scenario_to_json; a "seed" key of older files is ignored.
 
     A document of the wrong structure or types, such as a list where an
-    object belongs or a string where a number does, raises ValueError.
+    object belongs or a string where a number does, raises ValueError, as
+    do arrays whose shapes disagree: the beamformer must be P x N_T and the
+    received block P x M.
     """
     try:
         cfg = ArrayConfig(**doc["config"])
@@ -164,12 +166,17 @@ def scenario_from_json(doc: dict):
             for p in doc["paths"])
         h = channel_from_paths(cfg, grid, paths, doc["scenario"])
         channel = ChannelRealization(paths, h, grid, cfg, doc["scenario"])
-        obs = PilotObservation(
-            beamformer=_complex_from_json(doc["beamformer"]["data"],
-                                          doc["beamformer"]["shape"]),
-            received=_complex_from_json(doc["received"]["data"],
-                                        doc["received"]["shape"]),
-            noise_var=float(doc["noise_var"]))
+        beamformer = _complex_from_json(doc["beamformer"]["data"],
+                                        doc["beamformer"]["shape"])
+        received = _complex_from_json(doc["received"]["data"],
+                                      doc["received"]["shape"])
+        if beamformer.ndim != 2 or beamformer.shape[1] != cfg.n_antennas:
+            raise ValueError(f"beamformer shape {beamformer.shape} is not "
+                             f"P x {cfg.n_antennas}")
+        if received.shape != (len(beamformer), grid.n_subcarriers):
+            raise ValueError(f"received shape {received.shape} is not "
+                             f"{(len(beamformer), grid.n_subcarriers)}")
+        obs = PilotObservation(beamformer, received, float(doc["noise_var"]))
     except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"malformed scenario file: {exc}") from exc
     return channel, obs

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import SPEED_OF_LIGHT, ArrayConfig
+from .arrays import SPEED_OF_LIGHT, ArrayConfig, _split_diag, _steering
 
 
 @dataclass(frozen=True)
@@ -58,45 +58,38 @@ class CrbReport:
 
 
 def perturbed_steering(config: ArrayConfig, angle_rad: float, split: float,
-                       freq_hz: float, range_m: float | None = None) -> np.ndarray:
-    """Subcarrier steering vector with an explicit split offset parameter."""
-    idx = np.arange(config.n_antennas)
-    d = config.element_spacing_m
-    kappa = 2.0 * np.pi * freq_hz / SPEED_OF_LIGHT
-    sine = np.sin(angle_rad)
-    phase = kappa * d * idx * sine + np.pi * idx * split
-    if range_m is not None:
-        if range_m <= 0.0:
-            raise ValueError("invalid range: range_m must be positive")
-        phase = phase - kappa * (d * idx * np.cos(angle_rad)) ** 2 / (2.0 * range_m)
-    return np.exp(1j * phase) / np.sqrt(config.n_antennas)
+                       freq_hz, range_m: float | None = None) -> np.ndarray:
+    """Subcarrier steering vector with an explicit split offset parameter:
+    the channel's steering at sin(angle_rad) times C(split).  A 1-D freq_hz
+    gives one column per frequency."""
+    steer = _steering(config, np.sin(angle_rad), freq_hz, range_m)
+    return (steer.T * _split_diag(config.n_antennas, split)).T
 
 
 def steering_derivatives_far(config: ArrayConfig, angle_rad: float, split: float,
-                             freq_hz: float):
+                             freq_hz):
     """Analytic (d/d angle, d/d split) of the far-field perturbed steering."""
-    a = perturbed_steering(config, angle_rad, split, freq_hz)
-    idx = np.arange(config.n_antennas)
-    kappa = 2.0 * np.pi * freq_hz / SPEED_OF_LIGHT
-    d_angle = 1j * kappa * config.element_spacing_m * idx * np.cos(angle_rad) * a
-    d_split = 1j * np.pi * idx * a
+    d_angle, _, d_split = steering_derivatives_near(config, angle_rad, None,
+                                                    split, freq_hz)
     return d_angle, d_split
 
 
 def steering_derivatives_near(config: ArrayConfig, angle_rad: float,
-                              range_m: float, split: float, freq_hz: float):
-    """Analytic (d/d angle, d/d range, d/d split) in the near field."""
-    if range_m <= 0.0:
-        raise ValueError("invalid range: range_m must be positive")
+                              range_m: float | None, split: float, freq_hz):
+    """Analytic (d/d angle, d/d range, d/d split) of the perturbed steering.
+
+    Its phase is 2 pi d f/c0 (i-1) [sin - (i-1) d cos^2/(2 r)] + pi (i-1)
+    split; range_m None is the far field, whose d/d range is None.
+    """
     a = perturbed_steering(config, angle_rad, split, freq_hz, range_m)
-    idx = np.arange(config.n_antennas)
-    d = config.element_spacing_m
-    kappa = 2.0 * np.pi * freq_hz / SPEED_OF_LIGHT
+    idx = np.arange(config.n_antennas).reshape((-1,) + (1,) * np.ndim(freq_hz))
+    offs = config.element_spacing_m * idx
+    slope = 2.0 * np.pi * np.asarray(freq_hz) / SPEED_OF_LIGHT * offs
     cos_a = np.cos(angle_rad)
-    sin_a = np.sin(angle_rad)
-    d_angle = 1j * kappa * d * idx * cos_a * (
-        1.0 + d * idx * sin_a / range_m) * a
-    d_range = 1j * kappa * (d * idx * cos_a) ** 2 / (2.0 * range_m ** 2) * a
+    inv_r = 0.0 if range_m is None else 1.0 / range_m
+    d_angle = 1j * slope * cos_a * (1.0 + offs * np.sin(angle_rad) * inv_r) * a
+    d_range = None if range_m is None else \
+        0.5j * slope * offs * (cos_a * inv_r) ** 2 * a
     d_split = 1j * np.pi * idx * a
     return d_angle, d_range, d_split
 
@@ -106,29 +99,25 @@ def _steering_and_derivs(config: ArrayConfig, params: ParamVector, freq_hz):
 
     D has one column per parameter in the order all angles, all splits,
     all ranges, and paths[k] is the path that parameter k belongs to.  A
-    scalar freq_hz gives N_T-row matrices; an (F, 1) column of frequencies
+    scalar freq_hz gives N_T-row matrices; a 1-D array of F frequencies
     gives stacks with a leading frequency axis.
     """
     n_paths = params.n_paths
+    ranges = params.ranges if params.is_near_field else [None] * n_paths
     cols, d_angles, d_splits, d_ranges = [], [], [], []
-    for l in range(n_paths):
-        angle = float(params.directions[l])
-        split = float(params.splits[l])
-        if params.is_near_field:
-            r = float(params.ranges[l])
-            cols.append(perturbed_steering(config, angle, split, freq_hz, r))
-            d_angle, d_range, d_split = steering_derivatives_near(
-                config, angle, r, split, freq_hz)
-            d_ranges.append(d_range)
-        else:
-            cols.append(perturbed_steering(config, angle, split, freq_hz))
-            d_angle, d_split = steering_derivatives_far(
-                config, angle, split, freq_hz)
+    for angle, split, r in zip(params.directions, params.splits, ranges):
+        cols.append(perturbed_steering(config, angle, split, freq_hz, r))
+        d_angle, d_range, d_split = steering_derivatives_near(
+            config, angle, r, split, freq_hz)
         d_angles.append(d_angle)
         d_splits.append(d_split)
+        if d_range is not None:
+            d_ranges.append(d_range)
     derivs = d_angles + d_splits + d_ranges
     paths = np.tile(np.arange(n_paths), len(derivs) // n_paths)
-    return np.stack(cols, axis=-1), np.stack(derivs, axis=-1), paths
+    # The pilot product needs the antenna axis after the frequency axis.
+    return (np.moveaxis(np.stack(cols, axis=-1), 0, -2),
+            np.moveaxis(np.stack(derivs, axis=-1), 0, -2), paths)
 
 
 def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray,
@@ -150,8 +139,7 @@ def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray,
     one-frequency case with that axis dropped.
     """
     freqs = np.atleast_1d(np.asarray(freq_hz, dtype=float))
-    a_mat, d_mat, paths = _steering_and_derivs(config, params,
-                                               freqs[:, np.newaxis])
+    a_mat, d_mat, paths = _steering_and_derivs(config, params, freqs)
     a_obs = pilot_matrix @ a_mat
     d_obs = pilot_matrix @ d_mat
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import SPEED_OF_LIGHT, ArrayConfig
+from .arrays import ArrayConfig, steering_far
 from .sbce import SingularCovarianceError
 
 N_SCAN_POINTS = 201
@@ -38,10 +38,8 @@ def _stationarity_curve(grid: np.ndarray, sample_cov: np.ndarray,
     one solve.
     """
     idx = np.arange(config.n_antennas)
-    phase = 2.0 * np.pi * config.element_spacing_m * config.carrier_freq_hz \
-        / SPEED_OF_LIGHT
-    atoms = np.exp(1j * np.outer(phase * idx, grid)) / np.sqrt(config.n_antennas)
-    perturbed = c[:, np.newaxis] * atoms
+    perturbed = c[:, np.newaxis] * steering_far(config, grid,
+                                                config.carrier_freq_hz)
     g = pilot_matrix @ perturbed
     g_dot = pilot_matrix @ ((1j * np.pi * idx)[:, np.newaxis] * perturbed)
     k = grid.size

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import SPEED_OF_LIGHT, Dictionary, SubcarrierGrid, steering_far
+from .arrays import (SPEED_OF_LIGHT, Dictionary, SubcarrierGrid, _split_diag,
+                     steering_far)
 
 
 class SingularCovarianceError(RuntimeError):
@@ -158,18 +159,12 @@ def update_perturbation_diag(n_antennas: int, grid_dir: float,
                              freq_hz: float, carrier_hz: float) -> np.ndarray:
     """Diagonal of the perturbation mapping a(phi) onto a(eta*phi).
 
-    c_i = exp(j*pi*(i-1)*delta) with delta = (f_m/f_c - 1)*phi.
+    c_i = exp(j*pi*(i-1)*delta) with delta = (f_m/f_c - 1)*phi.  Each call
+    is an EM rebuild: `run_sbce` maps its subcarriers through `_split_diag`.
     """
     if abs(grid_dir) > 1.0:
         raise ValueError("invalid direction: |grid_dir| > 1")
     return _split_diag(n_antennas, (freq_hz / carrier_hz - 1.0) * grid_dir)
-
-
-def _split_diag(n_antennas: int, delta: float | np.ndarray) -> np.ndarray:
-    """c_i = exp(j*pi*(i-1)*delta) of a split delta, or the N_T x M columns
-    of an array of M splits.  `run_sbce` maps its subcarriers through this
-    directly, so each `update_perturbation_diag` call is an EM rebuild."""
-    return np.exp(np.multiply.outer(1j * np.pi * np.arange(n_antennas), delta))
 
 
 def beam_split_from_c(c: np.ndarray) -> float:

@@ -10,11 +10,9 @@ from thzest.arrays import (
     ArrayConfig,
     Direction,
     SubcarrierGrid,
-    beam_split_near,
     Dictionary,
     build_dictionary,
     fraunhofer_distance,
-    near_field_spatial_direction,
     steering_far,
     steering_near,
     ula_fraunhofer_distance,
@@ -95,22 +93,46 @@ class TestSteeringFar:
             steering_far(CFG, 1.2, 300e9)
         with pytest.raises(ValueError):
             steering_far(CFG, 0.2, -1.0)
+        with pytest.raises(ValueError, match="invalid direction"):
+            steering_far(CFG, np.array([0.1, -1.2, 0.3]), 300e9)
+        with pytest.raises(ValueError, match="freq_hz must be positive"):
+            steering_far(CFG, 0.2, np.array([300e9, 0.0, 310e9]))
+
+    def test_sine_broadcast_matches_scalar_calls(self):
+        sines = np.linspace(-1.0, 1.0, 37)
+        cols = steering_far(CFG, sines, 312e9)
+        assert cols.shape == (32, 37)
+        for k, sine in enumerate(sines):
+            np.testing.assert_array_equal(cols[:, k],
+                                          steering_far(CFG, sine, 312e9))
+
+    def test_frequency_broadcast_matches_scalar_calls(self):
+        freqs = SubcarrierGrid.build(16, 30e9, 300e9).frequencies
+        cols = steering_far(CFG, -0.61, freqs)
+        assert cols.shape == (32, 16)
+        for m, f in enumerate(freqs):
+            np.testing.assert_array_equal(cols[:, m],
+                                          steering_far(CFG, -0.61, f))
 
 
 class TestSplitMaps:
+    # The near-field phase is the far-field one with a range term, so the
+    # sine element i sees, phase_i / (pi (f/f_c) (i - 1)), is a split map.
     def test_near_split_reduces_to_far_at_infinity(self):
-        far = (310e9 / 300e9 - 1.0) * 0.5
-        near = beam_split_near(0.5, np.arcsin(0.5), 1e12, 310e9, 300e9, 16)
-        assert near == pytest.approx(far, abs=1e-12)
+        # As r -> infinity the 310 GHz vector is the carrier vector moved
+        # by the far-field split (f/f_c - 1) sine.
+        near = steering_near(CFG, 0.5, 1e12, 310e9)
+        far = arrays._split_diag(32, (310e9 / 300e9 - 1.0) * 0.5) \
+            * steering_far(CFG, 0.5, 300e9)
+        np.testing.assert_allclose(near, far, rtol=0, atol=1e-12)
 
     def test_near_spatial_direction_range_term_sign(self):
         # The range correction pulls the spatial direction down for
         # elements beyond the reference one.
-        base = near_field_spatial_direction(0.5, np.arcsin(0.5), 5.0,
-                                            310e9, 300e9, 1)
-        shifted = near_field_spatial_direction(0.5, np.arcsin(0.5), 5.0,
-                                               310e9, 300e9, 9)
-        assert shifted < base
+        phases = np.unwrap(np.angle(steering_near(CFG, 0.5, 5.0, 310e9)))
+        seen = phases[1:] / (np.pi * (310e9 / 300e9) * np.arange(1, 32))
+        assert np.all(np.diff(seen) < 0)
+        assert seen[0] < 0.5
 
 
 class TestSteeringNear:
@@ -206,7 +228,7 @@ class TestDictionary:
         cfg = ArrayConfig(n_antennas, carrier_hz,
                           spacing * SPEED_OF_LIGHT / carrier_hz)
         d = Dictionary.on_grid(cfg, grid_size)
-        direct = arrays._grid_steering(cfg, d.grid_points)
+        direct = steering_far(cfg, d.grid_points, carrier_hz)
         assert d.atoms.shape == direct.shape
         np.testing.assert_allclose(d.atoms, direct, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(d.atoms[:, 0], d.first_atom)

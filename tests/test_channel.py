@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from thzest.arrays import ArrayConfig, Direction, SubcarrierGrid, steering_far
+from thzest.arrays import (
+    ArrayConfig,
+    Direction,
+    SubcarrierGrid,
+    steering_far,
+    steering_near,
+)
 from thzest.channel import (
     DELAY_SPREAD_S,
     NLOS_GAIN_DB,
@@ -12,7 +18,6 @@ from thzest.channel import (
     gen_channel,
     gen_pilot_matrix,
     observe,
-    path_steering,
 )
 
 CFG = ArrayConfig.half_wavelength(16, 300e9)
@@ -49,10 +54,40 @@ class TestChannelFromPaths:
             np.sqrt(2) * np.linalg.norm(one), rel=1e-12)
 
     def test_near_path_requires_range(self):
-        with pytest.raises(ValueError):
-            path_steering(CFG, _los(), 300e9, "near")
-        with pytest.raises(ValueError):
-            path_steering(CFG, _los(), 300e9, "underwater")
+        with pytest.raises(ValueError, match="requires range_m"):
+            channel_from_paths(CFG, GRID, [_los()], "near")
+        with pytest.raises(ValueError, match="unknown scenario"):
+            channel_from_paths(CFG, GRID, [_los()], "underwater")
+
+    @pytest.mark.parametrize("scenario", ["far", "near"])
+    def test_one_pass_matches_per_subcarrier_loop(self, scenario):
+        # Three paths with gains, delays and ranges; the far scenario
+        # ignores the ranges.
+        paths = [PathParams(gain=g, delay_s=tau, direction=Direction.from_sine(s),
+                            range_m=r, is_los=(k == 0))
+                 for k, (g, tau, s, r) in enumerate([
+                     (0.8 - 0.6j, 3e-9, 0.31, 4.0),
+                     (0.2 + 0.1j, 11e-9, -0.72, 0.7),
+                     (-0.25j, 17e-9, 0.05, 25.0)])]
+        grid = SubcarrierGrid.build(8, 30e9, 300e9)
+        np.testing.assert_array_equal(
+            channel_from_paths(CFG, grid, paths, scenario),
+            _per_subcarrier_channel(CFG, grid, paths, scenario))
+
+
+def _per_subcarrier_channel(config, grid, paths, scenario):
+    """Reference: h[m] built one subcarrier and one path at a time."""
+    h = np.zeros((config.n_antennas, grid.n_subcarriers), dtype=complex)
+    for m, f_m in enumerate(grid.frequencies):
+        col = np.zeros(config.n_antennas, dtype=complex)
+        for p in paths:
+            if scenario == "far":
+                steer = steering_far(config, p.direction.sine, f_m)
+            else:
+                steer = steering_near(config, p.direction.sine, p.range_m, f_m)
+            col += p.gain * steer * np.exp(-2j * np.pi * p.delay_s * f_m)
+        h[:, m] = np.sqrt(config.n_antennas / len(paths)) * col
+    return h
 
 
 class TestGenChannel:

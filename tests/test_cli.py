@@ -327,6 +327,15 @@ def _malformed(doc, case):
         doc["config"]["n_antennas"] = "64"
     elif case == "string-noise":
         doc["noise_var"] = "high"
+    elif case == "received-too-few-columns":
+        # Drop the last subcarrier column of the P x M block.
+        n_rows, n_cols = doc["received"]["shape"]
+        data = doc["received"]["data"]
+        doc["received"] = {
+            "shape": [n_rows, n_cols - 1],
+            "data": [v for k, v in enumerate(data) if k % n_cols < n_cols - 1]}
+    elif case == "beamformer-1d":
+        doc["beamformer"]["shape"] = [len(doc["beamformer"]["data"])]
     else:
         doc = [doc]
     return doc
@@ -336,6 +345,17 @@ class TestMalformedScenario:
     @pytest.mark.parametrize("case", ["config-list", "string-count",
                                       "string-noise", "top-level-list"])
     def test_exits_one_without_traceback(self, tmp_path, case):
+        self._assert_rejected(tmp_path, case, "ls,mmse")
+
+    @pytest.mark.parametrize("estimator", ["sbce", "ls", "omp", "mmse"])
+    @pytest.mark.parametrize("case", ["received-too-few-columns",
+                                      "beamformer-1d"])
+    def test_inconsistent_shapes_exit_one_without_traceback(
+            self, tmp_path, case, estimator):
+        self._assert_rejected(tmp_path, case, estimator)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, case, estimators):
         # The console entry point in a fresh interpreter, so that a
         # traceback would reach stderr instead of the test.
         path = tmp_path / "scen.json"
@@ -349,7 +369,7 @@ class TestMalformedScenario:
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "thzest.cli", "scenario", "run", str(path),
-             "--estimators", "ls,mmse"],
+             "--estimators", estimators],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("error: malformed scenario file: ")

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from thzest.arrays import ArrayConfig, SubcarrierGrid, steering_far
-from thzest.channel import gen_pilot_matrix
+from thzest.arrays import ArrayConfig, Direction, SubcarrierGrid, steering_far
+from thzest.channel import PathParams, channel_from_paths, gen_pilot_matrix
 from thzest.crb import (
     ParamVector,
     crb,
@@ -48,6 +48,23 @@ class TestPerturbedSteering:
     def test_rejects_nonpositive_range(self):
         with pytest.raises(ValueError):
             perturbed_steering(CFG16, 0.4, 0.0, 312e9, range_m=0.0)
+
+    @pytest.mark.parametrize("range_m", [None, 0.5, 2.0, 9.0, 30.0])
+    def test_is_the_simulated_channel_steering(self, range_m):
+        # The bound differentiates the very steering the channel is built
+        # from: one unit-gain, zero-delay path, far (no range) or near.
+        cfg = ArrayConfig.half_wavelength(64, 300e9)
+        grid = SubcarrierGrid.build(8, 30e9, 300e9)
+        scenario = "far" if range_m is None else "near"
+        for angle in (-1.3, -0.4, 0.0, 0.45, 1.2):
+            path = PathParams(gain=1.0 + 0j, delay_s=0.0,
+                              direction=Direction.from_angle(angle),
+                              range_m=range_m, is_los=True)
+            h = channel_from_paths(cfg, grid, [path], scenario)
+            for m, f in enumerate(grid.frequencies):
+                np.testing.assert_array_equal(
+                    perturbed_steering(cfg, angle, 0.0, f, range_m),
+                    h[:, m] / np.sqrt(64))
 
 
 class TestDerivatives:

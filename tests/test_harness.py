@@ -177,17 +177,17 @@ class TestEstimatorContext:
         # the N_T x grid matrix.  The sweep and `thzest crb` run through
         # EstimatorContext.build.
         widths, builds = [], []
-        steering, atoms = arrays._grid_steering, arrays._grid_atoms
+        steering, atoms = arrays.steering_far, arrays._grid_atoms
 
-        def recording_steering(cfg, grid):
-            widths.append(len(grid))
-            return steering(cfg, grid)
+        def recording_steering(cfg, sine, freq_hz):
+            widths.append(np.size(sine))
+            return steering(cfg, sine, freq_hz)
 
         def recording_atoms(cfg, grid_size, first_atom):
             builds.append(grid_size)
             return atoms(cfg, grid_size, first_atom)
 
-        monkeypatch.setattr(arrays, "_grid_steering", recording_steering)
+        monkeypatch.setattr(arrays, "steering_far", recording_steering)
         monkeypatch.setattr(arrays, "_grid_atoms", recording_atoms)
         config = dataclasses.replace(TINY, estimators=estimators, trials=1)
         run_point(config, 0, config.snr_db)
@@ -231,9 +231,15 @@ class TestDeterminism:
         _, csv_b = run_sweep(TINY)
         assert csv_a == csv_b
 
-    def test_thread_count_does_not_change_bytes(self):
-        serial = dataclasses.replace(TINY, threads=1)
-        parallel = dataclasses.replace(TINY, threads=2)
+    @pytest.mark.parametrize("config", [
+        TINY,
+        dataclasses.replace(TINY, scenario="near", sweep="range",
+                            sweep_values=(0.5, 8.0),
+                            estimators=("sbce", "ls", "omp", "mmse"))],
+        ids=["far", "near-range"])
+    def test_thread_count_does_not_change_bytes(self, config):
+        serial = dataclasses.replace(config, threads=1)
+        parallel = dataclasses.replace(config, threads=2)
         _, csv_a = run_sweep(serial)
         _, csv_b = run_sweep(parallel)
         assert csv_a == csv_b
