@@ -13,9 +13,10 @@ import numpy as np
 from .arrays import ArrayConfig, Direction, SubcarrierGrid
 from .channel import (ChannelRealization, PathParams, PilotObservation,
                       channel_from_paths, gen_channel, gen_pilot_matrix, observe)
-from .harness import (PRESETS, EstimatorContext, ExperimentConfig, _fmt,
-                      config_from_mapping, crb_degrees, run_estimator,
-                      run_point, run_sweep, sweep_points)
+from .harness import (PRESETS, EstimatorContext, ExperimentConfig,
+                      _blas_thread_control, _fmt, config_from_mapping,
+                      crb_degrees, run_estimator, run_point, run_sweep,
+                      sweep_points)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -266,6 +267,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    control = _blas_thread_control()
+    print("INFO  BLAS thread control: "
+          + (control[1].__name__ if control else "none found"))
     return EXIT_OK if not failed else EXIT_RUNTIME
 
 

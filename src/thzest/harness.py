@@ -8,7 +8,10 @@ byte-identical for a fixed (config, seed).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
@@ -280,9 +283,56 @@ def _point_config(config: ExperimentConfig, sweep_value: float):
     return snr_db, bandwidth, range_m
 
 
+@functools.cache
+def _blas_thread_control(maps_path: str = "/proc/self/maps"):
+    """(get, set) thread-count functions of the OpenBLAS mapped into the
+    process, e.g. numpy's ``scipy_openblas_set_num_threads64_``, or None."""
+    try:
+        with open(maps_path) as fh:
+            libs = {line.split(None, 5)[-1].strip() for line in fh
+                    if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return None
+    names = [(f"{p}_get_num_threads{s}", f"{p}_set_num_threads{s}")
+             for p in ("scipy_openblas", "openblas") for s in ("64_", "")]
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter = getattr(lib, get_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter = getattr(lib, set_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread, then restore the count.
+
+    A trial's matrices are too small to share: a second thread only spins,
+    doubling the CPU per trial and oversubscribing a process pool's cores.
+    """
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    previous = control[0]()
+    control[1](1)
+    try:
+        yield
+    finally:
+        control[1](previous)
+
+
+@_one_blas_thread()
 def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
                  trial_indices) -> list[dict]:
-    """Run a batch of trials; heavy shared setup is rebuilt once per chunk."""
+    """Run a batch of trials on one BLAS thread; shared setup is built once."""
     snr_db, bandwidth, range_m = _point_config(config, sweep_value)
     array_cfg = ArrayConfig.half_wavelength(config.n_antennas,
                                             config.carrier_freq_hz)

@@ -1,7 +1,12 @@
 """Monte-Carlo harness tests: metrics, determinism, CSV shape."""
 
+import _ctypes
 import dataclasses
+import functools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ import pytest
 from thzest import arrays, harness
 from thzest.arrays import ArrayConfig, SubcarrierGrid
 from thzest.channel import gen_channel, gen_pilot_matrix
+from thzest.cli import EXIT_OK, main
 from thzest.crb import ParamVector, crb
 from thzest.sbce import SingularCovarianceError
 from thzest.harness import (
@@ -271,3 +277,97 @@ class TestSweepAxes:
         records, _ = run_sweep(cfg)
         assert len(records) == 2
         assert all(np.isfinite(r.nmse) for r in records)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The OpenBLAS (get, set) controls, with the count set to 2 for the
+    test and put back afterwards; skips on a BLAS without that control."""
+    control = harness._blas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get_threads, set_threads = control
+    before = get_threads()
+    set_threads(2)
+    assert get_threads() == 2
+    yield get_threads
+    set_threads(before)
+
+
+def _record_blas_threads(monkeypatch, log_path, get_threads):
+    """Wrap _run_single so each trial-user logs (pid, BLAS thread count)."""
+    run_single = harness._run_single
+
+    def recording(*args):
+        with open(log_path, "a") as fh:
+            fh.write(f"{os.getpid()} {get_threads()}\n")
+        return run_single(*args)
+
+    monkeypatch.setattr(harness, "_run_single", recording)
+
+
+def _read_log(log_path):
+    return [tuple(map(int, line.split()))
+            for line in log_path.read_text().splitlines()]
+
+
+class TestBlasThreads:
+    def test_serial_chunk_runs_on_one_thread(self, monkeypatch, tmp_path,
+                                             two_blas_threads):
+        log = tmp_path / "threads.log"
+        _record_blas_threads(monkeypatch, log, two_blas_threads)
+        run_sweep(TINY)
+        assert _read_log(log) == [(os.getpid(), 1)] * TINY.trials
+        assert two_blas_threads() == 2
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the recording wrapper reaches workers by fork")
+    def test_pool_workers_run_on_one_thread(self, monkeypatch, tmp_path,
+                                            two_blas_threads):
+        log = tmp_path / "threads.log"
+        _record_blas_threads(monkeypatch, log, two_blas_threads)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=fork))
+        run_sweep(dataclasses.replace(TINY, threads=2))
+        records = _read_log(log)
+        assert len(records) == TINY.trials
+        assert all(pid != os.getpid() and n == 1 for pid, n in records)
+        assert two_blas_threads() == 2
+
+    def test_count_restored_after_crb(self, tmp_path, two_blas_threads):
+        args = ["crb", "--preset", "desk", "--trials", "1", "--values", "10",
+                "--out", str(tmp_path / "crb.csv")]
+        assert main(args) == EXIT_OK
+        assert two_blas_threads() == 2
+
+    def test_count_restored_when_chunk_raises(self, monkeypatch,
+                                              two_blas_threads):
+        def broken(*args):
+            assert two_blas_threads() == 1
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(harness, "_run_single", broken)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_sweep(TINY)
+        assert two_blas_threads() == 2
+
+    def test_lookup_without_openblas_is_none(self, tmp_path):
+        # A maps file naming no OpenBLAS, one naming a missing file, and one
+        # naming a loadable library without the thread controls.
+        stub = tmp_path / "libopenblas_stub.so"
+        stub.symlink_to(_ctypes.__file__)
+        for name, text in (("none", "00-01 r--p 0 0:0 0 /usr/lib/libm.so\n"),
+                           ("missing", f"00-01 r--p 0 0:0 0 {tmp_path}/"
+                                       "libopenblas_gone.so\n"),
+                           ("stub", f"00-01 r--p 0 0:0 0 {stub}\n")):
+            maps = tmp_path / name
+            maps.write_text(text)
+            assert harness._blas_thread_control(str(maps)) is None
+        assert harness._blas_thread_control(str(tmp_path / "absent")) is None
+
+    def test_no_control_is_a_silent_no_op(self, monkeypatch):
+        _, expected = run_sweep(TINY)
+        monkeypatch.setattr(harness, "_blas_thread_control", lambda: None)
+        _, csv_text = run_sweep(TINY)
+        assert csv_text == expected
