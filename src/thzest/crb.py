@@ -66,14 +66,6 @@ def perturbed_steering(config: ArrayConfig, angle_rad: float, split: float,
     return (steer.T * _split_diag(config.n_antennas, split)).T
 
 
-def steering_derivatives_far(config: ArrayConfig, angle_rad: float, split: float,
-                             freq_hz):
-    """Analytic (d/d angle, d/d split) of the far-field perturbed steering."""
-    d_angle, _, d_split = steering_derivatives_near(config, angle_rad, None,
-                                                    split, freq_hz)
-    return d_angle, d_split
-
-
 def steering_derivatives_near(config: ArrayConfig, angle_rad: float,
                               range_m: float | None, split: float, freq_hz):
     """Analytic (d/d angle, d/d range, d/d split) of the perturbed steering.

@@ -1,86 +1,88 @@
-"""Off-grid direction refinement by a covariance-decomposition search.
+"""Off-grid direction refinement by a wideband periodogram.
 
-After the grid-based EM has converged, the dominant atom is removed from the
-model covariance and the residual sample covariance is scanned over a fine
-sine-space interval around the coarse estimate.  The refined direction is
-the grid point where the stationarity expression of the concentrated
-likelihood crosses zero.
+Subcarrier m sees the one line-of-sight direction s through its own
+perturbation C_m, as the carrier steering vector a(eta_m s) with
+eta_m = f_m / f_c.  With v_m = B^H y_m, the refined direction is the argmax,
+over a fine sine grid around the coarse estimate, of
+
+    sum_m |v_m^H a(eta_m s)|^2 / ||B a(eta_m s)||^2,
+
+the likelihood of one path with its own gain on every subcarrier,
+concentrated over the gains.  On a uniform grid both terms are zoom DFTs of
+length-N_T sequences, which one batched chirp-z transform evaluates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arrays import ArrayConfig, steering_far
-from .sbce import SingularCovarianceError
-
-N_SCAN_POINTS = 201
+N_SCAN_POINTS = 401
 
 
-def _solve_hermitian(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        out = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(str(exc)) from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularCovarianceError("non-finite solve result")
-    return out
+def _zoom_dft(x: np.ndarray, start: np.ndarray, step: np.ndarray,
+              n_out: int) -> np.ndarray:
+    """X[..., m, k] = sum_n x[..., m, n] exp(j n (start_m + k step_m)) for
+    k < n_out, x of shape (..., M, N).
 
-
-def _stationarity_curve(grid: np.ndarray, sample_cov: np.ndarray,
-                        cov_excl: np.ndarray, c: np.ndarray,
-                        pilot_matrix: np.ndarray,
-                        config: ArrayConfig) -> np.ndarray:
-    """Re{g^H W [g g^H W R - R W g g^H] W g_dot} at every candidate.
-
-    g = B C a(dir) and g_dot = B C da/ddir per candidate column; W is the
-    inverse of the atom-excluded covariance, applied to all 2K columns in
-    one solve.
+    Bluestein's chirp-z transform: n k = (n^2 + k^2 - (k - n)^2) / 2 turns
+    the sum into a convolution with the chirp exp(-j step (k - n)^2 / 2),
+    three FFTs of F >= N + n_out - 1 points along the last axis.
     """
-    idx = np.arange(config.n_antennas)
-    perturbed = c[:, np.newaxis] * steering_far(config, grid,
-                                                config.carrier_freq_hz)
-    g = pilot_matrix @ perturbed
-    g_dot = pilot_matrix @ ((1j * np.pi * idx)[:, np.newaxis] * perturbed)
-    k = grid.size
-    w_all = _solve_hermitian(cov_excl, np.hstack([g, g_dot]))
-    r_all = sample_cov @ w_all
-    wg, w_gdot = w_all[:, :k], w_all[:, k:]
-    t1 = _col_vdot(g, wg) * _col_vdot(wg, r_all[:, k:])
-    t2 = _col_vdot(wg, r_all[:, :k]) * _col_vdot(g, w_gdot)
-    return np.real(t1 - t2)
+    n_in = x.shape[-1]
+    n_fft = 1 << (n_in + n_out - 2).bit_length()
+    start = np.asarray(start)[:, np.newaxis]
+    half_step = 0.5 * np.asarray(step)[:, np.newaxis]
+    n = np.arange(n_in)
+    # Lags -(N - 1)..n_out - 1 wrap onto the F points; the rest are unread.
+    lag = np.arange(n_fft)
+    lag = np.where(lag < n_out, lag, lag - n_fft)
+    kernel = np.fft.fft(np.exp(-1j * half_step * lag ** 2))
+    pre = np.exp(1j * (start * n + half_step * n ** 2))
+    conv = np.fft.ifft(np.fft.fft(x * pre, n_fft) * kernel)[..., :n_out]
+    return np.exp(1j * half_step * np.arange(n_out) ** 2) * conv
 
 
-def _col_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise a_k^H b_k."""
-    return np.sum(a.conj() * b, axis=0)
+def _periodogram(received: np.ndarray, pilot_matrix: np.ndarray,
+                 eta: np.ndarray, start: float, step: float,
+                 n_points: int) -> np.ndarray:
+    """sum_m |v_m^H a(eta_m s)|^2 / ||B a(eta_m s)||^2 at the sines
+    s = start + k step, k < n_points.
+
+    received is the P x M observation and eta the M ratios f_m / f_c to the
+    carrier of the half-wavelength array.  ||B a(eta s)||^2 is
+    sum_d r_d e^{j pi d eta s} / N_T with r_d the sum of the d-th diagonal
+    of B^H B and r_{-d} = conj(r_d), so numerator and denominator are one
+    zoom DFT of a (2, M, N_T) stack.
+    """
+    n_antennas = pilot_matrix.shape[1]
+    f_b = np.fft.fft(pilot_matrix, 1 << (2 * n_antennas - 2).bit_length())
+    r = np.fft.ifft(np.sum(f_b.real ** 2 + f_b.imag ** 2, axis=0))
+    r = r[:n_antennas]
+    # Row m of Y^H B is v_m^H; each row of r goes with one subcarrier.
+    seqs = np.stack(np.broadcast_arrays(received.conj().T @ pilot_matrix, r))
+    phase = np.pi * np.asarray(eta)
+    num, den = _zoom_dft(seqs, phase * start, phase * step, n_points)
+    power = (num.real ** 2 + num.imag ** 2) / (2.0 * den.real - r[0].real)
+    return np.sum(power, axis=0)
 
 
-def refine_direction(coarse_dir: float, observation_cols: np.ndarray,
-                     pilot_matrix: np.ndarray, c: np.ndarray,
-                     cov_excl: np.ndarray, n_grid: int,
-                     config: ArrayConfig) -> float:
-    """Fine-grid search for the zero of the likelihood stationarity expression.
+def refine_direction(coarse_dir: float, received: np.ndarray,
+                     pilot_matrix: np.ndarray, eta: np.ndarray,
+                     n_grid: int) -> float:
+    """Fine-grid argmax of the wideband periodogram around coarse_dir.
 
-    cov_excl is the model covariance without the coarse atom.  The scan
-    spans half a cell of the n_grid-point grid either side of coarse_dir,
-    in N_SCAN_POINTS points.  Falls back to coarse_dir when the expression
-    never changes sign over the interval, which covers intervals that
-    contain no signal energy.
+    received, pilot_matrix and eta are as in `_periodogram`.  The scan
+    spans two cells of the n_grid-point grid either side of coarse_dir, in
+    N_SCAN_POINTS points clipped to [-1, 1]: the centre fit's peak can sit
+    more than half a cell from the wideband one.
     """
     if abs(coarse_dir) > 1.0:
         raise ValueError("invalid direction: |coarse_dir| > 1")
-    half_width = 1.0 / n_grid
-    cols = np.atleast_2d(observation_cols.T).T
-    sample_cov = cols @ cols.conj().T / cols.shape[1]
-
+    half_width = 4.0 / n_grid
     grid = np.linspace(coarse_dir - half_width, coarse_dir + half_width,
                        N_SCAN_POINTS)
     # Never empty: |coarse_dir| <= 1 keeps at least the lower or upper half.
     grid = grid[np.abs(grid) <= 1.0]
-    values = _stationarity_curve(grid, sample_cov, cov_excl, c, pilot_matrix,
-                                 config)
-    signs = np.sign(values)
-    if np.all(signs >= 0) or np.all(signs <= 0):
-        return float(coarse_dir)
-    return float(grid[int(np.argmin(np.abs(values)))])
+    power = _periodogram(received, pilot_matrix, eta, grid[0],
+                         2.0 * half_width / (N_SCAN_POINTS - 1), grid.size)
+    return float(grid[int(np.argmax(power))])

@@ -1,12 +1,14 @@
 """Sparse-Bayesian-learning EM channel estimator with beam-split tracking.
 
 The channel is line-of-sight dominant, so one EM fit serves every
-subcarrier: SBCE fits the centre subcarrier alone and maps that fit onto
-the others through the diagonal unit-modulus perturbation C_m, which turns
-the carrier-frequency steering vector into subcarrier m's split-shifted one.
-Each EM iteration updates the posterior of the sparse beamspace
-coefficients, re-estimates the per-atom prior variances and the noise
-floor, and refits the perturbation from the peak atom.
+subcarrier: SBCE fits the centre subcarrier alone for a grid direction,
+refines it on the wideband periodogram of all M subcarriers
+(`refine.refine_direction`) and maps it onto every subcarrier through the
+diagonal unit-modulus perturbation C_m, which turns the carrier-frequency
+steering vector into subcarrier m's split-shifted one.  Each EM iteration
+updates the posterior of the sparse beamspace coefficients, re-estimates
+the per-atom prior variances and the noise floor, and refits the
+perturbation from the peak atom.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .arrays import (SPEED_OF_LIGHT, Dictionary, SubcarrierGrid, _split_diag,
                      steering_far)
+from . import refine
 
 
 class SingularCovarianceError(RuntimeError):
@@ -179,16 +182,13 @@ def beam_split_from_c(c: np.ndarray) -> float:
 
 
 class _Fit(NamedTuple):
-    """Converged EM quantities of one fit, with the c of C and the factor of
-    its peak atom."""
+    """Converged EM quantities of one fit."""
 
     sigma: np.ndarray        # N
     noise_var: float
     peak_index: int
     iterations: int
     converged: bool
-    c: np.ndarray            # N_T
-    factor: _DftFactor
 
 
 def _fit(y: np.ndarray, pilot_matrix: np.ndarray, dictionary: Dictionary,
@@ -252,19 +252,18 @@ def _fit(y: np.ndarray, pilot_matrix: np.ndarray, dictionary: Dictionary,
         norm_sigma = np.linalg.norm(sigma_new)
         sigma = sigma_new
         if norm_sigma > 0 and delta_sigma / norm_sigma < CONVERGENCE_TOL:
-            return _Fit(sigma, noise_var, peak, it, True, c, factor)
-    return _Fit(sigma, noise_var, peak, MAX_ITERS, False, c, factor)
+            return _Fit(sigma, noise_var, peak, it, True)
+    return _Fit(sigma, noise_var, peak, MAX_ITERS, False)
 
 
 def run_sbce(observation, dictionary: Dictionary,
              grid: SubcarrierGrid) -> SbceResult:
     """Estimate direction, splits and channel on the dictionary's array.
 
-    One EM fit of the centre subcarrier gives the direction; each
+    One EM fit of the centre subcarrier gives the coarse direction, the
+    wideband periodogram of all M subcarriers refines it, and each
     subcarrier's split and channel follow from it through C_m.
     """
-    from .refine import refine_direction
-
     pilot_matrix = observation.beamformer
     n_antennas = pilot_matrix.shape[1]
     array_config = dictionary.config
@@ -281,18 +280,10 @@ def run_sbce(observation, dictionary: Dictionary,
     fit = _fit(observation.received[:, center], pilot_matrix, dictionary,
                float(grid.frequencies[center]), carrier)
 
-    # The refinement reads the fit's model covariance without its peak
-    # atom, S + mu^2 I with sigma_peak = 0, from the factor of its peak.
-    peak = fit.peak_index
-    trimmed = fit.sigma.copy()
-    trimmed[peak] = 0.0
-    cov_excl = _gram(fit.factor, trimmed) \
-        + fit.noise_var * np.eye(len(pilot_matrix))
-    direction = refine_direction(
-        float(dictionary.grid_points[peak]),
-        observation.received[:, [center]], pilot_matrix, fit.c, cov_excl,
-        dictionary.grid_size, array_config)
-    direction = float(np.clip(direction, -1.0, 1.0))
+    direction = refine.refine_direction(
+        float(dictionary.grid_points[fit.peak_index]), observation.received,
+        pilot_matrix, grid.frequencies / array_config.carrier_freq_hz,
+        dictionary.grid_size)
 
     # Subcarrier m's split is (f_m/f_c - 1) theta and its steering vector
     # C_m a(theta); its gain is g^H y_m / ||g||^2 with g = B C_m a(theta),

@@ -9,7 +9,6 @@ from thzest.crb import (
     ParamVector,
     crb,
     perturbed_steering,
-    steering_derivatives_far,
     steering_derivatives_near,
 )
 
@@ -73,7 +72,9 @@ class TestDerivatives:
 
     def test_far_field_central_differences(self):
         angle, split, f = 0.37, 0.02, 312e9
-        d_angle, d_split = steering_derivatives_far(CFG16, angle, split, f)
+        d_angle, d_range, d_split = steering_derivatives_near(
+            CFG16, angle, None, split, f)
+        assert d_range is None
         fd_angle = self._fd(
             lambda a: perturbed_steering(CFG16, a, split, f), angle)
         fd_split = self._fd(
