@@ -12,11 +12,11 @@ import numpy as np
 
 from .arrays import ArrayConfig, Direction, SubcarrierGrid
 from .channel import (ChannelRealization, PathParams, PilotObservation,
-                      channel_from_paths, gen_channel, gen_pilot_matrix, observe)
+                      channel_from_paths)
 from .harness import (PRESETS, EstimatorContext, ExperimentConfig,
                       _blas_thread_control, _fmt, config_from_mapping,
-                      crb_degrees, run_estimator, run_point, run_sweep,
-                      sweep_points)
+                      crb_degrees, draw_trial, resolve_point, run_estimator,
+                      run_point, run_sweep, sweep_points, write_output)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -78,11 +78,8 @@ def _apply_common_flags(config: ExperimentConfig,
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     config = PRESETS[args.preset] if args.preset else ExperimentConfig()
     if args.config:
-        mapping = load_config_file(args.config)
-        base = {f.name: getattr(config, f.name)
-                for f in dataclasses.fields(ExperimentConfig)}
-        base.update(mapping)
-        config = config_from_mapping(base)
+        config = config_from_mapping({**dataclasses.asdict(config),
+                                      **load_config_file(args.config)})
     config = _apply_common_flags(config, args)
     config.validate()
     return config
@@ -92,7 +89,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     records, csv_text = run_sweep(config)
     if not config.output_path:
-        sys.stdout.write(csv_text)
+        write_output(csv_text, None)
     if any(r.flagged for r in records):
         return EXIT_RUNTIME
     return EXIT_OK
@@ -105,12 +102,7 @@ def cmd_crb(args: argparse.Namespace) -> int:
     for sweep_idx, value in enumerate(sweep_points(config)):
         point = run_point(config, sweep_idx, value)
         lines.append(",".join(_fmt(v) for v in (value, *crb_degrees(point))))
-    text = "\n".join(lines) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_output("\n".join(lines) + "\n", config.output_path)
     return EXIT_OK
 
 
@@ -177,31 +169,22 @@ def scenario_from_json(doc: dict):
         if received.shape != (len(beamformer), grid.n_subcarriers):
             raise ValueError(f"received shape {received.shape} is not "
                              f"{(len(beamformer), grid.n_subcarriers)}")
-        obs = PilotObservation(beamformer, received, float(doc["noise_var"]))
+        noise_var = float(doc["noise_var"])
+        if not 0.0 <= noise_var < math.inf:
+            raise ValueError(f"noise_var {noise_var!r} is not finite and >= 0")
+        obs = PilotObservation(beamformer, received, noise_var)
     except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"malformed scenario file: {exc}") from exc
     return channel, obs
 
 
 def cmd_scenario_gen(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    array_cfg = ArrayConfig.half_wavelength(config.n_antennas,
-                                            config.carrier_freq_hz)
-    grid = SubcarrierGrid.build(config.n_subcarriers, config.bandwidth_hz,
-                                config.carrier_freq_hz)
-    channel = gen_channel(array_cfg, grid, config.n_paths,
-                          scenario=config.scenario,
-                          rng_seed=config.seed, range_m=config.range_m)
-    pilots = gen_pilot_matrix(array_cfg, config.n_pilots,
-                              rng_seed=config.seed + 1)
-    obs = observe(channel, pilots, config.snr_db, rng_seed=config.seed + 2)
-    doc = scenario_to_json(channel, obs)
-    text = json.dumps(doc, indent=1)
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text + "\n")
+    """Trial 0, user 0 of the config's ``sweep = none`` point, as swept."""
+    config = dataclasses.replace(_resolve_config(args), sweep="none")
+    channel, obs = draw_trial(config, *resolve_point(config, config.snr_db),
+                              0, 0, 0)
+    write_output(json.dumps(scenario_to_json(channel, obs), indent=1) + "\n",
+                 config.output_path)
     return EXIT_OK
 
 
@@ -222,7 +205,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
             out[name].update(direction_sine=fit.est_direction_sine,
                              iterations=fit.iterations,
                              converged=fit.converged)
-    sys.stdout.write(json.dumps(out, indent=1) + "\n")
+    write_output(json.dumps(out, indent=1) + "\n", None)
     # One trial per estimator, so any failure exceeds the sweep's 20% rule.
     if any(entry.get("failed") for entry in out.values()):
         return EXIT_RUNTIME

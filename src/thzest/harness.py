@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -269,18 +270,34 @@ def _split_to_deg(direction_sine: float, split: float) -> float:
     return math.degrees(math.asin(hi) - math.asin(lo))
 
 
-def _point_config(config: ExperimentConfig, sweep_value: float):
-    """Resolve (snr_db, bandwidth, fixed range) for one sweep point."""
-    snr_db = config.snr_db
-    bandwidth = config.bandwidth_hz
-    range_m = config.range_m
+def resolve_point(config: ExperimentConfig, sweep_value: float):
+    """(array, grid, snr_db, range_m) of one sweep point."""
+    snr_db, bandwidth, range_m = (config.snr_db, config.bandwidth_hz,
+                                  config.range_m)
     if config.sweep == "snr":
         snr_db = float(sweep_value)
     elif config.sweep == "bandwidth":
         bandwidth = float(sweep_value)
     elif config.sweep == "range":
         range_m = float(sweep_value)
-    return snr_db, bandwidth, range_m
+    array_cfg = ArrayConfig.half_wavelength(config.n_antennas,
+                                            config.carrier_freq_hz)
+    grid = SubcarrierGrid.build(config.n_subcarriers, bandwidth,
+                                config.carrier_freq_hz)
+    return array_cfg, grid, snr_db, range_m
+
+
+def draw_trial(config: ExperimentConfig, array_cfg, grid, snr_db, range_m,
+               sweep_idx: int, trial: int, user: int):
+    """(channel, observation) of one trial-user; the channel, pilots and
+    noise draw from the streams [seed, sweep_idx, trial, user, 0 | 1 | 2]."""
+    rngs = [np.random.default_rng([config.seed, sweep_idx, trial, user, k])
+            for k in range(3)]
+    channel = gen_channel(array_cfg, grid, config.n_paths,
+                          scenario=config.scenario, rng_seed=rngs[0],
+                          range_m=range_m)
+    pilots = gen_pilot_matrix(array_cfg, config.n_pilots, rng_seed=rngs[1])
+    return channel, observe(channel, pilots, snr_db, rng_seed=rngs[2])
 
 
 @functools.cache
@@ -333,11 +350,7 @@ def _one_blas_thread():
 def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
                  trial_indices) -> list[dict]:
     """Run a batch of trials on one BLAS thread; shared setup is built once."""
-    snr_db, bandwidth, range_m = _point_config(config, sweep_value)
-    array_cfg = ArrayConfig.half_wavelength(config.n_antennas,
-                                            config.carrier_freq_hz)
-    grid = SubcarrierGrid.build(config.n_subcarriers, bandwidth,
-                                config.carrier_freq_hz)
+    array_cfg, grid, snr_db, range_m = resolve_point(config, sweep_value)
     ctx = EstimatorContext.build(array_cfg, grid, config.grid_size,
                                  config.n_paths, config.estimators)
     out = []
@@ -349,16 +362,9 @@ def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
 
 
 def _run_single(config, ctx, sweep_idx, snr_db, range_m, trial, user) -> dict:
-    base = [config.seed, sweep_idx, trial, user]
     array_cfg, grid = ctx.dictionary.config, ctx.grid
-    channel = gen_channel(array_cfg, grid, config.n_paths,
-                          scenario=config.scenario,
-                          rng_seed=np.random.default_rng(base + [0]),
-                          range_m=range_m)
-    pilots = gen_pilot_matrix(array_cfg, config.n_pilots,
-                              rng_seed=np.random.default_rng(base + [1]))
-    obs = observe(channel, pilots, snr_db,
-                  rng_seed=np.random.default_rng(base + [2]))
+    channel, obs = draw_trial(config, array_cfg, grid, snr_db, range_m,
+                              sweep_idx, trial, user)
     los = channel.los_path
     result: dict = {"trial": trial, "user": user, "nmse": {}}
 
@@ -374,7 +380,7 @@ def _run_single(config, ctx, sweep_idx, snr_db, range_m, trial, user) -> dict:
                 los.direction.angle_rad)
             split_errs = []
             for m in range(grid.n_subcarriers):
-                true_split = (grid.frequencies[m] / grid.carrier_freq_hz
+                true_split = (grid.frequencies[m] / array_cfg.carrier_freq_hz
                               - 1.0) * los.direction.sine
                 est_deg = _split_to_deg(fit.est_direction_sine,
                                         fit.est_beam_split[m])
@@ -383,7 +389,7 @@ def _run_single(config, ctx, sweep_idx, snr_db, range_m, trial, user) -> dict:
             result["split_err_deg"] = split_errs
 
     result["crb_dir_var"], result["crb_split_var"] = _trial_crb(
-        array_cfg, grid, pilots, los, obs.noise_var)
+        array_cfg, grid, obs.beamformer, los, obs.noise_var)
     return result
 
 
@@ -400,7 +406,7 @@ def _trial_crb(array_cfg, grid, pilots, los, noise_var):
     power = abs(los.gain) ** 2 * array_cfg.n_antennas
     bounds = crb(array_cfg, params, pilots, [power], noise_var,
                  grid.frequencies).crb_diag
-    theta = np.clip((grid.frequencies / grid.carrier_freq_hz)
+    theta = np.clip((grid.frequencies / array_cfg.carrier_freq_hz)
                     * los.direction.sine, -0.999999, 0.999999)
     conv = math.degrees(1.0) / np.sqrt(1.0 - theta ** 2)
     return (float(bounds[grid.center_index, 0]),
@@ -414,12 +420,11 @@ def run_point(config: ExperimentConfig, sweep_idx: int,
     if config.threads > 1 and len(trials) > 1:
         n_chunks = min(config.threads * 4, len(trials))
         chunks = [trials[i::n_chunks] for i in range(n_chunks)]
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            parts = list(pool.map(_trial_chunk,
-                                  [config] * len(chunks),
-                                  [sweep_idx] * len(chunks),
-                                  [sweep_value] * len(chunks),
-                                  chunks))
+        # A fork pool starts all its workers at once: no more than chunks.
+        with ProcessPoolExecutor(
+                max_workers=min(config.threads, len(chunks))) as pool:
+            parts = list(pool.map(functools.partial(
+                _trial_chunk, config, sweep_idx, sweep_value), chunks))
         rows = [r for part in parts for r in part]
     else:
         rows = _trial_chunk(config, sweep_idx, sweep_value, trials)
@@ -453,33 +458,28 @@ def crb_degrees(point: PointResult) -> tuple[float, float]:
             math.sqrt(np.mean(point.crb_split_var)))
 
 
+def _rms(values) -> float | None:
+    return float(np.sqrt(np.mean(np.square(values)))) if values else None
+
+
 def summarize_point(config: ExperimentConfig,
                     point: PointResult) -> list[MetricRecord]:
     records = []
     n_runs = config.trials * config.n_users
-    crb_dir, crb_split = crb_degrees(point)
+    # rmse_dir_deg through mean_iters belong to the sbce row alone.
+    sbce_columns = (_rms(point.dir_err_deg), _rms(point.split_err_deg),
+                    *crb_degrees(point),
+                    float(np.mean(point.iterations)) if point.iterations
+                    else None)
     for name in config.estimators:
         vals = np.asarray(point.nmse[name])
         ok = vals[np.isfinite(vals)]
         failures = point.failures[name]
         records.append(MetricRecord(
-            sweep_value=point.sweep_value,
-            estimator=name,
-            nmse=float(np.mean(ok)) if ok.size else float("nan"),
-            rmse_direction_deg=(
-                float(np.sqrt(np.mean(np.square(point.dir_err_deg))))
-                if name == "sbce" and point.dir_err_deg else None),
-            rmse_split_deg=(
-                float(np.sqrt(np.mean(np.square(point.split_err_deg))))
-                if name == "sbce" and point.split_err_deg else None),
-            crb_direction_deg=crb_dir if name == "sbce" else None,
-            crb_split_deg=crb_split if name == "sbce" else None,
-            mean_iters=(float(np.mean(point.iterations))
-                        if name == "sbce" and point.iterations else None),
-            trials=n_runs,
-            failures=failures,
-            flagged=failures > 0.2 * n_runs,
-        ))
+            point.sweep_value, name,
+            float(np.mean(ok)) if ok.size else float("nan"),
+            *(sbce_columns if name == "sbce" else (None,) * 5),
+            n_runs, failures, failures > 0.2 * n_runs))
     return records
 
 
@@ -494,13 +494,19 @@ def _fmt(value) -> str:
 
 
 def records_to_csv(records) -> str:
+    # MetricRecord's fields are in CSV_COLUMNS order.
     lines = [CSV_HEADER_COMMENT, ",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.sweep_value, r.estimator, r.nmse, r.rmse_direction_deg,
-            r.rmse_split_deg, r.crb_direction_deg, r.crb_split_deg,
-            r.mean_iters, r.trials, r.failures, r.flagged)))
+    lines += [",".join(map(_fmt, dataclasses.astuple(r))) for r in records]
     return "\n".join(lines) + "\n"
+
+
+def write_output(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def run_sweep(config: ExperimentConfig):
@@ -512,8 +518,7 @@ def run_sweep(config: ExperimentConfig):
         records.extend(summarize_point(config, point))
     csv_text = records_to_csv(records)
     if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(csv_text)
+        write_output(csv_text, config.output_path)
     return records, csv_text
 
 

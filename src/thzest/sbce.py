@@ -274,7 +274,8 @@ def run_sbce(observation, dictionary: Dictionary,
     if abs(ratio - 1.0) > 1e-12:
         raise ValueError("SBCE needs half-wavelength element spacing, got "
                          f"2 d f_c / c0 = {ratio!r}")
-    carrier = grid.carrier_freq_hz
+    # Every f/f_c is taken at the array's carrier, the one C_m maps from.
+    carrier = array_config.carrier_freq_hz
 
     center = grid.center_index
     fit = _fit(observation.received[:, center], pilot_matrix, dictionary,
@@ -282,7 +283,7 @@ def run_sbce(observation, dictionary: Dictionary,
 
     direction = refine.refine_direction(
         float(dictionary.grid_points[fit.peak_index]), observation.received,
-        pilot_matrix, grid.frequencies / array_config.carrier_freq_hz,
+        pilot_matrix, grid.frequencies / carrier,
         dictionary.grid_size)
 
     # Subcarrier m's split is (f_m/f_c - 1) theta and its steering vector
@@ -290,7 +291,7 @@ def run_sbce(observation, dictionary: Dictionary,
     # zero where g vanishes.
     splits = (grid.frequencies / carrier - 1.0) * direction
     steer = _split_diag(n_antennas, splits) * steering_far(
-        array_config, direction, array_config.carrier_freq_hz)[:, np.newaxis]
+        array_config, direction, carrier)[:, np.newaxis]
     g = pilot_matrix @ steer
     power = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
     gain = np.divide(np.sum(g.conj() * observation.received, axis=0), power,

@@ -260,6 +260,48 @@ class TestScenarioRoundTrip:
                      "--estimators", "foo"]) == EXIT_CONFIG
 
 
+class TestScenarioReplay:
+    """`scenario gen` writes trial 0, user 0 of the config's sweep = none
+    point, so `scenario run` replays that sweep row."""
+
+    ARGS = ["--preset", "desk", "--seed", "7"]
+
+    @pytest.fixture
+    def scen(self, tmp_path):
+        path = tmp_path / "scen.json"
+        assert main(["scenario", "gen", *self.ARGS, "--out", str(path)]) \
+            == EXIT_OK
+        return path
+
+    def test_run_reproduces_sweep_row(self, scen, tmp_path, capsys):
+        out = tmp_path / "row.csv"
+        assert main(["sweep", *self.ARGS, "--trials", "1", "--sweep", "none",
+                     "--out", str(out)]) == EXIT_OK
+        rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+        capsys.readouterr()
+        assert main(["scenario", "run", str(scen)]) == EXIT_OK
+        replay = json.loads(capsys.readouterr().out)
+        assert [r[1] for r in rows] == list(replay)
+        assert [r[2] for r in rows] == \
+            [repr(entry["nmse"]) for entry in replay.values()]
+
+    def test_file_holds_the_trial_streams(self, scen):
+        config = harness.PRESETS["desk"]
+        array_cfg = ArrayConfig.half_wavelength(config.n_antennas,
+                                                config.carrier_freq_hz)
+        grid = SubcarrierGrid.build(config.n_subcarriers,
+                                    config.bandwidth_hz,
+                                    config.carrier_freq_hz)
+        rngs = [np.random.default_rng([7, 0, 0, 0, k]) for k in range(3)]
+        channel = gen_channel(array_cfg, grid, config.n_paths,
+                              rng_seed=rngs[0])
+        obs = observe(channel, gen_pilot_matrix(array_cfg, config.n_pilots,
+                                                rng_seed=rngs[1]),
+                      config.snr_db, rng_seed=rngs[2])
+        expected = json.loads(json.dumps(scenario_to_json(channel, obs)))
+        assert json.loads(scen.read_text()) == expected
+
+
 class TestScenarioRun:
     @pytest.fixture
     def scen(self, tmp_path):
@@ -320,6 +362,10 @@ class TestScenarioRun:
             captured.err
 
 
+_BAD_NOISE = {"negative-noise": -1.0, "nan-noise": float("nan"),
+              "inf-noise": float("inf")}
+
+
 def _malformed(doc, case):
     if case == "config-list":
         doc["config"] = [1, 2, 3]
@@ -327,6 +373,8 @@ def _malformed(doc, case):
         doc["config"]["n_antennas"] = "64"
     elif case == "string-noise":
         doc["noise_var"] = "high"
+    elif case in _BAD_NOISE:
+        doc["noise_var"] = _BAD_NOISE[case]
     elif case == "received-too-few-columns":
         # Drop the last subcarrier column of the P x M block.
         n_rows, n_cols = doc["received"]["shape"]
@@ -343,7 +391,8 @@ def _malformed(doc, case):
 
 class TestMalformedScenario:
     @pytest.mark.parametrize("case", ["config-list", "string-count",
-                                      "string-noise", "top-level-list"])
+                                      "string-noise", "top-level-list",
+                                      *_BAD_NOISE])
     def test_exits_one_without_traceback(self, tmp_path, case):
         self._assert_rejected(tmp_path, case, "ls,mmse")
 

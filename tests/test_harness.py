@@ -261,6 +261,31 @@ class TestDeterminism:
         _, csv_text = run_sweep(cfg)
         assert out.read_text() == csv_text
 
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        # A stand-in pool records its size and runs the chunks in-process,
+        # so the test starts no worker.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        _, csv_text = run_sweep(dataclasses.replace(TINY, trials=2,
+                                                    threads=4))
+        assert sizes == [2]
+        _, serial = run_sweep(dataclasses.replace(TINY, trials=2))
+        assert csv_text == serial
+
 
 class TestSweepAxes:
     def test_bandwidth_sweep(self):

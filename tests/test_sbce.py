@@ -495,6 +495,23 @@ def test_direction_error_near_bound_at_30_db():
     assert np.median(ratios) <= 1.5
 
 
+def test_grid_carrier_off_the_array_carrier():
+    # A 310 GHz grid on a 300 GHz half-wavelength array: C_m maps from the
+    # array's carrier, so every f/f_c must be taken at 300 GHz.
+    array_cfg = ArrayConfig.half_wavelength(64, 300e9)
+    grid = SubcarrierGrid.build(8, 30e9, 310e9)
+    dictionary = build_dictionary(array_cfg, 512)
+    errors = []
+    for seed in range(10):
+        channel = gen_channel(array_cfg, grid, 1, rng_seed=seed)
+        pilots = gen_pilot_matrix(array_cfg, 16, rng_seed=100 + seed)
+        obs = observe(channel, pilots, 30.0, rng_seed=200 + seed)
+        est = run_sbce(obs, dictionary, grid).est_channel
+        h = channel.per_subcarrier
+        errors.append(np.linalg.norm(est - h) ** 2 / np.linalg.norm(h) ** 2)
+    assert np.median(errors) <= 1e-3
+
+
 def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
                        n_pilots=12):
     cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
