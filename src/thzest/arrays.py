@@ -173,8 +173,9 @@ def ula_fraunhofer_distance(config: ArrayConfig) -> float:
 class Dictionary:
     """Overcomplete sine-space grid of carrier-frequency steering vectors.
 
-    The N_T x N atom matrix is built on first use of `atoms`; a consumer
-    that reads only the grid and `first_atom` never builds it.
+    The N_T x N atom matrix is built on first use of `atoms`.  The
+    estimators read only the grid and `first_atom`, so they never build it;
+    the tests keep it as a reference.
     """
 
     config: ArrayConfig
@@ -234,8 +235,24 @@ def _grid_atoms(config: ArrayConfig, grid_size: int,
 
 
 def build_dictionary(config: ArrayConfig, grid_size: int) -> Dictionary:
-    """Steering dictionary over the equispaced grid (2n - N - 1)/N, n = 1..N,
-    with its atom matrix built now."""
-    dictionary = Dictionary.on_grid(config, grid_size)
-    dictionary.atoms  # built here rather than at first use
-    return dictionary
+    """Steering dictionary over the equispaced grid (2n - N - 1)/N, n = 1..N.
+
+    Its atom matrix is not built: SBCE and OMP work from `first_atom` and
+    the grid's DFT structure (`_check_dft_grid`), and `atoms` builds it on
+    first use.
+    """
+    return Dictionary.on_grid(config, grid_size)
+
+
+def _check_dft_grid(config: ArrayConfig, estimator: str) -> None:
+    """Raise ValueError unless the grid's atoms are a zero-padded DFT.
+
+    Atom n is atom 0 times exp(2j phi i n / G), phi = 2 pi d f_c / c0, so
+    the atoms form a G-point DFT only when phi = pi: half-wavelength
+    spacing at the carrier.
+    """
+    ratio = 2.0 * config.element_spacing_m * config.carrier_freq_hz \
+        / SPEED_OF_LIGHT
+    if abs(ratio - 1.0) > 1e-12:
+        raise ValueError(f"{estimator} needs half-wavelength element "
+                         f"spacing, got 2 d f_c / c0 = {ratio!r}")

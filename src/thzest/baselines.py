@@ -1,10 +1,19 @@
-"""Reference estimators: least squares, oracle LMMSE, and greedy joint OMP."""
+"""Reference estimators: least squares, oracle LMMSE, and greedy joint OMP.
+
+LMMSE and OMP work from the structure of the problem rather than from dense
+matrices: each oracle covariance is real symmetric Toeplitz, held as the
+spectrum of its circulant embedding, and on a half-wavelength array the
+dictionary's atoms are a zero-padded DFT.  Neither forms an N_T x N_T or
+N_T x grid matrix.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .arrays import SPEED_OF_LIGHT, ArrayConfig
+from .arrays import (SPEED_OF_LIGHT, ArrayConfig, Dictionary, _check_dft_grid,
+                     steering_far)
 
 
 def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -36,34 +45,57 @@ def check_psd_covariance(channel_cov: np.ndarray) -> None:
     herm_err = np.max(np.abs(channel_cov - channel_cov.conj().T))
     if herm_err > 1e-8 * max(1.0, np.max(np.abs(channel_cov))):
         raise ValueError("non-PSD covariance: channel_cov is not Hermitian")
-    hermitian = 0.5 * (channel_cov + channel_cov.conj().T)
+    # In place: each N_T x N_T temporary is another set-up allocation.
+    hermitian = channel_cov + channel_cov.conj().T
+    hermitian *= 0.5
     tau = 1e-8 * max(1.0, float(np.max(np.real(np.diagonal(hermitian)))))
+    hermitian[np.diag_indices_from(hermitian)] += tau
     try:
-        np.linalg.cholesky(hermitian + tau * np.eye(hermitian.shape[0]))
+        np.linalg.cholesky(hermitian)
     except np.linalg.LinAlgError:
         raise ValueError("non-PSD covariance: negative eigenvalue") from None
 
 
-def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
-                  channel_cov: np.ndarray, noise_var: float) -> np.ndarray:
-    """LMMSE estimate R B^H (B R B^H + mu^2 I)^{-1} y.
+def toeplitz_spectrum(first_col: np.ndarray) -> np.ndarray:
+    """Spectrum of the F-point circulant that embeds the real symmetric
+    Toeplitz matrix with the given first column, F the power of two
+    >= 2 N - 1: that matrix times x is ifft(spectrum * fft(x, F))[:N]."""
+    n = len(first_col)
+    n_fft = 1 << (2 * n - 2).bit_length()
+    col = np.zeros(n_fft)
+    col[:n] = first_col
+    col[n_fft - n + 1:] = first_col[:0:-1]
+    return np.fft.fft(col).real
 
-    Either y is one observation and channel_cov one N_T x N_T covariance,
-    or y is P x M and channel_cov an (M, N_T, N_T) stack, one covariance
-    per column; the estimate then is N_T x M, from one batched solve.  The
-    covariances meet B^H in one GEMM with [Re B^H | Im B^H], so a real
-    stack is never copied to complex.  channel_cov must be Hermitian
-    positive semidefinite; callers that build it check it once with
+
+def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
+                  cov_spectra: np.ndarray, noise_var: float) -> np.ndarray:
+    """LMMSE estimates R_m B^H (B R_m B^H + mu^2 I)^{-1} y_m, N_T x M.
+
+    y is P x M, one observation per column, and row m of the (M, F)
+    cov_spectra is the circulant-embedding spectrum lam_m of the real
+    symmetric Toeplitz covariance R_m (`toeplitz_spectrum`), F >= 2 N_T - 1.
+    With B_hat = F ifft(B, F) the gram B R_m B^H is
+    B_hat diag(lam_m) B_hat^H / F, one P x F x P product per subcarrier,
+    then one batched P x P solve gives x_m, and R_m (B^H x_m) is one FFT
+    product per subcarrier.  No N_T x N_T matrix is formed.  Each R_m must
+    be positive semidefinite; callers that build it check it once with
     `check_psd_covariance`.
     """
-    b_h = pilot_matrix.conj().T
-    n_antennas, n_pilots = b_h.shape
-    parts = channel_cov.reshape(-1, n_antennas) @ np.concatenate(
-        [b_h.real, b_h.imag], axis=1)
-    cross = (parts[:, :n_pilots] + 1j * parts[:, n_pilots:]).reshape(
-        channel_cov.shape[:-1] + (n_pilots,))
-    gram = pilot_matrix @ cross + noise_var * np.eye(pilot_matrix.shape[0])
-    return (cross @ np.linalg.solve(gram, y.T[..., np.newaxis]))[..., 0].T
+    n_pilots, n_antennas = pilot_matrix.shape
+    n_fft = cov_spectra.shape[1]
+    if n_fft < 2 * n_antennas - 1:
+        raise ValueError(f"covariance spectra of length {n_fft} cannot "
+                         f"embed {n_antennas} x {n_antennas} matrices")
+    b_hat = n_fft * np.fft.ifft(pilot_matrix, n_fft)
+    b_hat_h = b_hat.conj().T
+    gram = np.empty((len(cov_spectra), n_pilots, n_pilots), dtype=complex)
+    for out, lam in zip(gram, cov_spectra):
+        np.matmul(b_hat * lam, b_hat_h, out=out)
+    gram = gram / n_fft + noise_var * np.eye(n_pilots)
+    x = np.linalg.solve(gram, y.T[..., np.newaxis])[..., 0].T
+    v = np.fft.fft(pilot_matrix.conj().T @ x, n_fft, axis=0)
+    return np.fft.ifft(v * cov_spectra.T, axis=0)[:n_antennas]
 
 
 def _bessel_j0(x: np.ndarray) -> np.ndarray:
@@ -77,7 +109,8 @@ def _bessel_j0(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = int(np.max(np.abs(x), initial=0.0)) + 33
     t = (np.arange(n // 2) + 0.5) * (np.pi / n)
-    half = np.sum(np.cos(np.multiply.outer(x, np.cos(t))), axis=-1)
+    phase = np.multiply.outer(x, np.cos(t))
+    half = np.sum(np.cos(phase, out=phase), axis=-1)
     return (2.0 * half + n % 2) / n
 
 
@@ -93,21 +126,32 @@ def oracle_covariance(config: ArrayConfig, freq_hz: float) -> np.ndarray:
     kappa = 2.0 * np.pi * config.element_spacing_m * freq_hz / SPEED_OF_LIGHT
     idx = np.arange(config.n_antennas)
     first_col = _bessel_j0(kappa * idx)
-    return first_col[np.abs(idx[:, np.newaxis] - idx[np.newaxis, :])]
+    # Row i is entries N-1-i .. 2N-2-i of [c_{N-1}, .., c_1, c_0, .., c_{N-1}],
+    # copied from a strided view in one allocation.
+    lags = np.concatenate([first_col[:0:-1], first_col])
+    return sliding_window_view(lags, len(idx))[::-1].copy()
 
 
-def omp_estimate_joint(pilot_matrix: np.ndarray, atoms: np.ndarray,
+def omp_estimate_joint(pilot_matrix: np.ndarray, dictionary: Dictionary,
                        received: np.ndarray, sparsity: int):
     """OMP with a single support shared by every subcarrier.
 
     Atom selection maximizes the correlation energy summed over subcarriers;
     per-subcarrier gains are then refit by least squares on the common
     support.  This is the split-blind wideband baseline: it presumes the
-    beamspace support does not move with frequency.
+    beamspace support does not move with frequency.  On the half-wavelength
+    grid atom n is `first_atom` times w^{in}, w = exp(2 pi j / G), so the
+    sensed atoms B D are G ifft(B * first_atom, G) and the atom matrix D is
+    never formed; the support's atoms are steering vectors at their grid
+    points.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be >= 1")
-    sensed = pilot_matrix @ atoms
+    config = dictionary.config
+    _check_dft_grid(config, "OMP")
+    n_grid = dictionary.grid_size
+    sensed = n_grid * np.fft.ifft(pilot_matrix * dictionary.first_atom,
+                                  n_grid)
     col_norms = np.linalg.norm(sensed, axis=0)
     residual = received.copy()
     support: list[int] = []
@@ -118,5 +162,6 @@ def omp_estimate_joint(pilot_matrix: np.ndarray, atoms: np.ndarray,
         sub = sensed[:, support]
         coeffs, *_ = np.linalg.lstsq(sub, received, rcond=None)
         residual = received - sub @ coeffs
-    est = atoms[:, support] @ coeffs
-    return tuple(support), est
+    atoms = steering_far(config, dictionary.grid_points[support],
+                         config.carrier_freq_hz)
+    return tuple(support), atoms @ coeffs

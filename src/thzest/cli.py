@@ -14,9 +14,10 @@ from .arrays import ArrayConfig, Direction, SubcarrierGrid
 from .channel import (ChannelRealization, PathParams, PilotObservation,
                       channel_from_paths)
 from .harness import (PRESETS, EstimatorContext, ExperimentConfig,
-                      _blas_thread_control, _fmt, config_from_mapping,
-                      crb_degrees, draw_trial, resolve_point, run_estimator,
-                      run_point, run_sweep, sweep_points, write_output)
+                      _blas_thread_control, _check_int, _fmt,
+                      config_from_mapping, crb_degrees, draw_trial,
+                      resolve_point, run_estimator, run_point, run_sweep,
+                      sweep_points, write_output)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -115,8 +116,9 @@ def _complex_from_json(data, shape) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def scenario_to_json(channel: ChannelRealization,
-                     obs: PilotObservation) -> dict:
+def scenario_to_json(channel: ChannelRealization, obs: PilotObservation,
+                     grid_size: int) -> dict:
+    """The trial as a JSON document; grid_size is the dictionary's."""
     cfg = channel.config
     grid = channel.grid
     return {
@@ -126,6 +128,7 @@ def scenario_to_json(channel: ChannelRealization,
         "grid": {"n_subcarriers": grid.n_subcarriers,
                  "bandwidth_hz": grid.bandwidth_hz,
                  "carrier_freq_hz": grid.carrier_freq_hz},
+        "grid_size": grid_size,
         "scenario": channel.scenario,
         "paths": [
             {"gain": [p.gain.real, p.gain.imag], "delay_s": p.delay_s,
@@ -142,12 +145,14 @@ def scenario_to_json(channel: ChannelRealization,
 
 
 def scenario_from_json(doc: dict):
-    """Inverse of scenario_to_json; a "seed" key of older files is ignored.
+    """(channel, observation, grid_size), the inverse of scenario_to_json.
 
-    A document of the wrong structure or types, such as a list where an
-    object belongs or a string where a number does, raises ValueError, as
-    do arrays whose shapes disagree: the beamformer must be P x N_T and the
-    received block P x M.
+    A "seed" key of older files is ignored, and a file without
+    "grid_size" gets 8 N_T grid points.  A document of the wrong structure
+    or types, such as a list where an object belongs or a string where a
+    number does, raises ValueError, as do arrays whose shapes disagree (the
+    beamformer must be P x N_T and the received block P x M) and a
+    grid_size that is not an integer >= N_T.
     """
     try:
         cfg = ArrayConfig(**doc["config"])
@@ -173,9 +178,11 @@ def scenario_from_json(doc: dict):
         if not 0.0 <= noise_var < math.inf:
             raise ValueError(f"noise_var {noise_var!r} is not finite and >= 0")
         obs = PilotObservation(beamformer, received, noise_var)
+        grid_size = doc.get("grid_size", 8 * cfg.n_antennas)
+        _check_int("grid_size", grid_size, minimum=cfg.n_antennas)
     except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"malformed scenario file: {exc}") from exc
-    return channel, obs
+    return channel, obs, grid_size
 
 
 def cmd_scenario_gen(args: argparse.Namespace) -> int:
@@ -183,19 +190,18 @@ def cmd_scenario_gen(args: argparse.Namespace) -> int:
     config = dataclasses.replace(_resolve_config(args), sweep="none")
     channel, obs = draw_trial(config, *resolve_point(config, config.snr_db),
                               0, 0, 0)
-    write_output(json.dumps(scenario_to_json(channel, obs), indent=1) + "\n",
-                 config.output_path)
+    doc = scenario_to_json(channel, obs, config.grid_size)
+    write_output(json.dumps(doc, indent=1) + "\n", config.output_path)
     return EXIT_OK
 
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     with open(args.scenario_file) as fh:
         doc = json.load(fh)
-    channel, obs = scenario_from_json(doc)
+    channel, obs, grid_size = scenario_from_json(doc)
     config = _apply_common_flags(ExperimentConfig(), args)
     config.validate()
-    ctx = EstimatorContext.build(channel.config, channel.grid,
-                                 8 * channel.config.n_antennas,
+    ctx = EstimatorContext.build(channel.config, channel.grid, grid_size,
                                  len(channel.paths), config.estimators)
     out = {}
     for name in config.estimators:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .arrays import ArrayConfig, Dictionary, SubcarrierGrid, build_dictionary
 from .baselines import (check_psd_covariance, ls_estimate, mmse_estimate,
-                        omp_estimate_joint, oracle_covariance)
+                        omp_estimate_joint, oracle_covariance,
+                        toeplitz_spectrum)
 from .channel import gen_channel, gen_pilot_matrix, observe
 from .crb import ParamVector, crb
 from .sbce import SingularCovarianceError, run_sbce
@@ -35,33 +36,30 @@ class EstimatorContext:
     grid: SubcarrierGrid
     dictionary: Dictionary
     n_paths: int
-    mmse_covs: np.ndarray | None    # (M, N_T, N_T) oracle covariances
+    mmse_spectra: np.ndarray | None    # (M, F) oracle covariance spectra
 
     @classmethod
     def build(cls, array_cfg: ArrayConfig, grid: SubcarrierGrid,
               grid_size: int, n_paths: int, estimators) -> "EstimatorContext":
         """Set-up work is done only for the estimators that need it.
 
-        The N_T x grid atom matrix is built here only when omp will run:
-        SBCE reads only the grid and its first atom.  The atoms are the
-        first atom times powers of one phase step (`arrays._grid_atoms`).
-        The oracle covariances are built only when mmse will run, each
-        written into one preallocated real (M, N_T, N_T) stack that
-        `mmse_estimate` reads in one pass, and each checked positive
-        semidefinite as it is written, once per set-up, not per estimate.
+        The dictionary holds only the grid and its first atom: SBCE and
+        OMP work from its DFT structure, so its atom matrix is never built.
+        The oracle covariances are built only when mmse will run.  Each
+        R_m is checked positive semidefinite once, when it is built, and
+        only the spectrum of its circulant embedding is kept (F >= 2 N_T - 1
+        values per subcarrier), which `mmse_estimate` reads.
         """
-        if "omp" in estimators:
-            dictionary = build_dictionary(array_cfg, grid_size)
-        else:
-            dictionary = Dictionary.on_grid(array_cfg, grid_size)
-        mmse_covs = None
+        dictionary = build_dictionary(array_cfg, grid_size)
+        mmse_spectra = None
         if "mmse" in estimators:
-            n = array_cfg.n_antennas
-            mmse_covs = np.empty((grid.n_subcarriers, n, n))
-            for cov, freq in zip(mmse_covs, grid.frequencies):
-                cov[...] = oracle_covariance(array_cfg, float(freq))
+            spectra = []
+            for freq in grid.frequencies:
+                cov = oracle_covariance(array_cfg, float(freq))
                 check_psd_covariance(cov)
-        return cls(grid, dictionary, n_paths, mmse_covs)
+                spectra.append(toeplitz_spectrum(cov[:, 0]))
+            mmse_spectra = np.array(spectra)
+        return cls(grid, dictionary, n_paths, mmse_spectra)
 
 
 # Each entry maps (ctx, obs) to (N_T x M estimate, SbceResult or None).  The
@@ -78,13 +76,13 @@ def _ls(ctx: EstimatorContext, obs):
 
 
 def _omp(ctx: EstimatorContext, obs):
-    _, est = omp_estimate_joint(obs.beamformer, ctx.dictionary.atoms,
+    _, est = omp_estimate_joint(obs.beamformer, ctx.dictionary,
                                 obs.received, ctx.n_paths)
     return est, None
 
 
 def _mmse(ctx: EstimatorContext, obs):
-    return mmse_estimate(obs.beamformer, obs.received, ctx.mmse_covs,
+    return mmse_estimate(obs.beamformer, obs.received, ctx.mmse_spectra,
                          obs.noise_var), None
 
 
@@ -107,7 +105,7 @@ def run_estimator(name: str, ctx: EstimatorContext, obs, h_true):
         return failed
     if not np.all(np.isfinite(est)):
         return failed
-    return nmse(list(h_true.T), list(est.T)), fit
+    return nmse(h_true.T, est.T), fit
 
 
 CSV_HEADER_COMMENT = (
@@ -249,25 +247,23 @@ class PointResult:
 
 
 def nmse(true_channels, est_channels) -> float:
-    """Mean over realizations of ||h - h_hat||^2 / ||h||^2."""
-    true_channels = list(true_channels)
-    est_channels = list(est_channels)
-    if len(true_channels) != len(est_channels):
-        raise ValueError("mismatched channel list lengths")
-    ratios = []
-    for h, h_est in zip(true_channels, est_channels):
-        denom = float(np.linalg.norm(h) ** 2)
-        if denom == 0.0:
-            raise ValueError("zero-norm truth channel")
-        ratios.append(float(np.linalg.norm(h - h_est) ** 2) / denom)
-    return float(np.mean(ratios))
+    """Mean over realizations, the rows, of ||h - h_hat||^2 / ||h||^2."""
+    h, h_est = np.asarray(true_channels), np.asarray(est_channels)
+    if h.shape != h_est.shape:
+        raise ValueError("mismatched channel shapes")
+    err = h - h_est
+    denom = np.sum(h.real ** 2 + h.imag ** 2, axis=-1)
+    if np.any(denom == 0.0):
+        raise ValueError("zero-norm truth channel")
+    return float(np.mean(np.sum(err.real ** 2 + err.imag ** 2, axis=-1)
+                         / denom))
 
 
-def _split_to_deg(direction_sine: float, split: float) -> float:
+def _split_to_deg(direction_sine, split):
     """Degrees between the implied spatial and physical angles."""
     hi = np.clip(direction_sine + split, -1.0, 1.0)
     lo = np.clip(direction_sine, -1.0, 1.0)
-    return math.degrees(math.asin(hi) - math.asin(lo))
+    return np.degrees(np.arcsin(hi) - np.arcsin(lo))
 
 
 def resolve_point(config: ExperimentConfig, sweep_value: float):
@@ -378,15 +374,11 @@ def _run_single(config, ctx, sweep_idx, snr_db, range_m, trial, user) -> dict:
                 np.clip(fit.est_direction_sine, -1.0, 1.0)))
             result["dir_err_deg"] = est_angle - math.degrees(
                 los.direction.angle_rad)
-            split_errs = []
-            for m in range(grid.n_subcarriers):
-                true_split = (grid.frequencies[m] / array_cfg.carrier_freq_hz
-                              - 1.0) * los.direction.sine
-                est_deg = _split_to_deg(fit.est_direction_sine,
-                                        fit.est_beam_split[m])
-                true_deg = _split_to_deg(los.direction.sine, true_split)
-                split_errs.append(est_deg - true_deg)
-            result["split_err_deg"] = split_errs
+            true_split = (grid.frequencies / array_cfg.carrier_freq_hz
+                          - 1.0) * los.direction.sine
+            result["split_err_deg"] = (
+                _split_to_deg(fit.est_direction_sine, fit.est_beam_split)
+                - _split_to_deg(los.direction.sine, true_split)).tolist()
 
     result["crb_dir_var"], result["crb_split_var"] = _trial_crb(
         array_cfg, grid, obs.beamformer, los, obs.noise_var)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import (SPEED_OF_LIGHT, Dictionary, SubcarrierGrid, _split_diag,
+from .arrays import (Dictionary, SubcarrierGrid, _check_dft_grid, _split_diag,
                      steering_far)
 from . import refine
 
@@ -269,11 +269,7 @@ def run_sbce(observation, dictionary: Dictionary,
     array_config = dictionary.config
     if array_config.n_antennas != n_antennas:
         raise ValueError("dimension mismatch: dictionary rows != n_antennas")
-    ratio = 2.0 * array_config.element_spacing_m \
-        * array_config.carrier_freq_hz / SPEED_OF_LIGHT
-    if abs(ratio - 1.0) > 1e-12:
-        raise ValueError("SBCE needs half-wavelength element spacing, got "
-                         f"2 d f_c / c0 = {ratio!r}")
+    _check_dft_grid(array_config, "SBCE")
     # Every f/f_c is taken at the array's carrier, the one C_m maps from.
     carrier = array_config.carrier_freq_hz
 

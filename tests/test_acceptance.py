@@ -193,7 +193,7 @@ def test_08_noiseless_on_grid_recovery():
 
     # Narrowband greedy recovery: single subcarrier on the carrier.
     h1 = np.sqrt(64) * steering_far(cfg, sine, 300e9)
-    support, est = omp_estimate_joint(pilots, dictionary.atoms,
+    support, est = omp_estimate_joint(pilots, dictionary,
                                       (pilots @ h1)[:, None], sparsity=1)
     assert support == (true_idx,)
     assert np.linalg.norm(est[:, 0] - h1) / np.linalg.norm(h1) < 1e-9

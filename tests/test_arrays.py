@@ -211,6 +211,9 @@ class TestDictionary:
         cfg = ArrayConfig.half_wavelength(n_antennas, carrier_hz)
         built = build_dictionary(cfg, grid_size)
         lazy = Dictionary.on_grid(cfg, grid_size)
+        # No estimator reads the atom matrix, so build_dictionary leaves it
+        # unbuilt too.
+        assert "atoms" not in vars(built)
         np.testing.assert_array_equal(lazy.first_atom, built.atoms[:, 0])
         assert "atoms" not in vars(lazy)
         np.testing.assert_array_equal(built.first_atom, built.atoms[:, 0])

@@ -18,17 +18,65 @@ from thzest.arrays import (
     build_dictionary,
     steering_far,
 )
-from thzest.channel import gen_pilot_matrix
+from thzest.channel import gen_channel, gen_pilot_matrix, observe
 from thzest.baselines import (
     check_psd_covariance,
     ls_estimate,
     mmse_estimate,
     omp_estimate_joint,
     oracle_covariance,
+    toeplitz_spectrum,
 )
 
 CFG = ArrayConfig.half_wavelength(16, 300e9)
 DICT = build_dictionary(CFG, 64)
+IDENTITY = toeplitz_spectrum(np.eye(16)[0])[np.newaxis]
+
+# (n_antennas, n_pilots, grid_size, n_subcarriers, n_paths) of the trials
+# on which the structured LMMSE and OMP must match their dense references.
+STRUCTURE_CASES = {
+    "desk": (64, 16, 512, 8, 1),
+    "paper-m8": (256, 32, 2048, 8, 1),
+    "tall-pilots": (16, 20, 64, 4, 1),
+    "three-paths": (64, 16, 512, 8, 3),
+    "one-subcarrier": (64, 16, 512, 1, 1),
+}
+
+
+def _structure_trial(case, seed):
+    """(array, grid, grid_size, n_paths, channel, observation) at 10 dB."""
+    n_antennas, n_pilots, grid_size, n_sub, n_paths = STRUCTURE_CASES[case]
+    cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
+    grid = SubcarrierGrid.build(n_sub, 30e9, 300e9)
+    rngs = [np.random.default_rng([seed, k]) for k in range(3)]
+    channel = gen_channel(cfg, grid, n_paths, rng_seed=rngs[0])
+    pilots = gen_pilot_matrix(cfg, n_pilots, rng_seed=rngs[1])
+    obs = observe(channel, pilots, 10.0, rng_seed=rngs[2])
+    return cfg, grid, grid_size, n_paths, channel, obs
+
+
+def _dense_mmse(pilot_matrix, y, covs, noise_var):
+    """Reference LMMSE from the (M, N_T, N_T) covariance stack."""
+    cross = covs @ pilot_matrix.conj().T
+    gram = pilot_matrix @ cross + noise_var * np.eye(len(pilot_matrix))
+    return (cross @ np.linalg.solve(gram, y.T[..., np.newaxis]))[..., 0].T
+
+
+def _dense_omp(pilot_matrix, atoms, received, sparsity):
+    """Reference joint OMP from the N_T x grid atom matrix."""
+    sensed = pilot_matrix @ atoms
+    col_norms = np.linalg.norm(sensed, axis=0)
+    residual = received.copy()
+    support = []
+    for _ in range(sparsity):
+        corr = np.sum(np.abs(sensed.conj().T @ residual) ** 2, axis=1) \
+            / col_norms ** 2
+        corr[support] = -1.0
+        support.append(int(np.argmax(corr)))
+        sub = sensed[:, support]
+        coeffs, *_ = np.linalg.lstsq(sub, received, rcond=None)
+        residual = received - sub @ coeffs
+    return tuple(support), atoms[:, support] @ coeffs
 
 
 class TestLeastSquares:
@@ -100,32 +148,51 @@ class TestMmse:
         rng = np.random.default_rng(2)
         b = gen_pilot_matrix(CFG, 16, rng_seed=rng)
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        est = mmse_estimate(b, b @ h, np.eye(16, dtype=complex), 1e-12)
-        np.testing.assert_allclose(est, h, atol=1e-4)
+        est = mmse_estimate(b, (b @ h)[:, None], IDENTITY, 1e-12)
+        np.testing.assert_allclose(est[:, 0], h, atol=1e-4)
 
     def test_shrinks_toward_zero_at_low_snr(self):
         rng = np.random.default_rng(3)
         b = gen_pilot_matrix(CFG, 8, rng_seed=rng)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        est = mmse_estimate(b, y, np.eye(16, dtype=complex), 1e6)
+        est = mmse_estimate(b, y[:, None], IDENTITY, 1e6)
         assert np.linalg.norm(est) < 1e-3
 
-    def test_stack_matches_single_covariance_calls(self):
-        # One batched solve over an (M, N_T, N_T) real stack against the
-        # M = 1 calls, with the covariance passed as real and as complex.
-        rng = np.random.default_rng(8)
-        cfg = ArrayConfig.half_wavelength(64, 300e9)
-        b = gen_pilot_matrix(cfg, 16, rng_seed=rng)
-        freqs = SubcarrierGrid.build(8, 30e9, 300e9).frequencies
-        covs = np.stack([oracle_covariance(cfg, float(f)) for f in freqs])
-        y = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-        est = mmse_estimate(b, y, covs, 0.1)
-        assert est.shape == (64, 8)
-        for m in range(8):
-            for cov in (covs[m], covs[m].astype(complex)):
-                ref = mmse_estimate(b, y[:, m], cov, 0.1)
-                np.testing.assert_allclose(est[:, m], ref, rtol=0,
-                                           atol=1e-12 * np.linalg.norm(ref))
+    @pytest.mark.parametrize("case", sorted(STRUCTURE_CASES))
+    def test_matches_dense_covariance_stack(self, case):
+        # The spectral form against R_m B^H (B R_m B^H + mu^2 I)^{-1} y_m
+        # from the dense stack of oracle covariances.
+        for seed in range(3):
+            cfg, grid, _, _, channel, obs = _structure_trial(case, seed)
+            covs = np.stack([oracle_covariance(cfg, float(f))
+                             for f in grid.frequencies])
+            spectra = np.stack([toeplitz_spectrum(c[:, 0]) for c in covs])
+            est = mmse_estimate(obs.beamformer, obs.received, spectra,
+                                obs.noise_var)
+            ref = _dense_mmse(obs.beamformer, obs.received, covs,
+                              obs.noise_var)
+            assert est.shape == channel.per_subcarrier.shape
+            np.testing.assert_allclose(est, ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_rejects_spectra_too_short_to_embed(self):
+        b = gen_pilot_matrix(CFG, 8, rng_seed=0)
+        with pytest.raises(ValueError, match="embed"):
+            mmse_estimate(b, np.zeros((8, 1), dtype=complex),
+                          np.ones((1, 30)), 0.1)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 256])
+    def test_toeplitz_spectrum_applies_the_matrix(self, n):
+        rng = np.random.default_rng(n)
+        col = rng.standard_normal(n)
+        lags = np.arange(n)
+        dense = col[np.abs(lags[:, None] - lags[None, :])]
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lam = toeplitz_spectrum(col)
+        assert len(lam) >= 2 * n - 1 and len(lam) & (len(lam) - 1) == 0
+        got = np.fft.ifft(lam * np.fft.fft(x, len(lam)))[:n]
+        np.testing.assert_allclose(got, dense @ x, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(dense @ x))
 
     def test_rejects_non_hermitian_covariance(self):
         bad = np.eye(16, dtype=complex)
@@ -232,7 +299,7 @@ class TestOmp:
         x = np.zeros(64, dtype=complex)
         x[[10, 40]] = [2.0, 1.0 - 1j]
         h = DICT.atoms @ x
-        support, est = omp_estimate_joint(b, DICT.atoms, (b @ h)[:, None],
+        support, est = omp_estimate_joint(b, DICT, (b @ h)[:, None],
                                           sparsity=2)
         assert set(support) == {10, 40}
         np.testing.assert_allclose(est[:, 0], h, atol=1e-8)
@@ -241,14 +308,14 @@ class TestOmp:
         rng = np.random.default_rng(5)
         b = gen_pilot_matrix(CFG, 12, rng_seed=rng)
         y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        support, _ = omp_estimate_joint(b, DICT.atoms, y[:, None], sparsity=3)
+        support, _ = omp_estimate_joint(b, DICT, y[:, None], sparsity=3)
         assert len(support) == 3
         assert len(set(support)) == 3
 
     def test_rejects_zero_sparsity(self):
         b = gen_pilot_matrix(CFG, 12, rng_seed=0)
         with pytest.raises(ValueError):
-            omp_estimate_joint(b, DICT.atoms, np.zeros((12, 1), dtype=complex),
+            omp_estimate_joint(b, DICT, np.zeros((12, 1), dtype=complex),
                                0)
 
 
@@ -262,12 +329,35 @@ class TestOmpJoint:
         h = np.stack([g * np.sqrt(16) *
                       steering_far(CFG, float(DICT.grid_points[22]), 300e9)
                       for g in gains], axis=1)
-        support, est = omp_estimate_joint(b, DICT.atoms, b @ h, sparsity=1)
+        support, est = omp_estimate_joint(b, DICT, b @ h, sparsity=1)
         assert support == (22,)
         np.testing.assert_allclose(est, h, atol=1e-8)
 
     def test_rejects_zero_sparsity(self):
         b = gen_pilot_matrix(CFG, 12, rng_seed=0)
         with pytest.raises(ValueError):
-            omp_estimate_joint(b, DICT.atoms,
+            omp_estimate_joint(b, DICT,
                                np.zeros((12, 2), dtype=complex), 0)
+
+    @pytest.mark.parametrize("case", sorted(STRUCTURE_CASES))
+    def test_matches_atom_matrix_gemm(self, case):
+        # Sensed atoms from one FFT against B @ atoms; the support's atoms
+        # from steering vectors against columns of the atom matrix.
+        for seed in range(3):
+            cfg, _, grid_size, n_paths, _, obs = _structure_trial(case, seed)
+            d = build_dictionary(cfg, grid_size)
+            support, est = omp_estimate_joint(obs.beamformer, d,
+                                              obs.received, n_paths)
+            ref_support, ref = _dense_omp(obs.beamformer, d.atoms,
+                                          obs.received, n_paths)
+            assert support == ref_support
+            np.testing.assert_allclose(est, ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_rejects_non_half_wavelength_array(self):
+        # Only half-wavelength spacing makes the grid's atoms a DFT.
+        cfg = ArrayConfig(16, 300e9, 0.9 * CFG.element_spacing_m)
+        b = gen_pilot_matrix(cfg, 12, rng_seed=0)
+        with pytest.raises(ValueError, match="half-wavelength"):
+            omp_estimate_joint(b, build_dictionary(cfg, 64),
+                               np.ones((12, 1), dtype=complex), 1)

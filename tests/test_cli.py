@@ -233,10 +233,11 @@ class TestScenarioRoundTrip:
         channel = gen_channel(cfg, grid, 2, rng_seed=0)
         pilots = gen_pilot_matrix(cfg, 8, rng_seed=1)
         obs = observe(channel, pilots, 20.0, rng_seed=2)
-        doc = scenario_to_json(channel, obs)
+        doc = scenario_to_json(channel, obs, 64)
         # Document must survive JSON serialization.
         doc = json.loads(json.dumps(doc))
-        channel2, obs2 = scenario_from_json(doc)
+        channel2, obs2, grid_size = scenario_from_json(doc)
+        assert grid_size == 64
         np.testing.assert_allclose(channel2.per_subcarrier,
                                    channel.per_subcarrier, atol=1e-12)
         np.testing.assert_allclose(obs2.received, obs.received, atol=1e-12)
@@ -298,8 +299,48 @@ class TestScenarioReplay:
         obs = observe(channel, gen_pilot_matrix(array_cfg, config.n_pilots,
                                                 rng_seed=rngs[1]),
                       config.snr_db, rng_seed=rngs[2])
-        expected = json.loads(json.dumps(scenario_to_json(channel, obs)))
+        expected = json.loads(json.dumps(
+            scenario_to_json(channel, obs, config.grid_size)))
         assert json.loads(scen.read_text()) == expected
+
+
+class TestScenarioGridSize:
+    """The scenario file carries the dictionary's grid size."""
+
+    def test_replay_matches_sweep_row_off_the_default_grid(self, tmp_path,
+                                                          capsys):
+        # 16 antennas on 64 grid points, not the 8 N_T of older files.
+        cfg = _write_tiny_config(tmp_path, seed=3, trials=1,
+                                 estimators="sbce,ls,omp,mmse")
+        out, scen = tmp_path / "row.csv", tmp_path / "scen.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["scenario", "gen", "--config", cfg,
+                     "--out", str(scen)]) == EXIT_OK
+        assert json.loads(scen.read_text())["grid_size"] == 64
+        capsys.readouterr()
+        assert main(["scenario", "run", str(scen)]) == EXIT_OK
+        replay = json.loads(capsys.readouterr().out)
+        rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+        assert [(r[1], r[2]) for r in rows] == \
+            [(name, repr(entry["nmse"])) for name, entry in replay.items()]
+
+    def test_file_without_grid_size_gets_eight_per_antenna(self, tmp_path,
+                                                           capsys):
+        scen = tmp_path / "scen.json"
+        assert main(["scenario", "gen", "--config",
+                     _write_tiny_config(tmp_path, grid_size=128),
+                     "--out", str(scen)]) == EXIT_OK
+        doc = json.loads(scen.read_text())
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({k: v for k, v in doc.items()
+                                   if k != "grid_size"}))
+        capsys.readouterr()
+        outputs = []
+        for path in (scen, old):
+            assert main(["scenario", "run", str(path), "--estimators",
+                         "sbce,omp"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestScenarioRun:
@@ -343,27 +384,40 @@ class TestScenarioRun:
         obs = observe(channel, gen_pilot_matrix(cfg, 20, rng_seed=1), 20.0,
                       rng_seed=2)
         path = tmp_path / "tall.json"
-        path.write_text(json.dumps(scenario_to_json(channel, obs)))
+        path.write_text(json.dumps(scenario_to_json(channel, obs, 64)))
         assert main(["scenario", "run", str(path), "--estimators",
                      "ls,mmse"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["ls"]["nmse"] < 0.1 and out["mmse"]["nmse"] < 0.1
 
-    def test_non_half_wavelength_array_exits_one(self, scen, capsys):
-        # SBCE's E-step needs the dictionary to be a DFT, which holds only
-        # for half-wavelength spacing; another spacing is a config error.
+    @pytest.mark.parametrize("estimators", [None, "omp"])
+    def test_non_half_wavelength_array_exits_one(self, scen, capsys,
+                                                 estimators):
+        # SBCE's E-step and OMP's sensed atoms need the dictionary to be a
+        # DFT, which holds only for half-wavelength spacing; another
+        # spacing is a config error for them, but not for LS and LMMSE.
         doc = json.loads(pathlib.Path(scen).read_text())
         doc["config"]["element_spacing_m"] *= 0.9
         pathlib.Path(scen).write_text(json.dumps(doc))
-        assert main(["scenario", "run", scen]) == EXIT_CONFIG
+        flags = ["--estimators", estimators] if estimators else []
+        assert main(["scenario", "run", scen, *flags]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "half-wavelength" in \
             captured.err
+        assert main(["scenario", "run", scen, "--estimators", "ls,mmse"]) \
+            == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["ls", "mmse"]
+        assert all(np.isfinite(entry["nmse"]) for entry in out.values())
 
 
 _BAD_NOISE = {"negative-noise": -1.0, "nan-noise": float("nan"),
               "inf-noise": float("inf")}
+# The tiny config's array has 16 antennas: a grid needs at least 16 points.
+_BAD_GRID_SIZE = {"fractional-grid-size": 64.5, "float-grid-size": 64.0,
+                  "small-grid-size": 15, "string-grid-size": "64",
+                  "bool-grid-size": True}
 
 
 def _malformed(doc, case):
@@ -375,6 +429,8 @@ def _malformed(doc, case):
         doc["noise_var"] = "high"
     elif case in _BAD_NOISE:
         doc["noise_var"] = _BAD_NOISE[case]
+    elif case in _BAD_GRID_SIZE:
+        doc["grid_size"] = _BAD_GRID_SIZE[case]
     elif case == "received-too-few-columns":
         # Drop the last subcarrier column of the P x M block.
         n_rows, n_cols = doc["received"]["shape"]
@@ -392,7 +448,7 @@ def _malformed(doc, case):
 class TestMalformedScenario:
     @pytest.mark.parametrize("case", ["config-list", "string-count",
                                       "string-noise", "top-level-list",
-                                      *_BAD_NOISE])
+                                      *_BAD_NOISE, *_BAD_GRID_SIZE])
     def test_exits_one_without_traceback(self, tmp_path, case):
         self._assert_rejected(tmp_path, case, "ls,mmse")
 

@@ -49,12 +49,29 @@ class TestMetrics:
         with pytest.raises(ValueError):
             nmse([np.zeros(2)], [np.ones(2)])
 
+    def test_nmse_matches_per_realization_loop(self):
+        # One array pass against the per-realization norms it replaced.
+        rng = np.random.default_rng(0)
+        h = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
+        est = h + 0.3 * (rng.standard_normal(h.shape)
+                         + 1j * rng.standard_normal(h.shape))
+        ref = np.mean([np.linalg.norm(a - b) ** 2 / np.linalg.norm(a) ** 2
+                       for a, b in zip(h, est)])
+        assert nmse(h, est) == pytest.approx(ref, rel=1e-14, abs=0)
+
     def test_split_to_deg(self):
         got = _split_to_deg(0.5, 0.05)
         expected = math.degrees(math.asin(0.55) - math.asin(0.5))
         assert got == pytest.approx(expected)
         # Clipping keeps the conversion finite at the edge of sine space.
         assert np.isfinite(_split_to_deg(0.999, 0.05))
+        # M splits in one call, against the scalar form one at a time.
+        splits = np.linspace(-0.06, 0.06, 9)
+        for direction in (-0.97, 0.0, 0.4, 0.999):
+            ref = [math.degrees(math.asin(np.clip(direction + s, -1, 1))
+                                - math.asin(direction)) for s in splits]
+            np.testing.assert_allclose(_split_to_deg(direction, splits), ref,
+                                       rtol=0, atol=1e-12)
 
 
 class TestConfig:
@@ -161,29 +178,35 @@ class TestRunPoint:
 
 class TestEstimatorContext:
     def test_oracle_covariances_checked_once_each(self, monkeypatch):
-        # One check per subcarrier, each on its slot of the stored stack,
-        # after the covariance has been written there.
+        # One check per subcarrier; only the spectrum of the checked
+        # covariance's circulant embedding is kept, and no field holds an
+        # N_T x N_T block.
         calls = []
         monkeypatch.setattr(harness, "check_psd_covariance",
-                            lambda cov: calls.append((cov, cov.copy())))
+                            lambda cov: calls.append(cov.copy()))
         ctx = harness.EstimatorContext.build(TINY_ARRAY, TINY_GRID, 64, 1,
                                              ("mmse",))
         assert len(calls) == TINY_GRID.n_subcarriers
-        assert ctx.mmse_covs.shape == (TINY_GRID.n_subcarriers, 16, 16)
-        for (checked, seen), stored in zip(calls, ctx.mmse_covs):
-            assert np.shares_memory(checked, stored)
-            np.testing.assert_array_equal(seen, stored)
+        assert ctx.mmse_spectra.shape == (TINY_GRID.n_subcarriers, 32)
+        for seen, freq, stored in zip(calls, TINY_GRID.frequencies,
+                                      ctx.mmse_spectra):
+            np.testing.assert_array_equal(
+                seen, harness.oracle_covariance(TINY_ARRAY, float(freq)))
+            np.testing.assert_array_equal(
+                stored, harness.toeplitz_spectrum(seen[:, 0]))
+        for value in vars(ctx).values():
+            assert np.shape(value)[-2:] != (16, 16)
 
-    @pytest.mark.parametrize("estimators, built", [
-        ((), False), (("ls", "mmse"), False), (("sbce",), False),
-        (("sbce", "omp"), True)])
-    def test_atom_matrix_built_only_for_omp(self, monkeypatch, estimators,
-                                            built):
-        # SBCE reads only the grid and the first atom; only joint OMP reads
-        # the N_T x grid matrix.  The sweep and `thzest crb` run through
-        # EstimatorContext.build.
-        widths, builds = [], []
+    @pytest.mark.parametrize("estimators", [
+        (), ("ls", "mmse"), ("sbce",), ("omp",), ("sbce", "omp"),
+        harness.ALL_ESTIMATORS])
+    def test_atom_matrix_never_built(self, monkeypatch, estimators):
+        # SBCE and OMP read only the grid and the first atom, and the sweep
+        # and `thzest crb` run through EstimatorContext.build, which builds
+        # the dictionary once per chunk for every estimator set.
+        widths, builds, dictionaries = [], [], []
         steering, atoms = arrays.steering_far, arrays._grid_atoms
+        build = harness.build_dictionary
 
         def recording_steering(cfg, sine, freq_hz):
             widths.append(np.size(sine))
@@ -193,11 +216,17 @@ class TestEstimatorContext:
             builds.append(grid_size)
             return atoms(cfg, grid_size, first_atom)
 
+        def recording_build(cfg, grid_size):
+            dictionaries.append(grid_size)
+            return build(cfg, grid_size)
+
         monkeypatch.setattr(arrays, "steering_far", recording_steering)
         monkeypatch.setattr(arrays, "_grid_atoms", recording_atoms)
+        monkeypatch.setattr(harness, "build_dictionary", recording_build)
         config = dataclasses.replace(TINY, estimators=estimators, trials=1)
         run_point(config, 0, config.snr_db)
-        assert builds == ([64] if built else [])
+        assert builds == []
+        assert dictionaries == [64]
         assert 64 not in widths
         if "sbce" in estimators:
             assert 1 in widths
