@@ -173,9 +173,9 @@ def ula_fraunhofer_distance(config: ArrayConfig) -> float:
 class Dictionary:
     """Overcomplete sine-space grid of carrier-frequency steering vectors.
 
-    The N_T x N atom matrix is built on first use of `atoms`.  The
-    estimators read only the grid and `first_atom`, so they never build it;
-    the tests keep it as a reference.
+    Only the grid and `first_atom` are held: the estimators work from the
+    grid's DFT structure (`_check_dft_grid`), so the N_T x N atom matrix is
+    never built.
     """
 
     config: ArrayConfig
@@ -183,7 +183,7 @@ class Dictionary:
 
     @classmethod
     def on_grid(cls, config: ArrayConfig, grid_size: int) -> "Dictionary":
-        """The equispaced grid (2n - N - 1)/N, n = 1..N, atoms not yet built."""
+        """The equispaced grid (2n - N - 1)/N, n = 1..N."""
         if grid_size < config.n_antennas:
             raise ValueError("grid too small: grid_size must be >= n_antennas")
         n = np.arange(1, grid_size + 1)
@@ -196,50 +196,20 @@ class Dictionary:
         return self.grid_points.shape[0]
 
     @cached_property
-    def atoms(self) -> np.ndarray:
-        return _grid_atoms(self.config, self.grid_size, self.first_atom)
-
-    @cached_property
     def first_atom(self) -> np.ndarray:
-        """atoms[:, 0], bit for bit, without building the other atoms."""
+        """The steering vector of the first grid point; atom n is this
+        times the n-th power of one phase step, elementwise."""
         atom = steering_far(self.config, self.grid_points[0],
                             self.config.carrier_freq_hz)
         atom.setflags(write=False)
         return atom
 
 
-def _grid_atoms(config: ArrayConfig, grid_size: int,
-                first_atom: np.ndarray) -> np.ndarray:
-    """The N_T x grid_size atom matrix of the equispaced grid, as columns.
-
-    The grid steps by 2/G in sine, so atom n = atom_0 * v**n elementwise
-    with v_i = exp(2j phi i / G), phi = 2 pi d f_c / c0.  The powers v**n,
-    n = 64 a + b, are the products of two small exponential tables, v**b
-    (N_T x 64) and v**(64 a) (N_T x G/64), so the build costs N_T (64 + G/64)
-    complex exponentials and one outer product written in place, not
-    N_T G exponentials.  Column 0 is first_atom, bit for bit.
-    """
-    block = 64
-    n_blocks = -(-grid_size // block)
-    idx = np.arange(config.n_antennas)
-    step = 4.0 * np.pi * config.element_spacing_m * config.carrier_freq_hz / (
-        SPEED_OF_LIGHT * grid_size)
-    fine = np.exp(1j * step * np.outer(idx, np.arange(block)))
-    coarse = np.exp(1j * step * np.outer(idx, block * np.arange(n_blocks)))
-    atoms = np.empty((config.n_antennas, n_blocks, block), dtype=complex)
-    np.multiply((first_atom[:, np.newaxis] * coarse)[:, :, np.newaxis],
-                fine[:, np.newaxis, :], out=atoms)
-    atoms = atoms.reshape(config.n_antennas, -1)[:, :grid_size]
-    atoms.setflags(write=False)
-    return atoms
-
-
 def build_dictionary(config: ArrayConfig, grid_size: int) -> Dictionary:
     """Steering dictionary over the equispaced grid (2n - N - 1)/N, n = 1..N.
 
-    Its atom matrix is not built: SBCE and OMP work from `first_atom` and
-    the grid's DFT structure (`_check_dft_grid`), and `atoms` builds it on
-    first use.
+    SBCE and OMP work from `first_atom` and the grid's DFT structure
+    (`_check_dft_grid`), without an atom matrix.
     """
     return Dictionary.on_grid(config, grid_size)
 

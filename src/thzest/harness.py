@@ -26,7 +26,8 @@ from .baselines import (check_psd_covariance, ls_estimate, mmse_estimate,
                         toeplitz_spectrum)
 from .channel import gen_channel, gen_pilot_matrix, observe
 from .crb import ParamVector, crb
-from .sbce import SingularCovarianceError, run_sbce
+from .sbce import (SingularCovarianceError, fit_centres, run_sbce,
+                   stack_rows)
 
 
 @dataclass(frozen=True)
@@ -62,26 +63,28 @@ class EstimatorContext:
         return cls(grid, dictionary, n_paths, mmse_spectra)
 
 
-# Each entry maps (ctx, obs) to (N_T x M estimate, SbceResult or None).  The
-# estimators are looked up by module-global name on every call, so that a
-# rebinding of e.g. `harness.run_sbce` reaches the dispatch.
+# Each entry maps (ctx, obs, centre_fit) to (N_T x M estimate, SbceResult or
+# None); centre_fit is obs's entry of `sbce.fit_centres`, or None to have
+# SBCE fit obs alone.  The estimators are looked up by module-global name on
+# every call, so that a rebinding of e.g. `harness.run_sbce` reaches the
+# dispatch.
 
-def _sbce(ctx: EstimatorContext, obs):
-    fit = run_sbce(obs, ctx.dictionary, ctx.grid)
+def _sbce(ctx: EstimatorContext, obs, centre_fit):
+    fit = run_sbce(obs, ctx.dictionary, ctx.grid, centre_fit)
     return fit.est_channel, fit
 
 
-def _ls(ctx: EstimatorContext, obs):
+def _ls(ctx: EstimatorContext, obs, centre_fit):
     return ls_estimate(obs.beamformer, obs.received), None
 
 
-def _omp(ctx: EstimatorContext, obs):
+def _omp(ctx: EstimatorContext, obs, centre_fit):
     _, est = omp_estimate_joint(obs.beamformer, ctx.dictionary,
                                 obs.received, ctx.n_paths)
     return est, None
 
 
-def _mmse(ctx: EstimatorContext, obs):
+def _mmse(ctx: EstimatorContext, obs, centre_fit):
     return mmse_estimate(obs.beamformer, obs.received, ctx.mmse_spectra,
                          obs.noise_var), None
 
@@ -91,7 +94,8 @@ ESTIMATORS = {"sbce": _sbce, "ls": _ls, "omp": _omp, "mmse": _mmse}
 ALL_ESTIMATORS = tuple(ESTIMATORS)
 
 
-def run_estimator(name: str, ctx: EstimatorContext, obs, h_true):
+def run_estimator(name: str, ctx: EstimatorContext, obs, h_true,
+                  centre_fit=None):
     """(NMSE against the N_T x M truth h_true, SbceResult or None).
 
     A numerical breakdown or a non-finite estimate is a failure and gives
@@ -100,7 +104,7 @@ def run_estimator(name: str, ctx: EstimatorContext, obs, h_true):
     """
     failed = (float("nan"), None)
     try:
-        est, fit = ESTIMATORS[name](ctx, obs)
+        est, fit = ESTIMATORS[name](ctx, obs, centre_fit)
     except (SingularCovarianceError, np.linalg.LinAlgError):
         return failed
     if not np.all(np.isfinite(est)):
@@ -345,28 +349,48 @@ def _one_blas_thread():
 @_one_blas_thread()
 def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
                  trial_indices) -> list[dict]:
-    """Run a batch of trials on one BLAS thread; shared setup is built once."""
+    """Run a batch of trials on one BLAS thread; shared setup is built once.
+
+    The trial-users go in groups of `sbce.stack_rows` (16 at desk size, 2 at
+    paper size), which bounds the draws held at once.  A group's trial-users
+    are all drawn, SBCE fits their centre subcarriers in one stack
+    (`sbce.fit_centres`), and each then runs alone through `_run_single`.
+    A row's fit does not depend on its stack-mates, so the CSV does not
+    depend on how the trials are chunked.
+    """
     array_cfg, grid, snr_db, range_m = resolve_point(config, sweep_value)
     ctx = EstimatorContext.build(array_cfg, grid, config.grid_size,
                                  config.n_paths, config.estimators)
+    runs = [(trial, user) for trial in trial_indices
+            for user in range(config.n_users)]
+    group_size = stack_rows(config.n_pilots, config.n_antennas)
     out = []
-    for trial in trial_indices:
-        for user in range(config.n_users):
-            out.append(_run_single(config, ctx, sweep_idx, snr_db, range_m,
-                                   trial, user))
+    for start in range(0, len(runs), group_size):
+        group = runs[start:start + group_size]
+        draws = [draw_trial(config, array_cfg, grid, snr_db, range_m,
+                            sweep_idx, trial, user) for trial, user in group]
+        fits = [None] * len(group)
+        if "sbce" in config.estimators:
+            fits = fit_centres([obs for _, obs in draws], ctx.dictionary,
+                               grid)
+        for (trial, user), draw, fit in zip(group, draws, fits):
+            out.append(_run_single(config, ctx, sweep_idx, trial, user, draw,
+                                   fit))
     return out
 
 
-def _run_single(config, ctx, sweep_idx, snr_db, range_m, trial, user) -> dict:
+def _run_single(config, ctx, sweep_idx, trial, user, draw,
+                centre_fit) -> dict:
+    """The estimators and bounds of trial-user (sweep_idx, trial, user), from
+    its (channel, observation) draw and SBCE centre fit."""
     array_cfg, grid = ctx.dictionary.config, ctx.grid
-    channel, obs = draw_trial(config, array_cfg, grid, snr_db, range_m,
-                              sweep_idx, trial, user)
+    channel, obs = draw
     los = channel.los_path
     result: dict = {"trial": trial, "user": user, "nmse": {}}
 
     for name in config.estimators:
-        result["nmse"][name], fit = run_estimator(name, ctx, obs,
-                                                  channel.per_subcarrier)
+        result["nmse"][name], fit = run_estimator(
+            name, ctx, obs, channel.per_subcarrier, centre_fit)
         if fit is not None:
             result["iterations"] = fit.iterations
             result["converged"] = fit.converged

@@ -28,6 +28,8 @@ from thzest.baselines import (
     toeplitz_spectrum,
 )
 
+from grid_atoms import grid_atoms
+
 CFG = ArrayConfig.half_wavelength(16, 300e9)
 DICT = build_dictionary(CFG, 64)
 IDENTITY = toeplitz_spectrum(np.eye(16)[0])[np.newaxis]
@@ -298,7 +300,7 @@ class TestOmp:
         b = gen_pilot_matrix(CFG, 12, rng_seed=rng)
         x = np.zeros(64, dtype=complex)
         x[[10, 40]] = [2.0, 1.0 - 1j]
-        h = DICT.atoms @ x
+        h = grid_atoms(DICT) @ x
         support, est = omp_estimate_joint(b, DICT, (b @ h)[:, None],
                                           sparsity=2)
         assert set(support) == {10, 40}
@@ -348,7 +350,7 @@ class TestOmpJoint:
             d = build_dictionary(cfg, grid_size)
             support, est = omp_estimate_joint(obs.beamformer, d,
                                               obs.received, n_paths)
-            ref_support, ref = _dense_omp(obs.beamformer, d.atoms,
+            ref_support, ref = _dense_omp(obs.beamformer, grid_atoms(d),
                                           obs.received, n_paths)
             assert support == ref_support
             np.testing.assert_allclose(est, ref, rtol=1e-12,

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from thzest import arrays, harness
+from thzest import arrays, harness, sbce
 from thzest.arrays import ArrayConfig, SubcarrierGrid
 from thzest.channel import gen_channel, gen_pilot_matrix
 from thzest.cli import EXIT_OK, main
@@ -175,6 +175,69 @@ class TestRunPoint:
         point = run_point(TINY, 0, TINY.snr_db)
         assert point.failures == {"sbce": 0, "ls": 3, "omp": 0}
 
+    def test_poisoned_trial_user_fails_alone(self, monkeypatch):
+        # A NaN in one trial-user's observation breaks its SBCE fit and no
+        # other row of the stack: the point counts one sbce failure, and
+        # every other trial-user's NMSE is, digit for digit, that of an
+        # unpoisoned run.
+        config = dataclasses.replace(TINY, trials=4)
+        clean = run_point(config, 0, config.snr_db)
+        draw = harness.draw_trial
+
+        def poisoning(*args):
+            channel, obs = draw(*args)
+            if args[-2] == 2:
+                received = obs.received.copy()
+                received[0] = np.nan
+                obs = dataclasses.replace(obs, received=received)
+            return channel, obs
+
+        monkeypatch.setattr(harness, "draw_trial", poisoning)
+        point = run_point(config, 0, config.snr_db)
+        assert point.failures["sbce"] == 1
+        assert np.isnan(point.nmse["sbce"][2])
+        assert len(point.iterations) == 3
+        for name in config.estimators:
+            for trial in (0, 1, 3):
+                assert repr(point.nmse[name][trial]) == \
+                    repr(clean.nmse[name][trial])
+
+    @pytest.mark.parametrize("estimators", [("sbce", "ls"), ("ls",)])
+    def test_chunk_fits_one_stack_per_group(self, monkeypatch, estimators):
+        # With room for two trial-users per stack, a chunk of five draws
+        # two, fits their centre subcarriers in one stack call, runs them,
+        # and so on: it never holds more than one group's draws.  Without
+        # sbce nothing is fitted.  The CSV is that of one stack of five.
+        config = dataclasses.replace(TINY, trials=5, estimators=estimators)
+        _, expected = run_sweep(config)
+        events = []
+        draw, fit = harness.draw_trial, harness.fit_centres
+        run_single = harness._run_single
+
+        def recording_draw(*args):
+            events.append("draw")
+            return draw(*args)
+
+        def recording_fit(observations, *args):
+            events.append(len(observations))
+            return fit(observations, *args)
+
+        def recording_run(*args):
+            events.append("run")
+            return run_single(*args)
+
+        monkeypatch.setattr(harness, "draw_trial", recording_draw)
+        monkeypatch.setattr(harness, "fit_centres", recording_fit)
+        monkeypatch.setattr(harness, "_run_single", recording_run)
+        # TINY rows are P x F = 8 x 32.
+        monkeypatch.setattr(sbce, "STACK_ELEMENTS", 2 * 8 * 32)
+        _, csv_text = run_sweep(config)
+        fitted = "sbce" in estimators
+        group = ["draw", "draw", *([2] if fitted else []), "run", "run"]
+        assert events == group * 2 + ["draw", *([1] if fitted else []),
+                                      "run"]
+        assert csv_text == expected
+
 
 class TestEstimatorContext:
     def test_oracle_covariances_checked_once_each(self, monkeypatch):
@@ -203,29 +266,27 @@ class TestEstimatorContext:
     def test_atom_matrix_never_built(self, monkeypatch, estimators):
         # SBCE and OMP read only the grid and the first atom, and the sweep
         # and `thzest crb` run through EstimatorContext.build, which builds
-        # the dictionary once per chunk for every estimator set.
-        widths, builds, dictionaries = [], [], []
-        steering, atoms = arrays.steering_far, arrays._grid_atoms
+        # the dictionary once per chunk for every estimator set.  The atom
+        # matrix builder lives with the tests, and no steering call spans
+        # the grid.
+        assert not hasattr(arrays, "_grid_atoms")
+        assert not hasattr(arrays.Dictionary, "atoms")
+        widths, dictionaries = [], []
+        steering = arrays.steering_far
         build = harness.build_dictionary
 
         def recording_steering(cfg, sine, freq_hz):
             widths.append(np.size(sine))
             return steering(cfg, sine, freq_hz)
 
-        def recording_atoms(cfg, grid_size, first_atom):
-            builds.append(grid_size)
-            return atoms(cfg, grid_size, first_atom)
-
         def recording_build(cfg, grid_size):
             dictionaries.append(grid_size)
             return build(cfg, grid_size)
 
         monkeypatch.setattr(arrays, "steering_far", recording_steering)
-        monkeypatch.setattr(arrays, "_grid_atoms", recording_atoms)
         monkeypatch.setattr(harness, "build_dictionary", recording_build)
         config = dataclasses.replace(TINY, estimators=estimators, trials=1)
         run_point(config, 0, config.snr_db)
-        assert builds == []
         assert dictionaries == [64]
         assert 64 not in widths
         if "sbce" in estimators:

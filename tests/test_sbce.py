@@ -25,6 +25,8 @@ from thzest.sbce import (
     update_perturbation_diag,
 )
 
+from grid_atoms import grid_atoms
+
 CFG = ArrayConfig.half_wavelength(16, 300e9)
 
 
@@ -160,16 +162,20 @@ def _check_against_dense(a, n_grid, sigma, noise_ratio, y):
     gram = (effective * sigma) @ effective.conj().T
     noise_var = noise_ratio * float(np.mean(np.real(np.diag(gram))))
     u = np.linalg.solve(gram + noise_var * np.eye(len(y)), y)
-    post = sbce._e_step(sbce._dft_factor(a), sigma, noise_var, y)
+    # The E-step on a stack of one row.
+    post = sbce._e_step(sbce._dft_factor(a[np.newaxis]), sigma[np.newaxis],
+                        np.array([noise_var]), y[np.newaxis])
     z, post_var, trace_term = dense_e_step(effective, sigma, noise_var, y)
     z_scale = np.max(sigma * np.linalg.norm(effective, axis=0)) * \
         np.linalg.norm(u)
-    np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-12 * z_scale)
-    np.testing.assert_allclose(post.post_var, post_var, rtol=1e-12,
+    assert not post.failed[0]
+    np.testing.assert_allclose(post.z[0], z, rtol=1e-12,
+                               atol=1e-12 * z_scale)
+    np.testing.assert_allclose(post.post_var[0], post_var, rtol=1e-12,
                                atol=1e-12 * np.max(sigma))
-    assert post.trace_term == pytest.approx(trace_term, rel=1e-9)
+    assert post.trace_term[0] == pytest.approx(trace_term, rel=1e-9)
     fit_scale = np.linalg.norm(gram, 2) * np.linalg.norm(u)
-    np.testing.assert_allclose(post.fitted, effective @ z, rtol=1e-12,
+    np.testing.assert_allclose(post.fitted[0], effective @ z, rtol=1e-12,
                                atol=1e-12 * fit_scale)
 
 
@@ -218,9 +224,10 @@ class TestStructuredEStep:
         b = gen_pilot_matrix(cfg, n_pilots, rng_seed=rng)
         c = update_perturbation_diag(n_antennas, grid_dir, freq_hz, 300e9)
         # B diag(c) D = A W: the factor the EM loop builds.
-        a = b * (c * d.atoms[:, 0])
+        atoms = grid_atoms(d)
+        a = b * (c * atoms[:, 0])
         np.testing.assert_allclose(a @ dft_matrix(n_antennas, grid_size),
-                                   (b * c) @ d.atoms, atol=1e-12)
+                                   (b * c) @ atoms, atol=1e-12)
         sigma = rng.uniform(0.0, 1.0, grid_size) ** 8
         y = rng.standard_normal(n_pilots) + 1j * rng.standard_normal(n_pilots)
         _check_against_dense(a, grid_size, sigma, noise_ratio, y)
@@ -235,12 +242,15 @@ class TestGram:
         b = gen_pilot_matrix(cfg, 16, rng_seed=42)
         sigma = np.random.default_rng(0).uniform(0.0, 2.0, 128)
         sigma[77] = 0.0
-        effective = b @ d.atoms
+        atoms = grid_atoms(d)
+        effective = b @ atoms
         manual = np.zeros((16, 16), dtype=complex)
         for n in range(128):
             manual += sigma[n] * np.outer(effective[:, n],
                                           effective[:, n].conj())
-        got = sbce._gram(sbce._dft_factor(b * d.atoms[:, 0]), sigma)
+        # The Gram of a stack of one row.
+        got = sbce._gram(sbce._dft_factor((b * atoms[:, 0])[np.newaxis]),
+                         sigma[np.newaxis])[0]
         np.testing.assert_allclose(got, manual,
                                    atol=1e-12 * np.linalg.norm(manual))
 
@@ -304,11 +314,12 @@ class TestPerturbation:
         c = np.exp(1j * np.pi * np.arange(16) * 0.04)
         x = np.zeros(24, dtype=complex)
         x[7] = 1.5 - 0.5j
-        y = b @ (c * (d.atoms @ x))
-        u = update_perturbation_full(y, b, d.atoms, x,
+        atoms = grid_atoms(d)
+        y = b @ (c * (atoms @ x))
+        u = update_perturbation_full(y, b, atoms, x,
                                      np.zeros((24, 24), dtype=complex))
         u_mat = u.reshape((16, 16), order="F")
-        pred = b @ (np.eye(16) + u_mat) @ d.atoms @ x
+        pred = b @ (np.eye(16) + u_mat) @ atoms @ x
         np.testing.assert_allclose(pred, y, atol=1e-9)
 
     def test_full_update_scale_guard(self):
@@ -316,7 +327,8 @@ class TestPerturbation:
         d = build_dictionary(big, 40)
         b = gen_pilot_matrix(big, 8, rng_seed=0)
         with pytest.raises(ValueError):
-            update_perturbation_full(np.zeros(8, dtype=complex), b, d.atoms,
+            update_perturbation_full(np.zeros(8, dtype=complex), b,
+                                     grid_atoms(d),
                                      np.zeros(40, dtype=complex),
                                      np.zeros((40, 40), dtype=complex))
 
@@ -380,15 +392,15 @@ class TestRunSbce:
                                            noise_var=0.0), d, grid)
         monkeypatch.undo()
         center = grid.center_index
-        fit = sbce._fit(received[:, center], b, d,
+        fit = _solo_fit(received[:, center], b, d,
                         float(grid.frequencies[center]), 300e9)
         assert (result.iterations, result.converged) == \
             (fit.iterations, fit.converged) == (38, True)
         assert len(observed) == fit.iterations
         for y in observed:
-            assert y.ndim == 1
-            np.testing.assert_array_equal(y, received[:, center])
-        assert max(sbce._fit(received[:, m], b, d, float(f), 300e9).iterations
+            assert y.shape == (1, len(received))
+            np.testing.assert_array_equal(y[0], received[:, center])
+        assert max(_solo_fit(received[:, m], b, d, float(f), 300e9).iterations
                    for m, f in enumerate(grid.frequencies)) == 117
 
     def test_maps_subcarriers_in_closed_form(self):
@@ -432,7 +444,7 @@ class TestRunSbce:
         in_run = len(calls)
         calls.clear()
         center = grid.center_index
-        sbce._fit(received[:, center], b, d, float(grid.frequencies[center]),
+        _solo_fit(received[:, center], b, d, float(grid.frequencies[center]),
                   300e9)
         assert in_run == len(calls) >= 1
 
@@ -456,7 +468,7 @@ class TestRunSbce:
         result = run_sbce(PilotObservation(beamformer=b, received=received,
                                            noise_var=0.0), d, grid)
         center = grid.center_index
-        fit = sbce._fit(received[:, center], b, d,
+        fit = _solo_fit(received[:, center], b, d,
                         float(grid.frequencies[center]), 300e9)
         [(coarse, cols, pilots, eta, n_grid)] = calls
         assert coarse == d.grid_points[fit.peak_index]
@@ -529,10 +541,17 @@ def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
     return b, clean + noise, d, grid
 
 
+def _solo_fit(y, pilot_matrix, dictionary, freq_hz, carrier_hz):
+    """The EM fit of one observation column y: a stack of one row."""
+    [fit] = sbce._fit_stack(y[np.newaxis], pilot_matrix[np.newaxis],
+                            dictionary, freq_hz, carrier_hz)
+    return fit
+
+
 def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                                     carrier_hz):
-    """Reference EM loop for one subcarrier that rebuilds the factor of
-    B C D on every unpinned iteration.
+    """Reference EM loop for one subcarrier, on E-steps of stacks of one
+    row, that rebuilds the factor of B C D on every unpinned iteration.
 
     Returns its `_Fit` and whether the fit was pinned."""
     n_pilots, n_antennas = pilot_matrix.shape
@@ -540,10 +559,13 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
     energy = float(np.linalg.norm(y) ** 2) / n_pilots
     noise_var = max(1e-6, 0.01 * energy)
     c = np.ones(n_antennas, dtype=complex)
-    factor = sbce._dft_factor(pilot_matrix * (c * dictionary.atoms[:, 0]))
+    first_atom = grid_atoms(dictionary)[:, 0]
+    factor = sbce._dft_factor((pilot_matrix * (c * first_atom))[np.newaxis])
     peak, prev_peaks, flips, pinned = 0, [-1, -1], 0, False
     for it in range(1, sbce.MAX_ITERS + 1):
-        post = sbce._e_step(factor, sigma, noise_var, y)
+        post = sbce._e_step(factor, sigma[np.newaxis], np.array([noise_var]),
+                            y[np.newaxis])
+        post = sbce._EStep(*(field[0] for field in post))
         residual = float(np.linalg.norm(y - post.fitted) ** 2)
         noise_var = max((residual + max(post.trace_term, 0.0)) / n_pilots,
                         sbce.NOISE_FLOOR_REL * energy)
@@ -565,7 +587,7 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                 n_antennas, float(dictionary.grid_points[peak]), freq_hz,
                 carrier_hz)
             factor = sbce._dft_factor(
-                pilot_matrix * (c * dictionary.atoms[:, 0]))
+                (pilot_matrix * (c * first_atom))[np.newaxis])
         delta = np.linalg.norm(sigma_new - sigma)
         sigma = sigma_new
         if delta / np.linalg.norm(sigma) < sbce.CONVERGENCE_TOL:
@@ -595,20 +617,20 @@ class TestEmLoop:
         monkeypatch.setattr(sbce, "_e_step", recording)
         monkeypatch.setattr(sbce, "MAX_ITERS", 1)
         center = grid.center_index
-        sbce._fit(received[:, center], b, d, float(grid.frequencies[center]),
+        _solo_fit(received[:, center], b, d, float(grid.frequencies[center]),
                   300e9)
         assert len(seen) == 1
-        (_, sigma, noise_var, y), post = seen[0]
+        (_, [sigma], [noise_var], [y]), post = seen[0]
         np.testing.assert_array_equal(y, received[:, center])
         # The first E-step runs on the unperturbed B D.
-        effective = b @ d.atoms
+        effective = b @ grid_atoms(d)
         z, pi = posterior_update(effective, sigma, noise_var, y)
-        np.testing.assert_allclose(post.z, z, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(post.post_var, np.real(np.diag(pi)),
+        np.testing.assert_allclose(post.z[0], z, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(post.post_var[0], np.real(np.diag(pi)),
                                    rtol=1e-12, atol=1e-14)
         # Tr{P' Pi P'^H} of the loop equals the trace of the formed Pi.
         trace = float(np.real(np.trace(effective @ pi @ effective.conj().T)))
-        assert post.trace_term == pytest.approx(trace, rel=1e-9)
+        assert post.trace_term[0] == pytest.approx(trace, rel=1e-9)
 
     # Seed 0 at 0 dB pins a limit cycle on three subcarriers; seed 4 at
     # -5 dB hits the iteration cap, once after pinning.
@@ -627,7 +649,7 @@ class TestEmLoop:
         monkeypatch.setattr(sbce, "update_perturbation_diag", counting)
         for m, freq in enumerate(grid.frequencies):
             calls.clear()
-            fit = sbce._fit(received[:, m], b, d, float(freq), 300e9)
+            fit = _solo_fit(received[:, m], b, d, float(freq), 300e9)
             assert 1 <= len(calls) <= fit.iterations
             ref, _ = _fit_rebuilding_every_iteration(received[:, m], b, d,
                                                      float(freq), 300e9)
@@ -640,7 +662,7 @@ class TestEmLoop:
         b, received, d, grid = _noisy_observation(4, -5.0)
         fits, pinned = [], []
         for m, f in enumerate(grid.frequencies):
-            fit = sbce._fit(received[:, m], b, d, float(f), 300e9)
+            fit = _solo_fit(received[:, m], b, d, float(f), 300e9)
             ref, was_pinned = _fit_rebuilding_every_iteration(
                 received[:, m], b, d, float(f), 300e9)
             _assert_fits_equal(fit, ref)
@@ -652,3 +674,125 @@ class TestEmLoop:
         assert sorted(iterations[converged]) == [38, 85]
         assert np.all(iterations[capped] == sbce.MAX_ITERS)
         assert np.any(capped & ~pinned) and np.any(capped & pinned)
+
+
+# The desk and paper arrays, pilots and grids: (N_T, P, grid size).
+STACK_ARRAYS = {"desk": (64, 16, 512), "paper": (256, 32, 2048)}
+
+
+def _trial_users(array, snr_db, count):
+    """count trial-users of one 8-subcarrier sweep point on the array,
+    drawn as the harness draws them: (observations, dictionary, grid)."""
+    n_antennas, n_pilots, grid_size = STACK_ARRAYS[array]
+    config = harness.ExperimentConfig(
+        n_antennas=n_antennas, n_pilots=n_pilots, grid_size=grid_size,
+        n_subcarriers=8, sweep="none", snr_db=snr_db)
+    array_cfg, grid, _, range_m = harness.resolve_point(config, snr_db)
+    observations = [harness.draw_trial(config, array_cfg, grid, snr_db,
+                                       range_m, 0, trial, 0)[1]
+                    for trial in range(count)]
+    return observations, build_dictionary(array_cfg, grid_size), grid
+
+
+def _record_stack_sizes(monkeypatch):
+    """The number of rows of each E-step call, as a list that fills up."""
+    sizes = []
+    real_e_step = sbce._e_step
+
+    def recording(factor, sigma, noise_var, y):
+        sizes.append(len(y))
+        return real_e_step(factor, sigma, noise_var, y)
+
+    monkeypatch.setattr(sbce, "_e_step", recording)
+    return sizes
+
+
+class TestStack:
+    def _check_stacks(self, observations, d, grid):
+        """Every row of a stack of 16, of the first 6 and of 16 reversed
+        fits bit for bit as it does alone, in a stack of one; returns the
+        solo fits."""
+        solo = [sbce.fit_centres([obs], d, grid)[0] for obs in observations]
+        for order in (range(16), range(6), range(15, -1, -1)):
+            fits = sbce.fit_centres([observations[r] for r in order], d, grid)
+            assert len(fits) == len(order)
+            for r, fit in zip(order, fits):
+                _assert_fits_equal(fit, solo[r])
+        return solo
+
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 10.0, 20.0, 30.0])
+    @pytest.mark.parametrize("array", sorted(STACK_ARRAYS))
+    def test_rows_match_solo_fits(self, array, snr_db):
+        observations, d, grid = _trial_users(array, snr_db, 16)
+        solo = self._check_stacks(observations, d, grid)
+        # The rows leave the stack at different iterations.
+        assert len({fit.iterations for fit in solo}) > 1
+
+    def test_capped_rows_match_solo_fits(self, monkeypatch):
+        # With the cap at 40 iterations some desk rows at 0 dB converge
+        # first and the others stop at the cap.
+        monkeypatch.setattr(sbce, "MAX_ITERS", 40)
+        observations, d, grid = _trial_users("desk", 0.0, 16)
+        solo = self._check_stacks(observations, d, grid)
+        converged = [fit.converged for fit in solo]
+        assert any(converged) and not all(converged)
+        assert all(fit.iterations == 40 for fit in solo if not fit.converged)
+
+    def test_stack_mixes_converged_pinned_and_capped_rows(self, monkeypatch):
+        # The centre columns of five observations, each with its own
+        # pilots: one hits the cap, two are pinned in a limit cycle and
+        # converge at iterations 91 and 38, and two converge at 24 and 83.
+        # Each row leaves the stack at its own iteration and matches its
+        # reference fit bit for bit.
+        cases = [(4, -5.0), (7, -5.0), (0, 0.0), (5, -5.0), (1, -5.0)]
+        rows = [_noisy_observation(seed, snr_db) for seed, snr_db in cases]
+        _, _, d, grid = rows[0]
+        center = grid.center_index
+        freq = float(grid.frequencies[center])
+        refs = [_fit_rebuilding_every_iteration(received[:, center], b, d,
+                                                freq, 300e9)
+                for b, received, _, _ in rows]
+        sizes = _record_stack_sizes(monkeypatch)
+        fits = sbce._fit_stack(
+            np.array([received[:, center] for _, received, _, _ in rows]),
+            np.array([b for b, _, _, _ in rows]), d, freq, 300e9)
+        for fit, (ref, _) in zip(fits, refs):
+            _assert_fits_equal(fit, ref)
+        assert [(fit.iterations, fit.converged, pinned)
+                for fit, (_, pinned) in zip(fits, refs)] == [
+            (sbce.MAX_ITERS, False, False), (91, True, True),
+            (38, True, True), (24, True, False), (83, True, False)]
+        assert sizes == [5] * 24 + [4] * (38 - 24) + [3] * (83 - 38) + \
+            [2] * (91 - 83) + [1] * (sbce.MAX_ITERS - 91)
+
+    def test_broken_rows_fail_alone(self, monkeypatch):
+        # A zero observation drives the noise variance to zero, so Pi_y
+        # loses its Cholesky factor at iteration 3; a NaN pilot breaks the
+        # first one.  Each row fails in the stack at the iteration it fails
+        # alone, and the other rows fit as they do alone.
+        observations, d, grid = _trial_users("desk", 10.0, 6)
+        zero, nan = 1, 4
+        observations[zero] = PilotObservation(
+            observations[zero].beamformer,
+            np.zeros_like(observations[zero].received), 0.0)
+        pilots = observations[nan].beamformer.copy()
+        pilots[3, 5] = np.nan
+        observations[nan] = PilotObservation(
+            pilots, observations[nan].received, 0.0)
+        solo = [sbce.fit_centres([obs], d, grid)[0] for obs in observations]
+        sizes = _record_stack_sizes(monkeypatch)
+        fits = sbce.fit_centres(observations, d, grid)
+        assert sizes[:4] == [6, 5, 5, 4]
+        for r, fit in enumerate(fits):
+            if r in (zero, nan):
+                assert isinstance(fit, SingularCovarianceError)
+                assert str(fit) == str(solo[r])
+            else:
+                _assert_fits_equal(fit, solo[r])
+        assert str(fits[zero]).endswith("EM iteration 3")
+        assert str(fits[nan]).endswith("EM iteration 1")
+        # run_sbce raises a failed row's error, whether it fits alone or is
+        # handed the stack's entry.
+        for fit in (None, fits[zero]):
+            with pytest.raises(SingularCovarianceError, match="iteration 3"):
+                run_sbce(observations[zero], d, grid, fit)
