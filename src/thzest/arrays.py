@@ -181,16 +181,6 @@ class Dictionary:
     config: ArrayConfig
     grid_points: np.ndarray = field(repr=False)
 
-    @classmethod
-    def on_grid(cls, config: ArrayConfig, grid_size: int) -> "Dictionary":
-        """The equispaced grid (2n - N - 1)/N, n = 1..N."""
-        if grid_size < config.n_antennas:
-            raise ValueError("grid too small: grid_size must be >= n_antennas")
-        n = np.arange(1, grid_size + 1)
-        grid = (2.0 * n - grid_size - 1.0) / grid_size
-        grid.setflags(write=False)
-        return cls(config, grid)
-
     @property
     def grid_size(self) -> int:
         return self.grid_points.shape[0]
@@ -211,7 +201,17 @@ def build_dictionary(config: ArrayConfig, grid_size: int) -> Dictionary:
     SBCE and OMP work from `first_atom` and the grid's DFT structure
     (`_check_dft_grid`), without an atom matrix.
     """
-    return Dictionary.on_grid(config, grid_size)
+    if grid_size < config.n_antennas:
+        raise ValueError("grid too small: grid_size must be >= n_antennas")
+    n = np.arange(1, grid_size + 1)
+    grid = (2.0 * n - grid_size - 1.0) / grid_size
+    grid.setflags(write=False)
+    return Dictionary(config, grid)
+
+
+def _fft_size(n: int) -> int:
+    """Circulant size F for N x N Toeplitz: the power of two >= 2 N - 1."""
+    return 1 << (2 * n - 2).bit_length()
 
 
 def _check_dft_grid(config: ArrayConfig, estimator: str) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .arrays import (SPEED_OF_LIGHT, ArrayConfig, Dictionary, _check_dft_grid,
-                     steering_far)
+                     _fft_size, steering_far)
 
 
 def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -61,7 +61,7 @@ def toeplitz_spectrum(first_col: np.ndarray) -> np.ndarray:
     Toeplitz matrix with the given first column, F the power of two
     >= 2 N - 1: that matrix times x is ifft(spectrum * fft(x, F))[:N]."""
     n = len(first_col)
-    n_fft = 1 << (2 * n - 2).bit_length()
+    n_fft = _fft_size(n)
     col = np.zeros(n_fft)
     col[:n] = first_col
     col[n_fft - n + 1:] = first_col[:0:-1]

@@ -146,8 +146,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def validate(self) -> None:
-        for name in ("n_antennas", "n_subcarriers", "n_pilots", "grid_size",
-                     "n_paths", "n_users", "trials", "threads"):
+        _check_int("n_antennas", self.n_antennas, minimum=2)
+        _check_int("grid_size", self.grid_size, minimum=self.n_antennas)
+        for name in ("n_subcarriers", "n_pilots", "n_paths", "n_users",
+                     "trials", "threads"):
             _check_int(name, getattr(self, name), minimum=1)
         _check_int("seed", self.seed, minimum=0)
         _check_real("carrier_freq_hz", self.carrier_freq_hz, positive=True)

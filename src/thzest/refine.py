@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arrays import _fft_size
+
 N_SCAN_POINTS = 401
 
 
@@ -55,7 +57,7 @@ def _periodogram(received: np.ndarray, pilot_matrix: np.ndarray,
     zoom DFT of a (2, M, N_T) stack.
     """
     n_antennas = pilot_matrix.shape[1]
-    f_b = np.fft.fft(pilot_matrix, 1 << (2 * n_antennas - 2).bit_length())
+    f_b = np.fft.fft(pilot_matrix, _fft_size(n_antennas))
     r = np.fft.ifft(np.sum(f_b.real ** 2 + f_b.imag ** 2, axis=0))
     r = r[:n_antennas]
     # Row m of Y^H B is v_m^H; each row of r goes with one subcarrier.

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import (Dictionary, SubcarrierGrid, _check_dft_grid, _split_diag,
-                     steering_far)
+from .arrays import (Dictionary, SubcarrierGrid, _check_dft_grid, _fft_size,
+                     _split_diag, steering_far)
 from . import refine
 
 
@@ -73,11 +73,6 @@ class _DftFactor(NamedTuple):
     f_a: np.ndarray
 
 
-def _fft_size(n_antennas: int) -> int:
-    """F: the power of two >= 2 N_T - 1."""
-    return 1 << (2 * n_antennas - 2).bit_length()
-
-
 def _dft_factor(a: np.ndarray) -> _DftFactor:
     """R x P x N_T factors A_r with their row transforms, two FFTs for all."""
     n_fft = _fft_size(a.shape[-1])
@@ -119,22 +114,11 @@ def _gram(factor: _DftFactor, sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (s_mat + _herm(s_mat))
 
 
-def _row_dots(x: np.ndarray) -> np.ndarray:
-    """x[r] . x[r] of every row of a real R x n stack, by the dot call that
-    np.linalg.norm makes for one row: the (1 x n) @ (n x 1) products of a
-    stacked matmul are those very calls, bit for bit."""
-    return (x[:, np.newaxis, :] @ x[:, :, np.newaxis])[:, 0, 0]
-
-
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x[r]) ** 2 of every complex x[r], bit for bit.
-
-    Each norm is squared alone, as a numpy scalar: squaring an array of
-    norms computes x * x, which can differ in the last bit from the scalar
-    power."""
+    """||x[r]||^2 of every row of a real or complex stack: one reduction
+    per row, so a row's value does not depend on the other rows."""
     x = x.reshape(len(x), -1)
-    norms = np.sqrt(_row_dots(x.real) + _row_dots(x.imag))
-    return np.array([norm ** 2 for norm in norms])
+    return np.sum(x.real ** 2 + x.imag ** 2, axis=1)
 
 
 def _each(factorise, stack: np.ndarray, failed: np.ndarray) -> np.ndarray:
@@ -287,7 +271,7 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
     rows = np.arange(n_rows)
     b = pilot_matrices
     energy = _sq_norms(y) / n_pilots
-    noise_var = np.array([max(1e-6, 0.01 * e) for e in energy.tolist()])
+    noise_var = np.maximum(1e-6, 0.01 * energy)
     sigma = np.ones((n_rows, dictionary.grid_size))
     # Peak atom -1 stands for C = I, the factor of every row at the start.
     peak = np.full(n_rows, -1)
@@ -311,11 +295,9 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
                 f"observation covariance broke down at EM iteration {it}")
 
         # mu^2 update from the same E-step quantities.
-        noise_var = np.array([
-            max((residual + max(trace, 0.0)) / n_pilots, NOISE_FLOOR_REL * e)
-            for residual, trace, e in zip(_sq_norms(y - post.fitted).tolist(),
-                                          post.trace_term.tolist(),
-                                          energy.tolist())])
+        noise_var = np.maximum(
+            (_sq_norms(y - post.fitted) + np.maximum(post.trace_term, 0.0))
+            / n_pilots, NOISE_FLOOR_REL * energy)
 
         # Tipping's fixed-point form sigma_n = |z_n|^2 / gamma_n with
         # gamma_n = 1 - Pi_nn / sigma_n.  Same stationary points as the EM
@@ -347,8 +329,8 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
                 a[r] = b[r] * (c * dictionary.first_atom)
                 _, a_hat_conj[r], f_a[r] = _dft_factor(a[r])
 
-        delta_sigma = np.sqrt(_row_dots(sigma_new - sigma))
-        norm_sigma = np.sqrt(_row_dots(sigma_new))
+        delta_sigma = np.sqrt(_sq_norms(sigma_new - sigma))
+        norm_sigma = np.sqrt(_sq_norms(sigma_new))
         done = ~failed & (norm_sigma > 0)
         done[done] = delta_sigma[done] / norm_sigma[done] < CONVERGENCE_TOL
         sigma = sigma_new
@@ -370,17 +352,6 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
     return fits
 
 
-def _array_carrier(dictionary: Dictionary, n_antennas: int) -> float:
-    """The carrier of the dictionary's array, which every f/f_c is taken at
-    since C_m maps from it; ValueError unless that array has n_antennas
-    elements at half-wavelength spacing."""
-    array_config = dictionary.config
-    if array_config.n_antennas != n_antennas:
-        raise ValueError("dimension mismatch: dictionary rows != n_antennas")
-    _check_dft_grid(array_config, "SBCE")
-    return array_config.carrier_freq_hz
-
-
 def fit_centres(observations, dictionary: Dictionary,
                 grid: SubcarrierGrid) -> list:
     """The centre-subcarrier EM fit of every observation, in one stack.
@@ -389,14 +360,19 @@ def fit_centres(observations, dictionary: Dictionary,
     the SingularCovarianceError that ended it: a breakdown fails only its
     own observation, at the iteration where it would fail alone.
     `run_sbce` takes an entry as its `fit`.  The stack's temporaries grow
-    with its rows; `stack_rows` bounds them.
+    with its rows; `stack_rows` bounds them.  ValueError unless the pilots
+    have the N_T of the dictionary's half-wavelength array.
     """
     pilot_matrices = np.array([obs.beamformer for obs in observations])
-    carrier = _array_carrier(dictionary, pilot_matrices.shape[-1])
+    array_config = dictionary.config
+    if array_config.n_antennas != pilot_matrices.shape[-1]:
+        raise ValueError("dimension mismatch: dictionary rows != n_antennas")
+    _check_dft_grid(array_config, "SBCE")
     center = grid.center_index
     y = np.array([obs.received[:, center] for obs in observations])
     return _fit_stack(y, pilot_matrices, dictionary,
-                      float(grid.frequencies[center]), carrier)
+                      float(grid.frequencies[center]),
+                      array_config.carrier_freq_hz)
 
 
 def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
@@ -414,9 +390,8 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     if isinstance(fit, SingularCovarianceError):
         raise fit
     pilot_matrix = observation.beamformer
-    n_antennas = pilot_matrix.shape[1]
-    carrier = _array_carrier(dictionary, n_antennas)
     array_config = dictionary.config
+    carrier = array_config.carrier_freq_hz
 
     direction = refine.refine_direction(
         float(dictionary.grid_points[fit.peak_index]), observation.received,
@@ -427,7 +402,7 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     # C_m a(theta); its gain is g^H y_m / ||g||^2 with g = B C_m a(theta),
     # zero where g vanishes.
     splits = (grid.frequencies / carrier - 1.0) * direction
-    steer = _split_diag(n_antennas, splits) * steering_far(
+    steer = _split_diag(array_config.n_antennas, splits) * steering_far(
         array_config, direction, carrier)[:, np.newaxis]
     g = pilot_matrix @ steer
     power = np.sum(g.real ** 2 + g.imag ** 2, axis=0)

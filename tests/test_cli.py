@@ -324,6 +324,17 @@ class TestScenarioGridSize:
         assert [(r[1], r[2]) for r in rows] == \
             [(name, repr(entry["nmse"])) for name, entry in replay.items()]
 
+    def test_gen_refuses_a_grid_that_run_would_refuse(self, tmp_path,
+                                                       capsys):
+        # 32 grid points on the 64-antenna desk array.
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text("grid_size = 32\n")
+        scen = tmp_path / "scen.json"
+        assert main(["scenario", "gen", "--preset", "desk", "--config",
+                     str(cfg), "--out", str(scen)]) == EXIT_CONFIG
+        assert "grid_size must be >= 64" in capsys.readouterr().err
+        assert not scen.exists()
+
     def test_file_without_grid_size_gets_eight_per_antenna(self, tmp_path,
                                                            capsys):
         scen = tmp_path / "scen.json"

@@ -107,6 +107,9 @@ class TestConfig:
         {"scenario": "near", "sweep": "range", "sweep_values": (5.0, 0.0)},
         {"scenario": "near", "sweep": "range", "sweep_values": (-1.0,)},
         {"sweep": "bandwidth", "sweep_values": (-30e9, 30e9)},
+        # What the dictionary and the array refuse, refused up front.
+        {"grid_size": 32},
+        {"n_antennas": 1},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ValueError):

@@ -255,6 +255,24 @@ class TestGram:
                                    atol=1e-12 * np.linalg.norm(manual))
 
 
+class TestSqNorms:
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 300), (4, 16, 16),
+                                       (3, 32, 33)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rows_are_norms_independent_of_stack_mates(self, shape, dtype):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        x = rng.standard_normal(shape) * rng.uniform(0.1, 100.0)
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(shape)
+        got = sbce._sq_norms(x)
+        assert got.shape == (shape[0],)
+        for r in range(shape[0]):
+            assert got[r] == pytest.approx(np.linalg.norm(x[r]) ** 2,
+                                           rel=1e-14)
+            np.testing.assert_array_equal(got[r:r + 1],
+                                          sbce._sq_norms(x[r:r + 1]))
+
+
 class TestHyperparameterUpdates:
     def test_sigma_point_and_moment_forms(self):
         rng = np.random.default_rng(2)
@@ -548,6 +566,11 @@ def _solo_fit(y, pilot_matrix, dictionary, freq_hz, carrier_hz):
     return fit
 
 
+def _sq_norm(x):
+    """||x||^2 as one sum of squared real and imaginary parts."""
+    return float(np.sum(x.real ** 2 + x.imag ** 2))
+
+
 def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                                     carrier_hz):
     """Reference EM loop for one subcarrier, on E-steps of stacks of one
@@ -556,7 +579,7 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
     Returns its `_Fit` and whether the fit was pinned."""
     n_pilots, n_antennas = pilot_matrix.shape
     sigma = np.ones(dictionary.grid_size)
-    energy = float(np.linalg.norm(y) ** 2) / n_pilots
+    energy = _sq_norm(y) / n_pilots
     noise_var = max(1e-6, 0.01 * energy)
     c = np.ones(n_antennas, dtype=complex)
     first_atom = grid_atoms(dictionary)[:, 0]
@@ -566,7 +589,7 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
         post = sbce._e_step(factor, sigma[np.newaxis], np.array([noise_var]),
                             y[np.newaxis])
         post = sbce._EStep(*(field[0] for field in post))
-        residual = float(np.linalg.norm(y - post.fitted) ** 2)
+        residual = _sq_norm(y - post.fitted)
         noise_var = max((residual + max(post.trace_term, 0.0)) / n_pilots,
                         sbce.NOISE_FLOOR_REL * energy)
         quality = np.clip(1.0 - post.post_var / np.maximum(sigma, 1e-300),
@@ -588,9 +611,9 @@ def _fit_rebuilding_every_iteration(y, pilot_matrix, dictionary, freq_hz,
                 carrier_hz)
             factor = sbce._dft_factor(
                 (pilot_matrix * (c * first_atom))[np.newaxis])
-        delta = np.linalg.norm(sigma_new - sigma)
+        delta = np.sqrt(_sq_norm(sigma_new - sigma))
         sigma = sigma_new
-        if delta / np.linalg.norm(sigma) < sbce.CONVERGENCE_TOL:
+        if delta / np.sqrt(_sq_norm(sigma)) < sbce.CONVERGENCE_TOL:
             return sbce._Fit(sigma, noise_var, peak, it, True), pinned
     return sbce._Fit(sigma, noise_var, peak, sbce.MAX_ITERS, False), pinned
 
