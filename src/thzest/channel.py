@@ -70,6 +70,8 @@ def channel_from_paths(config: ArrayConfig, grid: SubcarrierGrid,
     if scenario not in ("far", "near"):
         raise ValueError(f"unknown scenario {scenario!r}")
     paths = tuple(paths)
+    if not paths:
+        raise ValueError("a channel needs at least one path")
     freqs = grid.frequencies
     h = np.zeros((config.n_antennas, grid.n_subcarriers), dtype=complex)
     for p in paths:

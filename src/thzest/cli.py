@@ -101,8 +101,8 @@ def cmd_crb(args: argparse.Namespace) -> int:
     config = dataclasses.replace(_resolve_config(args), estimators=())
     lines = ["sweep_value,crb_dir_deg,crb_split_deg"]
     for sweep_idx, value in enumerate(sweep_points(config)):
-        point = run_point(config, sweep_idx, value)
-        lines.append(",".join(_fmt(v) for v in (value, *crb_degrees(point))))
+        rows = run_point(config, sweep_idx, value)
+        lines.append(",".join(_fmt(v) for v in (value, *crb_degrees(rows))))
     write_output("\n".join(lines) + "\n", config.output_path)
     return EXIT_OK
 

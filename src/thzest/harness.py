@@ -16,7 +16,7 @@ import math
 import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,10 +118,6 @@ CSV_HEADER_COMMENT = (
     "arcsin(direction+split)-arcsin(direction) of the implied pair; "
     "crb columns are sqrt of the observed-aperture bound in the same units"
 )
-
-CSV_COLUMNS = ("sweep_value", "estimator", "nmse", "rmse_dir_deg",
-               "rmse_split_deg", "crb_dir_deg", "crb_split_deg",
-               "mean_iters", "trials", "failures", "flagged")
 
 
 @dataclass(frozen=True)
@@ -227,9 +223,9 @@ class MetricRecord:
     sweep_value: float
     estimator: str
     nmse: float
-    rmse_direction_deg: float | None
+    rmse_dir_deg: float | None
     rmse_split_deg: float | None
-    crb_direction_deg: float | None
+    crb_dir_deg: float | None
     crb_split_deg: float | None
     mean_iters: float | None
     trials: int
@@ -237,19 +233,7 @@ class MetricRecord:
     flagged: bool
 
 
-@dataclass
-class PointResult:
-    """Raw per-trial outcomes for one sweep point (one row per estimator)."""
-
-    sweep_value: float
-    nmse: dict = field(default_factory=dict)          # estimator -> list
-    failures: dict = field(default_factory=dict)      # estimator -> int
-    dir_err_deg: list = field(default_factory=list)   # sbce only
-    split_err_deg: list = field(default_factory=list)
-    crb_dir_var: list = field(default_factory=list)   # rad^2, per trial
-    crb_split_var: list = field(default_factory=list)  # deg^2, per trial
-    iterations: list = field(default_factory=list)
-    converged: list = field(default_factory=list)
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRecord))
 
 
 def nmse(true_channels, est_channels) -> float:
@@ -384,7 +368,14 @@ def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
 def _run_single(config, ctx, sweep_idx, trial, user, draw,
                 centre_fit) -> dict:
     """The estimators and bounds of trial-user (sweep_idx, trial, user), from
-    its (channel, observation) draw and SBCE centre fit."""
+    its (channel, observation) draw and SBCE centre fit.
+
+    The row maps "trial" and "user" to the indices, "nmse" to
+    {estimator: NMSE, NaN on failure}, "crb_dir_var" to the direction bound
+    in rad^2 and "crb_split_var" to the split bound in deg^2.  Only when
+    SBCE ran and succeeded does it also hold "iterations", "converged",
+    "dir_err_deg" (degrees) and "split_err_deg" (M values in degrees).
+    """
     array_cfg, grid = ctx.dictionary.config, ctx.grid
     channel, obs = draw
     los = channel.los_path
@@ -432,8 +423,9 @@ def _trial_crb(array_cfg, grid, pilots, los, noise_var):
 
 
 def run_point(config: ExperimentConfig, sweep_idx: int,
-              sweep_value: float) -> PointResult:
-    """Run all trials of one sweep point, possibly across processes."""
+              sweep_value: float) -> list[dict]:
+    """`_run_single`'s rows of all trials of one sweep point, sorted by
+    (trial, user); the trials may run across processes."""
     trials = list(range(config.trials))
     if config.threads > 1 and len(trials) > 1:
         n_chunks = min(config.threads * 4, len(trials))
@@ -447,20 +439,7 @@ def run_point(config: ExperimentConfig, sweep_idx: int,
     else:
         rows = _trial_chunk(config, sweep_idx, sweep_value, trials)
     rows.sort(key=lambda r: (r["trial"], r["user"]))
-
-    point = PointResult(sweep_value)
-    for name in config.estimators:
-        point.nmse[name] = [row["nmse"][name] for row in rows]
-        point.failures[name] = int(np.isnan(point.nmse[name]).sum())
-    for row in rows:
-        if "dir_err_deg" in row:       # set only when SBCE ran and succeeded
-            point.dir_err_deg.append(row["dir_err_deg"])
-            point.split_err_deg.extend(row["split_err_deg"])
-            point.iterations.append(row["iterations"])
-            point.converged.append(row["converged"])
-        point.crb_dir_var.append(row["crb_dir_var"])
-        point.crb_split_var.append(row["crb_split_var"])
-    return point
+    return rows
 
 
 def sweep_points(config: ExperimentConfig) -> list[float]:
@@ -470,31 +449,35 @@ def sweep_points(config: ExperimentConfig) -> list[float]:
     return [float(v) for v in values]
 
 
-def crb_degrees(point: PointResult) -> tuple[float, float]:
+def crb_degrees(rows: list[dict]) -> tuple[float, float]:
     """(crb_dir_deg, crb_split_deg): root-mean per-trial bounds in degrees."""
-    return (math.degrees(1.0) * math.sqrt(np.mean(point.crb_dir_var)),
-            math.sqrt(np.mean(point.crb_split_var)))
+    return (math.degrees(1.0) * math.sqrt(np.mean([r["crb_dir_var"]
+                                                   for r in rows])),
+            math.sqrt(np.mean([r["crb_split_var"] for r in rows])))
 
 
 def _rms(values) -> float | None:
     return float(np.sqrt(np.mean(np.square(values)))) if values else None
 
 
-def summarize_point(config: ExperimentConfig,
-                    point: PointResult) -> list[MetricRecord]:
+def summarize_point(config: ExperimentConfig, sweep_value: float,
+                    rows: list[dict]) -> list[MetricRecord]:
+    """One record per estimator; the bounds span failed-SBCE rows too."""
     records = []
     n_runs = config.trials * config.n_users
+    fitted = [r for r in rows if "dir_err_deg" in r]   # SBCE succeeded
     # rmse_dir_deg through mean_iters belong to the sbce row alone.
-    sbce_columns = (_rms(point.dir_err_deg), _rms(point.split_err_deg),
-                    *crb_degrees(point),
-                    float(np.mean(point.iterations)) if point.iterations
-                    else None)
+    sbce_columns = (_rms([r["dir_err_deg"] for r in fitted]),
+                    _rms([e for r in fitted for e in r["split_err_deg"]]),
+                    *crb_degrees(rows),
+                    float(np.mean([r["iterations"] for r in fitted]))
+                    if fitted else None)
     for name in config.estimators:
-        vals = np.asarray(point.nmse[name])
+        vals = np.array([r["nmse"][name] for r in rows])
         ok = vals[np.isfinite(vals)]
-        failures = point.failures[name]
+        failures = int(np.isnan(vals).sum())
         records.append(MetricRecord(
-            point.sweep_value, name,
+            sweep_value, name,
             float(np.mean(ok)) if ok.size else float("nan"),
             *(sbce_columns if name == "sbce" else (None,) * 5),
             n_runs, failures, failures > 0.2 * n_runs))
@@ -512,7 +495,6 @@ def _fmt(value) -> str:
 
 
 def records_to_csv(records) -> str:
-    # MetricRecord's fields are in CSV_COLUMNS order.
     lines = [CSV_HEADER_COMMENT, ",".join(CSV_COLUMNS)]
     lines += [",".join(map(_fmt, dataclasses.astuple(r))) for r in records]
     return "\n".join(lines) + "\n"
@@ -532,8 +514,8 @@ def run_sweep(config: ExperimentConfig):
     config.validate()
     records = []
     for sweep_idx, value in enumerate(sweep_points(config)):
-        point = run_point(config, sweep_idx, value)
-        records.extend(summarize_point(config, point))
+        records.extend(summarize_point(config, value,
+                                       run_point(config, sweep_idx, value)))
     csv_text = records_to_csv(records)
     if config.output_path:
         write_output(csv_text, config.output_path)

@@ -59,6 +59,11 @@ class TestChannelFromPaths:
         with pytest.raises(ValueError, match="unknown scenario"):
             channel_from_paths(CFG, GRID, [_los()], "underwater")
 
+    def test_empty_path_list_rejected(self):
+        # sqrt(N_T / L) has no value at L = 0.
+        with pytest.raises(ValueError, match="at least one path"):
+            channel_from_paths(CFG, GRID, [])
+
     @pytest.mark.parametrize("scenario", ["far", "near"])
     def test_one_pass_matches_per_subcarrier_loop(self, scenario):
         # Three paths with gains, delays and ranges; the far scenario

@@ -451,6 +451,10 @@ def _malformed(doc, case):
             "data": [v for k, v in enumerate(data) if k % n_cols < n_cols - 1]}
     elif case == "beamformer-1d":
         doc["beamformer"]["shape"] = [len(doc["beamformer"]["data"])]
+    elif case == "no-paths":
+        doc["paths"] = []
+    elif case == "paths-object":
+        doc["paths"] = {}
     else:
         doc = [doc]
     return doc
@@ -459,6 +463,7 @@ def _malformed(doc, case):
 class TestMalformedScenario:
     @pytest.mark.parametrize("case", ["config-list", "string-count",
                                       "string-noise", "top-level-list",
+                                      "no-paths", "paths-object",
                                       *_BAD_NOISE, *_BAD_GRID_SIZE])
     def test_exits_one_without_traceback(self, tmp_path, case):
         self._assert_rejected(tmp_path, case, "ls,mmse")

@@ -132,22 +132,28 @@ class TestConfig:
 
 class TestRunPoint:
     def test_records_and_csv_shape(self):
-        point = run_point(TINY, 0, TINY.snr_db)
-        records = summarize_point(TINY, point)
+        rows = run_point(TINY, 0, TINY.snr_db)
+        assert [(r["trial"], r["user"]) for r in rows] == \
+            [(0, 0), (1, 0), (2, 0)]
+        records = summarize_point(TINY, TINY.snr_db, rows)
         assert [r.estimator for r in records] == list(TINY.estimators)
         for r in records:
             assert r.trials == 3
             assert np.isfinite(r.nmse)
         text = records_to_csv(records)
         lines = text.strip().split("\n")
-        assert lines[1] == ",".join(CSV_COLUMNS)
+        assert lines[1] == ",".join(CSV_COLUMNS) == (
+            "sweep_value,estimator,nmse,rmse_dir_deg,rmse_split_deg,"
+            "crb_dir_deg,crb_split_deg,mean_iters,trials,failures,flagged")
         assert len(lines) == 2 + len(records)
 
     def test_sbce_metrics_populated(self):
-        point = run_point(TINY, 0, 30.0)
-        assert len(point.dir_err_deg) == 3
-        assert len(point.iterations) == 3
-        assert all(np.isfinite(point.crb_dir_var))
+        rows = run_point(TINY, 0, 30.0)
+        assert len(rows) == 3
+        for r in rows:
+            assert np.isfinite(r["dir_err_deg"]) and r["iterations"] >= 1
+            assert len(r["split_err_deg"]) == TINY.n_subcarriers
+            assert np.isfinite(r["crb_dir_var"])
 
     def test_failures_counted_not_raised(self, monkeypatch):
         # A numerical breakdown inside an estimator is counted per trial and
@@ -156,13 +162,16 @@ class TestRunPoint:
             raise SingularCovarianceError("observation covariance is singular")
 
         monkeypatch.setattr(harness, "run_sbce", singular)
-        point = run_point(TINY, 0, TINY.snr_db)
-        assert point.failures == {"sbce": 3, "ls": 0, "omp": 0}
-        assert all(np.isnan(point.nmse["sbce"]))
-        assert all(np.isfinite(point.nmse["ls"]))
-        assert point.dir_err_deg == [] and point.iterations == []
-        records = summarize_point(TINY, point)
-        assert records[0].failures == 3 and records[0].flagged
+        rows = run_point(TINY, 0, TINY.snr_db)
+        assert all(np.isnan(r["nmse"]["sbce"]) for r in rows)
+        assert all(np.isfinite(r["nmse"]["ls"]) for r in rows)
+        assert not any("dir_err_deg" in r or "iterations" in r for r in rows)
+        records = summarize_point(TINY, TINY.snr_db, rows)
+        assert [r.failures for r in records] == [3, 0, 0]
+        assert records[0].flagged
+        assert records[0].rmse_dir_deg is None
+        assert records[0].mean_iters is None
+        assert np.isfinite(records[0].crb_dir_deg)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -175,8 +184,9 @@ class TestRunPoint:
     def test_non_finite_estimate_counted_as_failure(self, monkeypatch):
         monkeypatch.setattr(harness, "ls_estimate",
                             lambda b, y: np.full(b.shape[1], np.nan))
-        point = run_point(TINY, 0, TINY.snr_db)
-        assert point.failures == {"sbce": 0, "ls": 3, "omp": 0}
+        records = summarize_point(TINY, TINY.snr_db,
+                                  run_point(TINY, 0, TINY.snr_db))
+        assert [r.failures for r in records] == [0, 3, 0]
 
     def test_poisoned_trial_user_fails_alone(self, monkeypatch):
         # A NaN in one trial-user's observation breaks its SBCE fit and no
@@ -196,14 +206,14 @@ class TestRunPoint:
             return channel, obs
 
         monkeypatch.setattr(harness, "draw_trial", poisoning)
-        point = run_point(config, 0, config.snr_db)
-        assert point.failures["sbce"] == 1
-        assert np.isnan(point.nmse["sbce"][2])
-        assert len(point.iterations) == 3
+        rows = run_point(config, 0, config.snr_db)
+        assert summarize_point(config, config.snr_db, rows)[0].failures == 1
+        assert np.isnan(rows[2]["nmse"]["sbce"])
+        assert sum("iterations" in r for r in rows) == 3
         for name in config.estimators:
             for trial in (0, 1, 3):
-                assert repr(point.nmse[name][trial]) == \
-                    repr(clean.nmse[name][trial])
+                assert repr(rows[trial]["nmse"][name]) == \
+                    repr(clean[trial]["nmse"][name])
 
     @pytest.mark.parametrize("estimators", [("sbce", "ls"), ("ls",)])
     def test_chunk_fits_one_stack_per_group(self, monkeypatch, estimators):
@@ -240,6 +250,42 @@ class TestRunPoint:
         assert events == group * 2 + ["draw", *([1] if fitted else []),
                                       "run"]
         assert csv_text == expected
+
+
+class TestSummarizePoint:
+    def test_aggregation_rule_on_hand_built_rows(self):
+        # Trial 1's SBCE failed: a NaN NMSE and none of the sbce keys.  It
+        # counts as a failure and stays out of the NMSE mean, the RMSEs and
+        # mean_iters, but both bound columns average over all three rows.
+        config = dataclasses.replace(TINY, estimators=("sbce", "ls"))
+
+        def row(trial, sbce_nmse, ls_nmse, dir_var, split_var, **fit):
+            return {"trial": trial, "user": 0,
+                    "nmse": {"sbce": sbce_nmse, "ls": ls_nmse},
+                    "crb_dir_var": dir_var, "crb_split_var": split_var,
+                    **fit}
+
+        rows = [row(0, 0.1, 0.5, 1e-4, 4.0, iterations=10, converged=True,
+                    dir_err_deg=0.3, split_err_deg=[0.1, -0.2]),
+                row(1, float("nan"), 0.7, 9e-4, 16.0),
+                row(2, 0.3, 0.6, 5e-4, 1.0, iterations=30, converged=False,
+                    dir_err_deg=-0.4, split_err_deg=[0.2, 0.2])]
+        sb, ls = summarize_point(config, 5.0, rows)
+        assert (sb.sweep_value, sb.estimator, sb.trials) == (5.0, "sbce", 3)
+        assert sb.failures == 1 and sb.flagged          # 1 > 0.2 * 3
+        assert sb.nmse == pytest.approx(0.2, rel=1e-14)
+        assert sb.rmse_dir_deg == pytest.approx(
+            math.sqrt((0.3 ** 2 + 0.4 ** 2) / 2), rel=1e-14)
+        assert sb.rmse_split_deg == pytest.approx(
+            math.sqrt((0.01 + 0.04 + 0.04 + 0.04) / 4), rel=1e-14)
+        assert sb.mean_iters == 20.0
+        assert sb.crb_dir_deg == pytest.approx(
+            math.degrees(math.sqrt(5e-4)), rel=1e-14)
+        assert sb.crb_split_deg == pytest.approx(math.sqrt(7.0), rel=1e-14)
+        assert (ls.estimator, ls.failures, ls.flagged) == ("ls", 0, False)
+        assert ls.nmse == pytest.approx(0.6, rel=1e-14)
+        assert (ls.rmse_dir_deg, ls.rmse_split_deg, ls.crb_dir_deg,
+                ls.crb_split_deg, ls.mean_iters) == (None,) * 5
 
 
 class TestEstimatorContext:
