@@ -7,9 +7,8 @@ from .arrays import (
     SubcarrierGrid,
     build_dictionary,
     fraunhofer_distance,
-    steering_far,
-    steering_near,
-    ula_fraunhofer_distance,
+    spherical_steering,
+    steering,
 )
 from .channel import (
     ChannelRealization,
@@ -24,8 +23,8 @@ from .harness import ExperimentConfig, nmse, run_sweep
 
 __all__ = [
     "ArrayConfig", "Dictionary", "Direction", "SubcarrierGrid",
-    "build_dictionary", "fraunhofer_distance",
-    "steering_far", "steering_near", "ula_fraunhofer_distance",
+    "build_dictionary", "fraunhofer_distance", "spherical_steering",
+    "steering",
     "ChannelRealization", "PathParams", "PilotObservation",
     "gen_channel", "gen_pilot_matrix", "observe",
     "SbceResult", "run_sbce",

@@ -8,6 +8,7 @@ factor (i - 1) that becomes ``numpy.arange(n_antennas)`` in storage order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,12 +26,13 @@ class ArrayConfig:
     element_spacing_m: float
 
     def __post_init__(self):
-        if self.n_antennas < 2:
-            raise ValueError("n_antennas must be >= 2")
-        if self.carrier_freq_hz <= 0.0:
-            raise ValueError("carrier_freq_hz must be positive")
-        if self.element_spacing_m <= 0.0:
-            raise ValueError("element_spacing_m must be positive")
+        # Written so that NaN fails every check.
+        if not 2 <= self.n_antennas < math.inf:
+            raise ValueError("n_antennas must be finite and >= 2")
+        if not 0.0 < self.carrier_freq_hz < math.inf:
+            raise ValueError("carrier_freq_hz must be finite and positive")
+        if not 0.0 < self.element_spacing_m < math.inf:
+            raise ValueError("element_spacing_m must be finite and positive")
 
     @classmethod
     def half_wavelength(cls, n_antennas: int, carrier_freq_hz: float) -> "ArrayConfig":
@@ -56,8 +58,12 @@ class SubcarrierGrid:
     @classmethod
     def build(cls, n_subcarriers: int, bandwidth_hz: float,
               carrier_freq_hz: float) -> "SubcarrierGrid":
-        if n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be >= 1")
+        if not 1 <= n_subcarriers < math.inf:
+            raise ValueError("n_subcarriers must be finite and >= 1")
+        if not 0.0 <= bandwidth_hz < math.inf:
+            raise ValueError("bandwidth_hz must be finite and >= 0")
+        if not 0.0 < carrier_freq_hz < math.inf:
+            raise ValueError("carrier_freq_hz must be finite and positive")
         m = np.arange(1, n_subcarriers + 1, dtype=float)
         freqs = carrier_freq_hz + (bandwidth_hz / n_subcarriers) * (
             m - 1.0 - (n_subcarriers - 1.0) / 2.0)
@@ -85,30 +91,32 @@ class Direction:
 
     @classmethod
     def from_sine(cls, sine: float) -> "Direction":
-        if abs(sine) > 1.0:
+        if not abs(sine) <= 1.0:
             raise ValueError("sine-space direction must lie in [-1, 1]")
         return cls(float(np.arcsin(sine)), float(sine))
 
 
 def _check_inputs(sine_dir, freq_hz, range_m=None) -> None:
-    if np.any(np.abs(sine_dir) > 1.0):
+    # Each test is negated so that a NaN fails it.
+    if not np.all(np.abs(sine_dir) <= 1.0):
         raise ValueError(
             f"invalid direction: |{np.max(np.abs(sine_dir))}| > 1")
-    if np.any(np.asarray(freq_hz) <= 0.0):
+    if not np.all(np.asarray(freq_hz) > 0.0):
         raise ValueError("freq_hz must be positive")
-    if range_m is not None and range_m <= 0.0:
+    if range_m is not None and not range_m > 0.0:
         raise ValueError("invalid range: range_m must be positive")
 
 
-def _steering(config: ArrayConfig, sine_dir, freq_hz,
-              range_m: float | None = None) -> np.ndarray:
+def steering(config: ArrayConfig, sine_dir, freq_hz,
+             range_m: float | None = None) -> np.ndarray:
     """The steering phase model: entry i (1-based) is exp(j psi_i)/sqrt(N) with
 
         psi_i = 2 pi d f/c0 (i-1) [sine - (i-1) d (1 - sine^2)/(2 r)],
 
     the second-order Taylor phase of a source at range r, or the plane wave
-    without a range.  K sines or M frequencies broadcast to N_T x K, the
-    antenna axis first; scalars give one N_T vector.
+    without a range: exp(j pi (i-1) (f/f_c) sine)/sqrt(N) for half-wavelength
+    spacing.  K sines or M frequencies broadcast to N_T x K, the antenna
+    axis first; scalars give one N_T vector.
     """
     _check_inputs(sine_dir, freq_hz, range_m)
     ndim = len(np.broadcast_shapes(np.shape(sine_dir), np.shape(freq_hz)))
@@ -127,28 +135,13 @@ def _split_diag(n_antennas: int, delta) -> np.ndarray:
     return np.exp(np.multiply.outer(1j * np.pi * np.arange(n_antennas), delta))
 
 
-def steering_far(config: ArrayConfig, sine_dir, freq_hz) -> np.ndarray:
-    """Far-field steering vector(s), `_steering` without a range.
-
-    Entry i (1-based) is exp(j*pi*(i-1)*(f/f_c)*sine)/sqrt(N) for
-    half-wavelength spacing; spacing enters through 2*d*f/c0 in general.
-    An array of K sines or of M frequencies gives N_T x K columns.
+def spherical_steering(config: ArrayConfig, sine_dir: float,
+                       range_m: float, freq_hz: float) -> np.ndarray:
+    """Exact spherical-wave steering vector, the reference of `steering`'s
+    Taylor phase: the per-element path-length excess r_i - r relative to
+    antenna 1 gives entry i = exp(-j*2*pi*(f/c0)*(r_i - r))/sqrt(N), for
+    one sine and frequency.
     """
-    return _steering(config, sine_dir, freq_hz)
-
-
-def steering_near(config: ArrayConfig, sine_dir: float, range_m: float,
-                  freq_hz, mode: str = "taylor") -> np.ndarray:
-    """Near-field steering vector, second-order Taylor or exact spherical.
-
-    "taylor" is `_steering` at range_m.  "exact" follows the per-element
-    path-length excess r_i - r relative to antenna 1, entry
-    i = exp(-j*2*pi*(f/c0)*(r_i - r))/sqrt(N), for one sine and frequency.
-    """
-    if mode == "taylor":
-        return _steering(config, sine_dir, freq_hz, range_m)
-    if mode != "exact":
-        raise ValueError(f"unknown near-field mode {mode!r}")
     _check_inputs(sine_dir, freq_hz, range_m)
     offs = np.arange(config.n_antennas) * config.element_spacing_m
     r_i = range_m * np.sqrt(
@@ -162,11 +155,6 @@ def fraunhofer_distance(aperture_m: float, carrier_hz: float) -> float:
     if aperture_m <= 0.0:
         raise ValueError("aperture_m must be positive")
     return 2.0 * aperture_m ** 2 * carrier_hz / SPEED_OF_LIGHT
-
-
-def ula_fraunhofer_distance(config: ArrayConfig) -> float:
-    """Fraunhofer distance of the configured ULA."""
-    return fraunhofer_distance(config.aperture_m, config.carrier_freq_hz)
 
 
 @dataclass(frozen=True)
@@ -189,8 +177,8 @@ class Dictionary:
     def first_atom(self) -> np.ndarray:
         """The steering vector of the first grid point; atom n is this
         times the n-th power of one phase step, elementwise."""
-        atom = steering_far(self.config, self.grid_points[0],
-                            self.config.carrier_freq_hz)
+        atom = steering(self.config, self.grid_points[0],
+                        self.config.carrier_freq_hz)
         atom.setflags(write=False)
         return atom
 

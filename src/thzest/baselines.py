@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .arrays import (SPEED_OF_LIGHT, ArrayConfig, Dictionary, _check_dft_grid,
-                     _fft_size, steering_far)
+                     _fft_size, steering)
 
 
 def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -162,6 +162,6 @@ def omp_estimate_joint(pilot_matrix: np.ndarray, dictionary: Dictionary,
         sub = sensed[:, support]
         coeffs, *_ = np.linalg.lstsq(sub, received, rcond=None)
         residual = received - sub @ coeffs
-    atoms = steering_far(config, dictionary.grid_points[support],
-                         config.carrier_freq_hz)
+    atoms = steering(config, dictionary.grid_points[support],
+                     config.carrier_freq_hz)
     return tuple(support), atoms @ coeffs

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, Direction, SubcarrierGrid, _steering
+from .arrays import ArrayConfig, Direction, SubcarrierGrid, steering
 
 #: NLoS paths are drawn 10 dB weaker than the LoS path.
 NLOS_GAIN_DB = -10.0
@@ -78,7 +78,7 @@ def channel_from_paths(config: ArrayConfig, grid: SubcarrierGrid,
         if scenario == "near" and p.range_m is None:
             raise ValueError("near-field path requires range_m")
         range_m = p.range_m if scenario == "near" else None
-        h += p.gain * _steering(config, p.direction.sine, freqs, range_m) * \
+        h += p.gain * steering(config, p.direction.sine, freqs, range_m) * \
             np.exp(-2j * np.pi * p.delay_s * freqs)
     return np.sqrt(config.n_antennas / len(paths)) * h
 

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .arrays import ArrayConfig, Direction, SubcarrierGrid
+from .arrays import ArrayConfig, Direction, SubcarrierGrid, steering
 from .channel import (ChannelRealization, PathParams, PilotObservation,
                       channel_from_paths)
 from .harness import (PRESETS, EstimatorContext, ExperimentConfig,
@@ -111,9 +111,11 @@ def _complex_to_json(arr: np.ndarray):
     return [[float(np.real(v)), float(np.imag(v))] for v in np.ravel(arr)]
 
 
-def _complex_from_json(data, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(shape)
+def _complex_from_json(name: str, block: dict) -> np.ndarray:
+    flat = np.array([complex(re, im) for re, im in block["data"]])
+    if not np.isfinite(flat).all():
+        raise ValueError(f"a {name} entry is not finite")
+    return flat.reshape(block["shape"])
 
 
 def scenario_to_json(channel: ChannelRealization, obs: PilotObservation,
@@ -150,9 +152,9 @@ def scenario_from_json(doc: dict):
     A "seed" key of older files is ignored, and a file without
     "grid_size" gets 8 N_T grid points.  A document of the wrong structure
     or types, such as a list where an object belongs or a string where a
-    number does, raises ValueError, as do arrays whose shapes disagree (the
-    beamformer must be P x N_T and the received block P x M) and a
-    grid_size that is not an integer >= N_T.
+    number does, raises ValueError, as do a NaN or infinite number, arrays
+    whose shapes disagree (the beamformer must be P x N_T and the received
+    block P x M) and a grid_size that is not an integer >= N_T.
     """
     try:
         cfg = ArrayConfig(**doc["config"])
@@ -162,12 +164,12 @@ def scenario_from_json(doc: dict):
                        direction=Direction.from_angle(p["angle_rad"]),
                        range_m=p["range_m"], is_los=p["is_los"])
             for p in doc["paths"])
+        if not np.isfinite([(p.gain, p.delay_s) for p in paths]).all():
+            raise ValueError("a path gain or delay is not finite")
         h = channel_from_paths(cfg, grid, paths, doc["scenario"])
         channel = ChannelRealization(paths, h, grid, cfg, doc["scenario"])
-        beamformer = _complex_from_json(doc["beamformer"]["data"],
-                                        doc["beamformer"]["shape"])
-        received = _complex_from_json(doc["received"]["data"],
-                                      doc["received"]["shape"])
+        beamformer = _complex_from_json("beamformer", doc["beamformer"])
+        received = _complex_from_json("received", doc["received"])
         if beamformer.ndim != 2 or beamformer.shape[1] != cfg.n_antennas:
             raise ValueError(f"beamformer shape {beamformer.shape} is not "
                              f"P x {cfg.n_antennas}")
@@ -220,7 +222,6 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     """Fast invariant suite covering each module's core identities."""
-    from .arrays import steering_far
     from .sbce import (beam_split_from_c, posterior_update,
                        update_perturbation_diag)
 
@@ -228,7 +229,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(0)
     cfg = ArrayConfig.half_wavelength(32, 300e9)
 
-    a = steering_far(cfg, 0.3, 315e9)
+    a = steering(cfg, 0.3, 315e9)
     checks.append(("steering unit norm",
                    abs(np.linalg.norm(a) - 1.0) < 1e-10))
 
@@ -240,7 +241,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     # C a(p) = a(eta p) with eta = 315/300 = 1.05, drawn so |eta p| <= 1.
     ok = all(np.max(np.abs(
         update_perturbation_diag(32, p, 315e9, 300e9)
-        * steering_far(cfg, p, 300e9) - steering_far(cfg, 1.05 * p, 300e9)))
+        * steering(cfg, p, 300e9) - steering(cfg, 1.05 * p, 300e9)))
         < 1e-12 for p in rng.uniform(-1 / 1.05, 1 / 1.05, 50))
     checks.append(("perturbation identity", ok))
 

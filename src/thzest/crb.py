@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import SPEED_OF_LIGHT, ArrayConfig, _split_diag, _steering
+from .arrays import SPEED_OF_LIGHT, ArrayConfig, _split_diag, steering
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def perturbed_steering(config: ArrayConfig, angle_rad: float, split: float,
     """Subcarrier steering vector with an explicit split offset parameter:
     the channel's steering at sin(angle_rad) times C(split).  A 1-D freq_hz
     gives one column per frequency."""
-    steer = _steering(config, np.sin(angle_rad), freq_hz, range_m)
+    steer = steering(config, np.sin(angle_rad), freq_hz, range_m)
     return (steer.T * _split_diag(config.n_antennas, split)).T
 
 

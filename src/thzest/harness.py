@@ -397,23 +397,25 @@ def _run_single(config, ctx, sweep_idx, trial, user, draw,
                 _split_to_deg(fit.est_direction_sine, fit.est_beam_split)
                 - _split_to_deg(los.direction.sine, true_split)).tolist()
 
-    result["crb_dir_var"], result["crb_split_var"] = _trial_crb(
-        array_cfg, grid, obs.beamformer, los, obs.noise_var)
+    result["crb_dir_var"], result["crb_split_var"] = _trial_crb(channel, obs)
     return result
 
 
-def _trial_crb(array_cfg, grid, pilots, los, noise_var):
-    """Observed-aperture single-path bounds at the ground-truth geometry.
+def _trial_crb(channel, obs):
+    """Observed-aperture single-path bounds at the channel's LoS geometry.
 
     Direction variance comes from the center subcarrier; the split variance
-    (converted to squared degrees) is averaged over subcarriers.  A
-    near-field path's range enters the bound as it enters the channel.
+    (converted to squared degrees) is averaged over subcarriers.  The LoS
+    power is |alpha|^2 N_T / L, as `channel_from_paths` scales each of the
+    L paths, and a near-field path's range enters the bound as it enters
+    the channel.
     """
+    array_cfg, grid, los = channel.config, channel.grid, channel.los_path
     ranges = None if los.range_m is None else [los.range_m]
     params = ParamVector(directions=[los.direction.angle_rad], splits=[0.0],
                          ranges=ranges)
-    power = abs(los.gain) ** 2 * array_cfg.n_antennas
-    bounds = crb(array_cfg, params, pilots, [power], noise_var,
+    power = abs(los.gain) ** 2 * array_cfg.n_antennas / len(channel.paths)
+    bounds = crb(array_cfg, params, obs.beamformer, [power], obs.noise_var,
                  grid.frequencies).crb_diag
     theta = np.clip((grid.frequencies / array_cfg.carrier_freq_hz)
                     * los.direction.sine, -0.999999, 0.999999)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import (Dictionary, SubcarrierGrid, _check_dft_grid, _fft_size,
-                     _split_diag, steering_far)
+                     _split_diag, steering)
 from . import refine
 
 
@@ -275,18 +275,18 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
     sigma = np.ones((n_rows, dictionary.grid_size))
     # Peak atom -1 stands for C = I, the factor of every row at the start.
     peak = np.full(n_rows, -1)
-    a, a_hat_conj, f_a = _dft_factor(b * dictionary.first_atom)
+    factor = _dft_factor(b * dictionary.first_atom)
     # When the true direction falls midway between two grid cells the peak
     # can alternate between them forever, with the perturbation rebuild and
     # the prior variances flipping in a period-2 limit cycle.  Detect the
     # alternation and pin the row's perturbation to the stronger cell; with
-    # a fixed dictionary the remaining iterations converge smoothly.
+    # a fixed dictionary the remaining iterations converge smoothly.  A row
+    # whose flips reach 3 is pinned: the loop skips it from then on.
     before = np.full(n_rows, -1)        # the peak before the current one
     flips = np.zeros(n_rows, dtype=int)
-    pinned = np.zeros(n_rows, dtype=bool)
 
     for it in range(1, MAX_ITERS + 1):
-        post = _e_step(_DftFactor(a, a_hat_conj, f_a), sigma, noise_var, y)
+        post = _e_step(factor, sigma, noise_var, y)
         # A broken row runs the rest of the iteration on meaningless values
         # and leaves with the converged ones.
         failed = post.failed
@@ -309,16 +309,14 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
         power = np.abs(post.z) ** 2
         sigma_new = power / quality
         peak_now = np.argmax(power, axis=1)
-        for r in np.flatnonzero(~pinned & ~failed):
+        for r in np.flatnonzero((flips < 3) & ~failed):
             new, last = int(peak_now[r]), int(peak[r])
             if new == before[r] and new != last:
                 flips[r] += 1
             elif new != last:
                 flips[r] = 0
-            if flips[r] >= 3:
-                if sigma_new[r, last] > sigma_new[r, new]:
-                    new = last
-                pinned[r] = True
+            if flips[r] >= 3 and sigma_new[r, last] > sigma_new[r, new]:
+                new = last
             before[r], peak[r] = last, new
             if new != last:
                 c = update_perturbation_diag(
@@ -326,8 +324,8 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
                     carrier_hz)
                 # Row by row, so that the transforms' temporaries stay
                 # those of one row.
-                a[r] = b[r] * (c * dictionary.first_atom)
-                _, a_hat_conj[r], f_a[r] = _dft_factor(a[r])
+                factor.a[r], factor.a_hat_conj[r], factor.f_a[r] = \
+                    _dft_factor(b[r] * (c * dictionary.first_atom))
 
         delta_sigma = np.sqrt(_sq_norms(sigma_new - sigma))
         norm_sigma = np.sqrt(_sq_norms(sigma_new))
@@ -339,11 +337,10 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
                                  it, True)
         if done.any() or failed.any():
             keep = ~(done | failed)
-            (rows, y, b, energy, noise_var, sigma, a, a_hat_conj, f_a, peak,
-             before, flips, pinned) = (
-                x[keep] for x in (rows, y, b, energy, noise_var, sigma, a,
-                                  a_hat_conj, f_a, peak, before, flips,
-                                  pinned))
+            factor = _DftFactor(*(x[keep] for x in factor))
+            rows, y, b, energy, noise_var, sigma, peak, before, flips = (
+                x[keep] for x in (rows, y, b, energy, noise_var, sigma, peak,
+                                  before, flips))
             if not len(rows):
                 return fits
     for r, row in enumerate(rows):
@@ -402,7 +399,7 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     # C_m a(theta); its gain is g^H y_m / ||g||^2 with g = B C_m a(theta),
     # zero where g vanishes.
     splits = (grid.frequencies / carrier - 1.0) * direction
-    steer = _split_diag(array_config.n_antennas, splits) * steering_far(
+    steer = _split_diag(array_config.n_antennas, splits) * steering(
         array_config, direction, carrier)[:, np.newaxis]
     g = pilot_matrix @ steer
     power = np.sum(g.real ** 2 + g.imag ** 2, axis=0)

@@ -18,9 +18,8 @@ from thzest.arrays import (
     SubcarrierGrid,
     build_dictionary,
     fraunhofer_distance,
-    steering_far,
-    steering_near,
-    ula_fraunhofer_distance,
+    spherical_steering,
+    steering,
 )
 from thzest.baselines import omp_estimate_joint
 from thzest.channel import PilotObservation, gen_pilot_matrix
@@ -57,13 +56,13 @@ def snr_points():
 def test_01_fraunhofer_crossing_of_steering_mismatch():
     """256-antenna boundary distance and the mismatch ratio at the crossing."""
     cfg = ArrayConfig.half_wavelength(256, 300e9)
-    boundary = ula_fraunhofer_distance(cfg)
+    boundary = fraunhofer_distance(cfg.aperture_m, cfg.carrier_freq_hz)
     assert boundary == pytest.approx(32.0, rel=0.03)
     # The crossing ratio reference 0.0013 is attained near end-fire; the
     # mismatch between spherical and planar steering depends on direction.
     sine = 0.974
-    a_near = steering_near(cfg, sine, boundary, 300e9, mode="exact")
-    a_far = steering_far(cfg, sine, 300e9)
+    a_near = spherical_steering(cfg, sine, boundary, 300e9)
+    a_far = steering(cfg, sine, 300e9)
     ratio = np.linalg.norm(a_near - a_far) ** 2 / np.linalg.norm(a_far) ** 2
     assert ratio == pytest.approx(0.0013, rel=0.30)
 
@@ -117,8 +116,8 @@ def test_05_perturbation_exactness():
         eta = rng.uniform(0.9, 1.1)
         phi = rng.uniform(-1.0 / 1.1, 1.0 / 1.1)
         c = update_perturbation_diag(n, phi, eta * 300e9, 300e9)
-        lhs = c * steering_far(cfg, phi, 300e9)
-        rhs = steering_far(cfg, eta * phi, 300e9)
+        lhs = c * steering(cfg, phi, 300e9)
+        rhs = steering(cfg, eta * phi, 300e9)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12
 
@@ -180,7 +179,7 @@ def test_08_noiseless_on_grid_recovery():
     true_idx = 140
     sine = float(dictionary.grid_points[true_idx])
     pilots = gen_pilot_matrix(cfg, 64, rng_seed=8)
-    h = np.stack([np.sqrt(64) * steering_far(cfg, sine, float(f))
+    h = np.stack([np.sqrt(64) * steering(cfg, sine, float(f))
                   for f in grid.frequencies], axis=1)
     obs = PilotObservation(beamformer=pilots, received=pilots @ h,
                            noise_var=1e-12)
@@ -192,7 +191,7 @@ def test_08_noiseless_on_grid_recovery():
     assert result.est_direction_sine == pytest.approx(sine, abs=1e-9)
 
     # Narrowband greedy recovery: single subcarrier on the carrier.
-    h1 = np.sqrt(64) * steering_far(cfg, sine, 300e9)
+    h1 = np.sqrt(64) * steering(cfg, sine, 300e9)
     support, est = omp_estimate_joint(pilots, dictionary,
                                       (pilots @ h1)[:, None], sparsity=1)
     assert support == (true_idx,)

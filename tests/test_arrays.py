@@ -12,9 +12,8 @@ from thzest.arrays import (
     SubcarrierGrid,
     build_dictionary,
     fraunhofer_distance,
-    steering_far,
-    steering_near,
-    ula_fraunhofer_distance,
+    spherical_steering,
+    steering,
 )
 
 from grid_atoms import grid_atoms
@@ -39,6 +38,15 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             ArrayConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["n_antennas", "carrier_freq_hz",
+                                       "element_spacing_m"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"n_antennas": 4, "carrier_freq_hz": 1e9,
+                  "element_spacing_m": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ArrayConfig(**kwargs)
+
 
 class TestSubcarrierGrid:
     def test_frequencies_symmetric_around_carrier(self):
@@ -60,6 +68,14 @@ class TestSubcarrierGrid:
         with pytest.raises(ValueError):
             SubcarrierGrid.build(0, 30e9, 300e9)
 
+    @pytest.mark.parametrize("args", [
+        (np.nan, 30e9, 300e9), (np.inf, 30e9, 300e9), (8, np.nan, 300e9),
+        (8, np.inf, 300e9), (8, -1.0, 300e9), (8, 30e9, np.nan),
+        (8, 30e9, np.inf), (8, 30e9, 0.0)])
+    def test_rejects_non_finite_and_negative(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            SubcarrierGrid.build(*args)
+
 
 class TestDirection:
     def test_round_trip(self):
@@ -72,13 +88,20 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction.from_angle(2.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            Direction.from_sine(value)
+        with pytest.raises(ValueError):
+            Direction.from_angle(value)
+
 
 class TestSteeringFar:
     def test_entry_formula(self):
         # Half-wavelength spacing at the carrier: entry i is
         # exp(j pi (i-1) (f/f_c) sine) / sqrt(N).
         sine, f = 0.42, 315e9
-        a = steering_far(CFG, sine, f)
+        a = steering(CFG, sine, f)
         idx = np.arange(32)
         expected = np.exp(1j * np.pi * idx * (f / 300e9) * sine) / np.sqrt(32)
         np.testing.assert_allclose(a, expected, atol=1e-14)
@@ -86,34 +109,41 @@ class TestSteeringFar:
     @settings(deadline=None, max_examples=50)
     @given(sine=st.floats(-1.0, 1.0), f_rel=st.floats(0.9, 1.1))
     def test_unit_norm(self, sine, f_rel):
-        a = steering_far(CFG, sine, f_rel * 300e9)
+        a = steering(CFG, sine, f_rel * 300e9)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            steering_far(CFG, 1.2, 300e9)
+            steering(CFG, 1.2, 300e9)
         with pytest.raises(ValueError):
-            steering_far(CFG, 0.2, -1.0)
+            steering(CFG, 0.2, -1.0)
         with pytest.raises(ValueError, match="invalid direction"):
-            steering_far(CFG, np.array([0.1, -1.2, 0.3]), 300e9)
+            steering(CFG, np.array([0.1, -1.2, 0.3]), 300e9)
         with pytest.raises(ValueError, match="freq_hz must be positive"):
-            steering_far(CFG, 0.2, np.array([300e9, 0.0, 310e9]))
+            steering(CFG, 0.2, np.array([300e9, 0.0, 310e9]))
+        # NaN fails each check too.
+        with pytest.raises(ValueError, match="invalid direction"):
+            steering(CFG, np.array([0.1, np.nan]), 300e9)
+        with pytest.raises(ValueError, match="freq_hz must be positive"):
+            steering(CFG, 0.2, np.array([300e9, np.nan]))
+        with pytest.raises(ValueError, match="invalid range"):
+            steering(CFG, 0.2, 300e9, np.nan)
 
     def test_sine_broadcast_matches_scalar_calls(self):
         sines = np.linspace(-1.0, 1.0, 37)
-        cols = steering_far(CFG, sines, 312e9)
+        cols = steering(CFG, sines, 312e9)
         assert cols.shape == (32, 37)
         for k, sine in enumerate(sines):
             np.testing.assert_array_equal(cols[:, k],
-                                          steering_far(CFG, sine, 312e9))
+                                          steering(CFG, sine, 312e9))
 
     def test_frequency_broadcast_matches_scalar_calls(self):
         freqs = SubcarrierGrid.build(16, 30e9, 300e9).frequencies
-        cols = steering_far(CFG, -0.61, freqs)
+        cols = steering(CFG, -0.61, freqs)
         assert cols.shape == (32, 16)
         for m, f in enumerate(freqs):
             np.testing.assert_array_equal(cols[:, m],
-                                          steering_far(CFG, -0.61, f))
+                                          steering(CFG, -0.61, f))
 
 
 class TestSplitMaps:
@@ -122,15 +152,15 @@ class TestSplitMaps:
     def test_near_split_reduces_to_far_at_infinity(self):
         # As r -> infinity the 310 GHz vector is the carrier vector moved
         # by the far-field split (f/f_c - 1) sine.
-        near = steering_near(CFG, 0.5, 1e12, 310e9)
+        near = steering(CFG, 0.5, 310e9, 1e12)
         far = arrays._split_diag(32, (310e9 / 300e9 - 1.0) * 0.5) \
-            * steering_far(CFG, 0.5, 300e9)
+            * steering(CFG, 0.5, 300e9)
         np.testing.assert_allclose(near, far, rtol=0, atol=1e-12)
 
     def test_near_spatial_direction_range_term_sign(self):
         # The range correction pulls the spatial direction down for
         # elements beyond the reference one.
-        phases = np.unwrap(np.angle(steering_near(CFG, 0.5, 5.0, 310e9)))
+        phases = np.unwrap(np.angle(steering(CFG, 0.5, 310e9, 5.0)))
         seen = phases[1:] / (np.pi * (310e9 / 300e9) * np.arange(1, 32))
         assert np.all(np.diff(seen) < 0)
         assert seen[0] < 0.5
@@ -148,34 +178,31 @@ class TestSteeringNear:
         dists = np.linalg.norm(src[np.newaxis, :] - pos, axis=1)
         phase = -2 * np.pi * (310e9 / SPEED_OF_LIGHT) * (dists - r)
         expected = np.exp(1j * phase) / np.sqrt(32)
-        a = steering_near(CFG, sine, r, 310e9, mode="exact")
+        a = spherical_steering(CFG, sine, r, 310e9)
         np.testing.assert_allclose(a, expected, atol=1e-12)
 
     def test_taylor_close_to_exact_at_moderate_range(self):
-        exact = steering_near(CFG, 0.3, 20.0, 300e9, mode="exact")
-        taylor = steering_near(CFG, 0.3, 20.0, 300e9, mode="taylor")
+        exact = spherical_steering(CFG, 0.3, 20.0, 300e9)
+        taylor = steering(CFG, 0.3, 300e9, 20.0)
         assert np.max(np.abs(exact - taylor)) < 1e-3
 
     def test_far_field_limit(self):
-        near = steering_near(CFG, 0.3, 1e9, 310e9, mode="exact")
-        far = steering_far(CFG, 0.3, 310e9)
+        near = spherical_steering(CFG, 0.3, 1e9, 310e9)
+        far = steering(CFG, 0.3, 310e9)
         assert np.max(np.abs(near - far)) < 1e-3
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            steering_near(CFG, 0.3, -1.0, 300e9)
-        with pytest.raises(ValueError):
-            steering_near(CFG, 0.3, 1.0, 300e9, mode="cubic")
+        with pytest.raises(ValueError, match="invalid range"):
+            steering(CFG, 0.3, 300e9, -1.0)
+        for bad_range in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValueError, match="invalid range"):
+                spherical_steering(CFG, 0.3, bad_range, 300e9)
 
 
 class TestFraunhofer:
     def test_formula(self):
         assert fraunhofer_distance(0.1, 300e9) == pytest.approx(
             2 * 0.01 * 300e9 / SPEED_OF_LIGHT)
-
-    def test_ula_uses_physical_aperture(self):
-        assert ula_fraunhofer_distance(CFG) == pytest.approx(
-            fraunhofer_distance(CFG.aperture_m, 300e9))
 
     def test_rejects_nonpositive_aperture(self):
         with pytest.raises(ValueError):
@@ -195,7 +222,7 @@ class TestDictionary:
         for n in (0, 17, 63):
             np.testing.assert_allclose(
                 atoms[:, n],
-                steering_far(CFG, float(d.grid_points[n]), 300e9),
+                steering(CFG, float(d.grid_points[n]), 300e9),
                 atol=1e-14)
 
     def test_rejects_undercomplete_grid(self):
@@ -227,7 +254,7 @@ class TestDictionary:
         cfg = ArrayConfig(n_antennas, carrier_hz,
                           spacing * SPEED_OF_LIGHT / carrier_hz)
         d = build_dictionary(cfg, grid_size)
-        direct = steering_far(cfg, d.grid_points, carrier_hz)
+        direct = steering(cfg, d.grid_points, carrier_hz)
         atoms = grid_atoms(d)
         assert atoms.shape == direct.shape
         np.testing.assert_allclose(atoms, direct, rtol=0, atol=1e-13)

@@ -16,7 +16,7 @@ from thzest.arrays import (
     ArrayConfig,
     SubcarrierGrid,
     build_dictionary,
-    steering_far,
+    steering,
 )
 from thzest.channel import gen_channel, gen_pilot_matrix, observe
 from thzest.baselines import (
@@ -286,7 +286,7 @@ class TestOracleCovariance:
         # the closed form at the 1/sqrt(draws) rate.
         rng = np.random.default_rng(0)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, 20_000)
-        atoms = np.stack([steering_far(CFG, float(np.sin(t)), 310e9)
+        atoms = np.stack([steering(CFG, float(np.sin(t)), 310e9)
                           for t in angles], axis=1)
         sample = 16 * atoms @ atoms.conj().T / angles.size
         np.testing.assert_allclose(sample, oracle_covariance(CFG, 310e9),
@@ -329,7 +329,7 @@ class TestOmpJoint:
         b = gen_pilot_matrix(CFG, 12, rng_seed=rng)
         gains = np.array([1.0, 0.5 + 0.5j, -0.8])
         h = np.stack([g * np.sqrt(16) *
-                      steering_far(CFG, float(DICT.grid_points[22]), 300e9)
+                      steering(CFG, float(DICT.grid_points[22]), 300e9)
                       for g in gains], axis=1)
         support, est = omp_estimate_joint(b, DICT, b @ h, sparsity=1)
         assert support == (22,)

@@ -7,8 +7,7 @@ from thzest.arrays import (
     ArrayConfig,
     Direction,
     SubcarrierGrid,
-    steering_far,
-    steering_near,
+    steering,
 )
 from thzest.channel import (
     DELAY_SPREAD_S,
@@ -34,7 +33,7 @@ class TestChannelFromPaths:
     def test_single_path_zero_delay(self):
         h = channel_from_paths(CFG, GRID, [_los()])
         for m, f in enumerate(GRID.frequencies):
-            expected = np.sqrt(16) * steering_far(CFG, 0.3, float(f))
+            expected = np.sqrt(16) * steering(CFG, 0.3, float(f))
             np.testing.assert_allclose(h[:, m], expected, atol=1e-12)
 
     def test_delay_phase(self):
@@ -86,10 +85,8 @@ def _per_subcarrier_channel(config, grid, paths, scenario):
     for m, f_m in enumerate(grid.frequencies):
         col = np.zeros(config.n_antennas, dtype=complex)
         for p in paths:
-            if scenario == "far":
-                steer = steering_far(config, p.direction.sine, f_m)
-            else:
-                steer = steering_near(config, p.direction.sine, p.range_m, f_m)
+            range_m = p.range_m if scenario == "near" else None
+            steer = steering(config, p.direction.sine, f_m, range_m)
             col += p.gain * steer * np.exp(-2j * np.pi * p.delay_s * f_m)
         h[:, m] = np.sqrt(config.n_antennas / len(paths)) * col
     return h

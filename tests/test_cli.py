@@ -2,8 +2,10 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
+import operator
 import os
 import pathlib
 import string
@@ -429,6 +431,17 @@ _BAD_NOISE = {"negative-noise": -1.0, "nan-noise": float("nan"),
 _BAD_GRID_SIZE = {"fractional-grid-size": 64.5, "float-grid-size": 64.0,
                   "small-grid-size": 15, "string-grid-size": "64",
                   "bool-grid-size": True}
+# json.load reads NaN and Infinity; each must fail the file as a whole, not
+# its estimators one by one.  Case: (key path into the document, value).
+_NON_FINITE = {
+    "nan-gain": (("paths", 0, "gain", 0), float("nan")),
+    "inf-delay": (("paths", 0, "delay_s"), float("inf")),
+    "nan-received": (("received", "data", 1, 0), float("nan")),
+    "inf-beamformer": (("beamformer", "data", 2, 1), -float("inf")),
+    "nan-bandwidth": (("grid", "bandwidth_hz"), float("nan")),
+    "nan-spacing": (("config", "element_spacing_m"), float("nan")),
+    "inf-carrier": (("config", "carrier_freq_hz"), float("inf")),
+}
 
 
 def _malformed(doc, case):
@@ -442,6 +455,9 @@ def _malformed(doc, case):
         doc["noise_var"] = _BAD_NOISE[case]
     elif case in _BAD_GRID_SIZE:
         doc["grid_size"] = _BAD_GRID_SIZE[case]
+    elif case in _NON_FINITE:
+        (*keys, last), value = _NON_FINITE[case]
+        functools.reduce(operator.getitem, keys, doc)[last] = value
     elif case == "received-too-few-columns":
         # Drop the last subcarrier column of the P x M block.
         n_rows, n_cols = doc["received"]["shape"]
@@ -464,7 +480,8 @@ class TestMalformedScenario:
     @pytest.mark.parametrize("case", ["config-list", "string-count",
                                       "string-noise", "top-level-list",
                                       "no-paths", "paths-object",
-                                      *_BAD_NOISE, *_BAD_GRID_SIZE])
+                                      *_BAD_NOISE, *_BAD_GRID_SIZE,
+                                      *_NON_FINITE])
     def test_exits_one_without_traceback(self, tmp_path, case):
         self._assert_rejected(tmp_path, case, "ls,mmse")
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from thzest.arrays import ArrayConfig, Direction, SubcarrierGrid, steering_far
+from thzest.arrays import ArrayConfig, Direction, SubcarrierGrid, steering
 from thzest.channel import PathParams, channel_from_paths, gen_pilot_matrix
 from thzest.crb import (
     ParamVector,
@@ -35,7 +35,7 @@ class TestPerturbedSteering:
         angle = 0.4
         a = perturbed_steering(CFG16, angle, 0.0, 312e9)
         np.testing.assert_allclose(
-            a, steering_far(CFG16, np.sin(angle), 312e9), atol=1e-13)
+            a, steering(CFG16, np.sin(angle), 312e9), atol=1e-13)
 
     def test_split_adds_linear_phase(self):
         a0 = perturbed_steering(CFG16, 0.4, 0.0, 312e9)

@@ -13,7 +13,8 @@ import pytest
 
 from thzest import arrays, harness, sbce
 from thzest.arrays import ArrayConfig, SubcarrierGrid
-from thzest.channel import gen_channel, gen_pilot_matrix
+from thzest.channel import (PilotObservation, channel_from_paths,
+                            gen_channel, gen_pilot_matrix, observe)
 from thzest.cli import EXIT_OK, main
 from thzest.crb import ParamVector, crb
 from thzest.sbce import SingularCovarianceError
@@ -317,22 +318,24 @@ class TestEstimatorContext:
         # and `thzest crb` run through EstimatorContext.build, which builds
         # the dictionary once per chunk for every estimator set.  The atom
         # matrix builder lives with the tests, and no steering call spans
-        # the grid.
+        # the grid, in any module that imports `steering`.
         assert not hasattr(arrays, "_grid_atoms")
         assert not hasattr(arrays.Dictionary, "atoms")
         widths, dictionaries = [], []
-        steering = arrays.steering_far
+        steering = arrays.steering
         build = harness.build_dictionary
 
-        def recording_steering(cfg, sine, freq_hz):
+        def recording_steering(cfg, sine, freq_hz, range_m=None):
             widths.append(np.size(sine))
-            return steering(cfg, sine, freq_hz)
+            return steering(cfg, sine, freq_hz, range_m)
 
         def recording_build(cfg, grid_size):
             dictionaries.append(grid_size)
             return build(cfg, grid_size)
 
-        monkeypatch.setattr(arrays, "steering_far", recording_steering)
+        for module in ("arrays", "baselines", "channel", "crb", "sbce"):
+            monkeypatch.setattr(f"thzest.{module}.steering",
+                                recording_steering)
         monkeypatch.setattr(harness, "build_dictionary", recording_build)
         config = dataclasses.replace(TINY, estimators=estimators, trials=1)
         run_point(config, 0, config.snr_db)
@@ -357,7 +360,8 @@ class TestTrialCrb:
                               range_m=0.5)
         pilots = gen_pilot_matrix(cfg, 8, rng_seed=4)
         los = channel.los_path
-        dir_var, _ = harness._trial_crb(cfg, grid, pilots, los, 1e-2)
+        obs = PilotObservation(pilots, pilots @ channel.per_subcarrier, 1e-2)
+        dir_var, _ = harness._trial_crb(channel, obs)
 
         def center_bound(**ranges):
             params = ParamVector(directions=[los.direction.angle_rad],
@@ -368,6 +372,27 @@ class TestTrialCrb:
 
         assert dir_var == center_bound(ranges=[0.5])
         assert dir_var != pytest.approx(center_bound(), rel=1e-6)
+
+    def test_los_power_is_the_simulated_one_with_several_paths(self):
+        # channel_from_paths scales each of L paths by sqrt(N_T / L), so the
+        # bound must take the LoS power the drawn channel carries, not
+        # |alpha|^2 N_T.
+        cfg = ArrayConfig.half_wavelength(16, 300e9)
+        grid = SubcarrierGrid.build(3, 30e9, 300e9)
+        channel = gen_channel(cfg, grid, 3, rng_seed=5)
+        obs = observe(channel, gen_pilot_matrix(cfg, 8, rng_seed=6), 10.0,
+                      rng_seed=7)
+        los = channel.los_path
+        silent = [dataclasses.replace(p, gain=0j) for p in channel.paths[1:]]
+        h_los = channel_from_paths(cfg, grid, [los, *silent])
+        power = np.sum(np.abs(h_los[:, grid.center_index]) ** 2)
+        assert power == pytest.approx(16 / 3, rel=1e-12)
+        params = ParamVector(directions=[los.direction.angle_rad],
+                             splits=[0.0])
+        expected = crb(cfg, params, obs.beamformer, [power], obs.noise_var,
+                       float(grid.frequencies[grid.center_index])).crb_diag[0]
+        dir_var, _ = harness._trial_crb(channel, obs)
+        assert dir_var == pytest.approx(expected, rel=1e-9)
 
 
 class TestDeterminism:

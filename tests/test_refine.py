@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from thzest.arrays import ArrayConfig, SubcarrierGrid, steering_far
+from thzest.arrays import ArrayConfig, SubcarrierGrid, steering
 from thzest.channel import gen_pilot_matrix
 from thzest.refine import (
     N_SCAN_POINTS,
@@ -24,7 +24,7 @@ def _observation(true_sine, noise_var=0.0, seed=0):
     rng = np.random.default_rng(seed)
     m = GRID.n_subcarriers
     gains = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    clean = PILOTS @ (steering_far(CFG, true_sine, GRID.frequencies) * gains)
+    clean = PILOTS @ (steering(CFG, true_sine, GRID.frequencies) * gains)
     noise = np.sqrt(noise_var / 2) * (rng.standard_normal(clean.shape)
                                       + 1j * rng.standard_normal(clean.shape))
     return clean + noise
@@ -35,7 +35,7 @@ def periodogram_reference(sines, received, pilot_matrix, freqs, config):
     every candidate s, at O(P N_T M) per candidate."""
     out = np.empty(len(sines))
     for k, s in enumerate(sines):
-        g = pilot_matrix @ steering_far(config, float(s), freqs)
+        g = pilot_matrix @ steering(config, float(s), freqs)
         num = np.abs(np.sum(g.conj() * received, axis=0)) ** 2
         out[k] = np.sum(num / np.sum(np.abs(g) ** 2, axis=0))
     return out

@@ -8,7 +8,7 @@ from thzest.arrays import (
     ArrayConfig,
     SubcarrierGrid,
     build_dictionary,
-    steering_far,
+    steering,
 )
 from thzest import harness, refine, sbce
 from thzest.channel import (
@@ -305,8 +305,8 @@ class TestPerturbation:
         f, fc = 312e9, 300e9
         for phi in (-0.8, -0.1, 0.33, 0.72):
             c = update_perturbation_diag(16, phi, f, fc)
-            lhs = c * steering_far(CFG, phi, fc)
-            rhs = steering_far(CFG, (f / fc) * phi, fc)
+            lhs = c * steering(CFG, phi, fc)
+            rhs = steering(CFG, (f / fc) * phi, fc)
             np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_rejects_out_of_range_direction(self):
@@ -357,7 +357,7 @@ def _noiseless_observation(grid_index=20, grid_size=64, n_pilots=16,
     grid = SubcarrierGrid.build(n_subcarriers, 30e9, 300e9)
     sine = float(d.grid_points[grid_index])
     b = gen_pilot_matrix(CFG, n_pilots, rng_seed=9)
-    h = np.stack([np.sqrt(16) * steering_far(CFG, sine, float(f))
+    h = np.stack([np.sqrt(16) * steering(CFG, sine, float(f))
                   for f in grid.frequencies], axis=1)
     obs = PilotObservation(beamformer=b, received=b @ h, noise_var=1e-12)
     return obs, d, grid, sine, h
@@ -431,7 +431,7 @@ class TestRunSbce:
         np.testing.assert_array_equal(
             result.est_beam_split,
             (grid.frequencies / grid.carrier_freq_hz - 1.0) * theta)
-        nominal = steering_far(d.config, theta, 300e9)
+        nominal = steering(d.config, theta, 300e9)
         expected = np.zeros_like(result.est_channel)
         for m, f in enumerate(grid.frequencies):
             steer = update_perturbation_diag(32, theta, float(f), 300e9) \
@@ -518,7 +518,7 @@ def test_direction_error_near_bound_at_30_db():
         obs = observe(channel, b, 30.0,
                       rng_seed=np.random.default_rng(base + [2]))
         los = channel.los_path
-        var, _ = harness._trial_crb(array_cfg, grid, b, los, obs.noise_var)
+        var, _ = harness._trial_crb(channel, obs)
         bound = np.sqrt(var) * np.cos(los.direction.angle_rad)
         err = run_sbce(obs, d, grid).est_direction_sine - los.direction.sine
         ratios.append(abs(err) / bound)
@@ -550,7 +550,7 @@ def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
     rng = np.random.default_rng(seed)
     sine = float(rng.uniform(-0.9, 0.9))
     b = gen_pilot_matrix(cfg, n_pilots, rng_seed=rng)
-    h = np.stack([np.sqrt(n_antennas) * steering_far(cfg, sine, float(f))
+    h = np.stack([np.sqrt(n_antennas) * steering(cfg, sine, float(f))
                   for f in grid.frequencies], axis=1)
     clean = b @ h
     noise_var = np.mean(np.abs(clean) ** 2) / 10 ** (snr_db / 10)
