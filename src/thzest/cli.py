@@ -153,8 +153,8 @@ def scenario_from_json(doc: dict):
     "grid_size" gets 8 N_T grid points.  A document of the wrong structure
     or types, such as a list where an object belongs or a string where a
     number does, raises ValueError, as do a NaN or infinite number, arrays
-    whose shapes disagree (the beamformer must be P x N_T and the received
-    block P x M) and a grid_size that is not an integer >= N_T.
+    whose shapes disagree (the beamformer must be P x N_T, P >= 1, and the
+    received block P x M) and a grid_size that is not an integer >= N_T.
     """
     try:
         cfg = ArrayConfig(**doc["config"])
@@ -170,9 +170,10 @@ def scenario_from_json(doc: dict):
         channel = ChannelRealization(paths, h, grid, cfg, doc["scenario"])
         beamformer = _complex_from_json("beamformer", doc["beamformer"])
         received = _complex_from_json("received", doc["received"])
-        if beamformer.ndim != 2 or beamformer.shape[1] != cfg.n_antennas:
+        if beamformer.ndim != 2 or beamformer.shape[1] != cfg.n_antennas \
+                or not len(beamformer):
             raise ValueError(f"beamformer shape {beamformer.shape} is not "
-                             f"P x {cfg.n_antennas}")
+                             f"P x {cfg.n_antennas} with P >= 1")
         if received.shape != (len(beamformer), grid.n_subcarriers):
             raise ValueError(f"received shape {received.shape} is not "
                              f"{(len(beamformer), grid.n_subcarriers)}")

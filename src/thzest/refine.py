@@ -78,7 +78,8 @@ def refine_direction(coarse_dir: float, received: np.ndarray,
     N_SCAN_POINTS points clipped to [-1, 1]: the centre fit's peak can sit
     more than half a cell from the wideband one.
     """
-    if abs(coarse_dir) > 1.0:
+    # Negated so that a NaN fails it.
+    if not abs(coarse_dir) <= 1.0:
         raise ValueError("invalid direction: |coarse_dir| > 1")
     half_width = 4.0 / n_grid
     grid = np.linspace(coarse_dir - half_width, coarse_dir + half_width,

@@ -12,7 +12,7 @@ perturbation from the peak atom.
 
 The fits of several observations, such as the trial-users of a harness
 chunk, run as one stack of rows (`fit_centres`): every FFT, product and
-factorisation of an iteration serves all live rows, while each row's fit
+factorisation of an E-step serves all live rows, while each row's fit
 stays bit for bit the one it gets alone.  A row leaves the stack when it
 converges or its covariance algebra breaks down.
 """
@@ -207,14 +207,17 @@ def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
     return post.z[0], pi
 
 
-def update_perturbation_diag(n_antennas: int, grid_dir: float,
+def update_perturbation_diag(n_antennas: int, grid_dir,
                              freq_hz: float, carrier_hz: float) -> np.ndarray:
     """Diagonal of the perturbation mapping a(phi) onto a(eta*phi).
 
-    c_i = exp(j*pi*(i-1)*delta) with delta = (f_m/f_c - 1)*phi.  Each call
-    is an EM rebuild: `run_sbce` maps its subcarriers through `_split_diag`.
+    c_i = exp(j*pi*(i-1)*delta) with delta = (f_m/f_c - 1)*phi, an N_T
+    vector, or the N_T x K columns of an array of K directions.  Each call
+    is an EM rebuild of all the rows whose peak moved: `run_sbce` maps its
+    subcarriers through `_split_diag`.
     """
-    if abs(grid_dir) > 1.0:
+    # Negated so that a NaN fails it.
+    if not np.all(np.abs(grid_dir) <= 1.0):
         raise ValueError("invalid direction: |grid_dir| > 1")
     return _split_diag(n_antennas, (freq_hz / carrier_hz - 1.0) * grid_dir)
 
@@ -222,7 +225,8 @@ def update_perturbation_diag(n_antennas: int, grid_dir: float,
 def beam_split_from_c(c: np.ndarray) -> float:
     """Recover the split from the perturbation phases via unwrapping."""
     mods = np.abs(c)
-    if np.max(np.abs(mods - 1.0)) > 1e-6:
+    # Negated so that a NaN fails it.
+    if not np.max(np.abs(mods - 1.0)) <= 1e-6:
         raise ValueError("non-unimodular input: |c_i| must equal 1")
     n = c.shape[0]
     phases = np.unwrap(np.angle(c))
@@ -252,24 +256,36 @@ def stack_rows(n_pilots: int, n_antennas: int) -> int:
     return max(1, STACK_ELEMENTS // (n_pilots * _fft_size(n_antennas)))
 
 
-def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
-               dictionary: Dictionary, freq_hz: float,
-               carrier_hz: float) -> list:
-    """The EM loop of every row r, its observation y[r] (R x P) with its
-    pilot matrix pilot_matrices[r] (R x P x N_T), never forming Pi or B C D.
+def fit_centres(observations, dictionary: Dictionary,
+                grid: SubcarrierGrid) -> list:
+    """The centre-subcarrier EM fit of every observation, in one stack.
 
-    Entry r of the result is row r's `_Fit`, or the SingularCovarianceError
-    that ended it.  Each iteration is one `_e_step` for every live row.  A
-    row's factor A_r = B_r diag(c_r * d_0) is rebuilt only when its peak
-    atom changes, which the first iteration always does.  A row leaves the
-    stack when it converges or breaks down, and the stack is compacted
-    only then.  Every step is per row, so a row's fit does not depend on
-    the other rows of its stack.
+    Row r is observation r's centre column y_r with its pilots B_r, and
+    entry r of the result is its `_Fit`, bit for bit the one it gets alone,
+    or the SingularCovarianceError that ended it: a breakdown fails only
+    its own observation, at the iteration where it would fail alone.
+    `run_sbce` takes an entry as its `fit`.  Each iteration is one
+    `_e_step` for every live row, never forming Pi or B C D.  A row's
+    factor A_r = B_r diag(c_r * d_0) is rebuilt only when its peak atom
+    moves, which the first iteration always does; the rows that move share
+    one `update_perturbation_diag` call.  A row leaves the stack when it
+    converges or breaks down, and the stack is compacted only then.  Every
+    step is per row, so a row's fit does not depend on the other rows of
+    its stack.  The stack's temporaries grow with its rows; `stack_rows`
+    bounds them.  ValueError unless the pilots have the N_T of the
+    dictionary's half-wavelength array.
     """
-    n_rows, n_pilots, n_antennas = pilot_matrices.shape
+    b = np.array([obs.beamformer for obs in observations])
+    array_config = dictionary.config
+    n_rows, n_pilots, n_antennas = b.shape
+    if array_config.n_antennas != n_antennas:
+        raise ValueError("dimension mismatch: dictionary rows != n_antennas")
+    _check_dft_grid(array_config, "SBCE")
+    center = grid.center_index
+    freq = float(grid.frequencies[center])
+    y = np.array([obs.received[:, center] for obs in observations])
     fits = [None] * n_rows
     rows = np.arange(n_rows)
-    b = pilot_matrices
     energy = _sq_norms(y) / n_pilots
     noise_var = np.maximum(1e-6, 0.01 * energy)
     sigma = np.ones((n_rows, dictionary.grid_size))
@@ -308,24 +324,26 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
             1.0 - post.post_var / np.maximum(sigma, 1e-300), 1e-12, 1.0)
         power = np.abs(post.z) ** 2
         sigma_new = power / quality
-        peak_now = np.argmax(power, axis=1)
-        for r in np.flatnonzero((flips < 3) & ~failed):
-            new, last = int(peak_now[r]), int(peak[r])
-            if new == before[r] and new != last:
-                flips[r] += 1
-            elif new != last:
-                flips[r] = 0
-            if flips[r] >= 3 and sigma_new[r, last] > sigma_new[r, new]:
-                new = last
-            before[r], peak[r] = last, new
-            if new != last:
-                c = update_perturbation_diag(
-                    n_antennas, float(dictionary.grid_points[new]), freq_hz,
-                    carrier_hz)
-                # Row by row, so that the transforms' temporaries stay
-                # those of one row.
+        # A live row's peak moves to its strongest atom.  A move back to
+        # the peak before is a flip, any other move resets the count, and
+        # from 3 flips on a move is kept only towards the stronger cell.
+        new = np.argmax(power, axis=1)
+        live = (flips < 3) & ~failed
+        moved = live & (new != peak)
+        flips[moved] = np.where(new == before, flips + 1, 0)[moved]
+        at = np.arange(len(rows))
+        moved &= (flips < 3) | (sigma_new[at, peak] <= sigma_new[at, new])
+        before[live] = peak[live]
+        peak[moved] = new[moved]
+        if moved.any():
+            c = update_perturbation_diag(
+                n_antennas, dictionary.grid_points[peak[moved]], freq,
+                array_config.carrier_freq_hz)
+            # Row by row, so that the transforms' temporaries stay those
+            # of one row.
+            for r, c_r in zip(np.flatnonzero(moved), c.T):
                 factor.a[r], factor.a_hat_conj[r], factor.f_a[r] = \
-                    _dft_factor(b[r] * (c * dictionary.first_atom))
+                    _dft_factor(b[r] * (c_r * dictionary.first_atom))
 
         delta_sigma = np.sqrt(_sq_norms(sigma_new - sigma))
         norm_sigma = np.sqrt(_sq_norms(sigma_new))
@@ -347,29 +365,6 @@ def _fit_stack(y: np.ndarray, pilot_matrices: np.ndarray,
         fits[row] = _Fit(sigma[r], float(noise_var[r]), int(peak[r]),
                          MAX_ITERS, False)
     return fits
-
-
-def fit_centres(observations, dictionary: Dictionary,
-                grid: SubcarrierGrid) -> list:
-    """The centre-subcarrier EM fit of every observation, in one stack.
-
-    Entry r is observation r's fit, bit for bit the one it gets alone, or
-    the SingularCovarianceError that ended it: a breakdown fails only its
-    own observation, at the iteration where it would fail alone.
-    `run_sbce` takes an entry as its `fit`.  The stack's temporaries grow
-    with its rows; `stack_rows` bounds them.  ValueError unless the pilots
-    have the N_T of the dictionary's half-wavelength array.
-    """
-    pilot_matrices = np.array([obs.beamformer for obs in observations])
-    array_config = dictionary.config
-    if array_config.n_antennas != pilot_matrices.shape[-1]:
-        raise ValueError("dimension mismatch: dictionary rows != n_antennas")
-    _check_dft_grid(array_config, "SBCE")
-    center = grid.center_index
-    y = np.array([obs.received[:, center] for obs in observations])
-    return _fit_stack(y, pilot_matrices, dictionary,
-                      float(grid.frequencies[center]),
-                      array_config.carrier_freq_hz)
 
 
 def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,

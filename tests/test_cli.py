@@ -467,6 +467,11 @@ def _malformed(doc, case):
             "data": [v for k, v in enumerate(data) if k % n_cols < n_cols - 1]}
     elif case == "beamformer-1d":
         doc["beamformer"]["shape"] = [len(doc["beamformer"]["data"])]
+    elif case == "no-pilots":
+        # A 0 x N_T beamformer and the 0 x M received block that goes
+        # with it.
+        for key in ("beamformer", "received"):
+            doc[key] = {"shape": [0, doc[key]["shape"][1]], "data": []}
     elif case == "no-paths":
         doc["paths"] = []
     elif case == "paths-object":
@@ -480,6 +485,7 @@ class TestMalformedScenario:
     @pytest.mark.parametrize("case", ["config-list", "string-count",
                                       "string-noise", "top-level-list",
                                       "no-paths", "paths-object",
+                                      "no-pilots",
                                       *_BAD_NOISE, *_BAD_GRID_SIZE,
                                       *_NON_FINITE])
     def test_exits_one_without_traceback(self, tmp_path, case):

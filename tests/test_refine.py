@@ -97,5 +97,7 @@ class TestRefineDirection:
         assert abs(refined - coarse) <= 4 / N_GRID
 
     def test_rejects_invalid_coarse_direction(self):
-        with pytest.raises(ValueError):
-            refine_direction(1.5, _observation(0.21), PILOTS, ETA, N_GRID)
+        for coarse in (1.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                refine_direction(coarse, _observation(0.21), PILOTS, ETA,
+                                 N_GRID)

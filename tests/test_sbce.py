@@ -310,8 +310,21 @@ class TestPerturbation:
             np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_rejects_out_of_range_direction(self):
-        with pytest.raises(ValueError):
-            update_perturbation_diag(16, 1.2, 312e9, 300e9)
+        for grid_dir in (1.2, np.nan, -np.inf, np.array([0.3, np.nan])):
+            with pytest.raises(ValueError):
+                update_perturbation_diag(16, grid_dir, 312e9, 300e9)
+
+    def test_array_call_equals_scalar_calls(self):
+        # Column k of one call on K directions is, bit for bit, the call
+        # on direction k alone: one call for all the rows whose peak moved
+        # gives each row the diagonal its own call would.
+        dirs = np.linspace(-1.0, 1.0, 37)
+        cols = update_perturbation_diag(64, dirs, 285e9, 300e9)
+        assert cols.shape == (64, 37)
+        for k, phi in enumerate(dirs):
+            np.testing.assert_array_equal(
+                cols[:, k], update_perturbation_diag(64, float(phi), 285e9,
+                                                     300e9))
 
     @settings(deadline=None, max_examples=100)
     @given(delta=st.floats(-0.5, 0.5), n=st.sampled_from([8, 64, 256]))
@@ -320,8 +333,9 @@ class TestPerturbation:
         assert beam_split_from_c(c) == pytest.approx(delta, abs=1e-9)
 
     def test_split_readback_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            beam_split_from_c(np.array([1.0, 2.0, 1.0], dtype=complex))
+        for bad in (2.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                beam_split_from_c(np.array([1.0, bad, 1.0], dtype=complex))
 
     def test_full_update_explains_diagonal_perturbation(self):
         # Noiseless rank-one data: the dense solve must reproduce the
@@ -411,14 +425,14 @@ class TestRunSbce:
         monkeypatch.undo()
         center = grid.center_index
         fit = _solo_fit(received[:, center], b, d,
-                        float(grid.frequencies[center]), 300e9)
+                        float(grid.frequencies[center]))
         assert (result.iterations, result.converged) == \
             (fit.iterations, fit.converged) == (38, True)
         assert len(observed) == fit.iterations
         for y in observed:
             assert y.shape == (1, len(received))
             np.testing.assert_array_equal(y[0], received[:, center])
-        assert max(_solo_fit(received[:, m], b, d, float(f), 300e9).iterations
+        assert max(_solo_fit(received[:, m], b, d, float(f)).iterations
                    for m, f in enumerate(grid.frequencies)) == 117
 
     def test_maps_subcarriers_in_closed_form(self):
@@ -462,8 +476,7 @@ class TestRunSbce:
         in_run = len(calls)
         calls.clear()
         center = grid.center_index
-        _solo_fit(received[:, center], b, d, float(grid.frequencies[center]),
-                  300e9)
+        _solo_fit(received[:, center], b, d, float(grid.frequencies[center]))
         assert in_run == len(calls) >= 1
 
     # Seed 0 at 0 dB pins the centre fit; seed 3 at 10 dB does not.
@@ -487,7 +500,7 @@ class TestRunSbce:
                                            noise_var=0.0), d, grid)
         center = grid.center_index
         fit = _solo_fit(received[:, center], b, d,
-                        float(grid.frequencies[center]), 300e9)
+                        float(grid.frequencies[center]))
         [(coarse, cols, pilots, eta, n_grid)] = calls
         assert coarse == d.grid_points[fit.peak_index]
         assert n_grid == d.grid_size
@@ -559,10 +572,11 @@ def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
     return b, clean + noise, d, grid
 
 
-def _solo_fit(y, pilot_matrix, dictionary, freq_hz, carrier_hz):
-    """The EM fit of one observation column y: a stack of one row."""
-    [fit] = sbce._fit_stack(y[np.newaxis], pilot_matrix[np.newaxis],
-                            dictionary, freq_hz, carrier_hz)
+def _solo_fit(y, pilot_matrix, dictionary, freq_hz):
+    """The EM fit of one observation column y at freq_hz: a stack of one
+    row, on a grid whose one subcarrier is exactly freq_hz."""
+    [fit] = sbce.fit_centres([PilotObservation(pilot_matrix, y[:, None], 0.0)],
+                             dictionary, SubcarrierGrid.build(1, 0.0, freq_hz))
     return fit
 
 
@@ -640,8 +654,7 @@ class TestEmLoop:
         monkeypatch.setattr(sbce, "_e_step", recording)
         monkeypatch.setattr(sbce, "MAX_ITERS", 1)
         center = grid.center_index
-        _solo_fit(received[:, center], b, d, float(grid.frequencies[center]),
-                  300e9)
+        _solo_fit(received[:, center], b, d, float(grid.frequencies[center]))
         assert len(seen) == 1
         (_, [sigma], [noise_var], [y]), post = seen[0]
         np.testing.assert_array_equal(y, received[:, center])
@@ -672,7 +685,7 @@ class TestEmLoop:
         monkeypatch.setattr(sbce, "update_perturbation_diag", counting)
         for m, freq in enumerate(grid.frequencies):
             calls.clear()
-            fit = _solo_fit(received[:, m], b, d, float(freq), 300e9)
+            fit = _solo_fit(received[:, m], b, d, float(freq))
             assert 1 <= len(calls) <= fit.iterations
             ref, _ = _fit_rebuilding_every_iteration(received[:, m], b, d,
                                                      float(freq), 300e9)
@@ -685,7 +698,7 @@ class TestEmLoop:
         b, received, d, grid = _noisy_observation(4, -5.0)
         fits, pinned = [], []
         for m, f in enumerate(grid.frequencies):
-            fit = _solo_fit(received[:, m], b, d, float(f), 300e9)
+            fit = _solo_fit(received[:, m], b, d, float(f))
             ref, was_pinned = _fit_rebuilding_every_iteration(
                 received[:, m], b, d, float(f), 300e9)
             _assert_fits_equal(fit, ref)
@@ -776,9 +789,10 @@ class TestStack:
                                                 freq, 300e9)
                 for b, received, _, _ in rows]
         sizes = _record_stack_sizes(monkeypatch)
-        fits = sbce._fit_stack(
-            np.array([received[:, center] for _, received, _, _ in rows]),
-            np.array([b for b, _, _, _ in rows]), d, freq, 300e9)
+        fits = sbce.fit_centres(
+            [PilotObservation(b, received[:, center, None], 0.0)
+             for b, received, _, _ in rows],
+            d, SubcarrierGrid.build(1, 0.0, freq))
         for fit, (ref, _) in zip(fits, refs):
             _assert_fits_equal(fit, ref)
         assert [(fit.iterations, fit.converged, pinned)
@@ -787,6 +801,25 @@ class TestStack:
             (38, True, True), (24, True, False), (83, True, False)]
         assert sizes == [5] * 24 + [4] * (38 - 24) + [3] * (83 - 38) + \
             [2] * (91 - 83) + [1] * (sbce.MAX_ITERS - 91)
+
+    def test_first_iteration_rebuilds_all_rows_in_one_call(self,
+                                                           monkeypatch):
+        # Every row's peak leaves C = I in the first iteration; the 16 rows
+        # share one perturbation rebuild, at their 16 peak directions.
+        observations, d, grid = _trial_users("desk", 10.0, 16)
+        calls = []
+        real_diag = sbce.update_perturbation_diag
+
+        def recording(n_antennas, grid_dir, freq_hz, carrier_hz):
+            calls.append(np.copy(grid_dir))
+            return real_diag(n_antennas, grid_dir, freq_hz, carrier_hz)
+
+        monkeypatch.setattr(sbce, "update_perturbation_diag", recording)
+        monkeypatch.setattr(sbce, "MAX_ITERS", 1)
+        fits = sbce.fit_centres(observations, d, grid)
+        [dirs] = calls
+        np.testing.assert_array_equal(
+            dirs, d.grid_points[[fit.peak_index for fit in fits]])
 
     def test_broken_rows_fail_alone(self, monkeypatch):
         # A zero observation drives the noise variance to zero, so Pi_y
