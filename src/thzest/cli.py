@@ -99,9 +99,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_crb(args: argparse.Namespace) -> int:
     """The sweep's CRB columns, one row per point, without the estimators."""
     config = dataclasses.replace(_resolve_config(args), estimators=())
+    points = sweep_points(config)
     lines = ["sweep_value,crb_dir_deg,crb_split_deg"]
-    for sweep_idx, value in enumerate(sweep_points(config)):
-        rows = run_point(config, sweep_idx, value)
+    for (_, value), rows in zip(points, run_point(config, points)):
         lines.append(",".join(_fmt(v) for v in (value, *crb_degrees(rows))))
     write_output("\n".join(lines) + "\n", config.output_path)
     return EXIT_OK

@@ -73,7 +73,14 @@ def steering_derivatives_near(config: ArrayConfig, angle_rad: float,
     Its phase is 2 pi d f/c0 (i-1) [sin - (i-1) d cos^2/(2 r)] + pi (i-1)
     split; range_m None is the far field, whose d/d range is None.
     """
-    a = perturbed_steering(config, angle_rad, split, freq_hz, range_m)
+    return _steering_derivatives(
+        config, perturbed_steering(config, angle_rad, split, freq_hz, range_m),
+        angle_rad, range_m, freq_hz)
+
+
+def _steering_derivatives(config: ArrayConfig, a: np.ndarray,
+                          angle_rad: float, range_m: float | None, freq_hz):
+    """`steering_derivatives_near` from its perturbed steering a."""
     idx = np.arange(config.n_antennas).reshape((-1,) + (1,) * np.ndim(freq_hz))
     offs = config.element_spacing_m * idx
     slope = 2.0 * np.pi * np.asarray(freq_hz) / SPEED_OF_LIGHT * offs
@@ -99,8 +106,8 @@ def _steering_and_derivs(config: ArrayConfig, params: ParamVector, freq_hz):
     cols, d_angles, d_splits, d_ranges = [], [], [], []
     for angle, split, r in zip(params.directions, params.splits, ranges):
         cols.append(perturbed_steering(config, angle, split, freq_hz, r))
-        d_angle, d_range, d_split = steering_derivatives_near(
-            config, angle, r, split, freq_hz)
+        d_angle, d_range, d_split = _steering_derivatives(
+            config, cols[-1], angle, r, freq_hz)
         d_angles.append(d_angle)
         d_splits.append(d_split)
         if d_range is not None:

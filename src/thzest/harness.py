@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,8 +27,7 @@ from .baselines import (check_psd_covariance, ls_estimate, mmse_estimate,
                         toeplitz_spectrum)
 from .channel import gen_channel, gen_pilot_matrix, observe
 from .crb import ParamVector, crb
-from .sbce import (SingularCovarianceError, fit_centres, run_sbce,
-                   stack_rows)
+from .sbce import SingularCovarianceError, fit_centres, run_sbce
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class EstimatorContext:
 
 
 # Each entry maps (ctx, obs, centre_fit) to (N_T x M estimate, SbceResult or
-# None); centre_fit is obs's entry of `sbce.fit_centres`, or None to have
+# None); centre_fit is obs's fit from `sbce.fit_centres`, or None to have
 # SBCE fit obs alone.  The estimators are looked up by module-global name on
 # every call, so that a rebinding of e.g. `harness.run_sbce` reaches the
 # dispatch.
@@ -333,35 +333,45 @@ def _one_blas_thread():
 
 
 @_one_blas_thread()
-def _trial_chunk(config: ExperimentConfig, sweep_idx: int, sweep_value: float,
-                 trial_indices) -> list[dict]:
-    """Run a batch of trials on one BLAS thread; shared setup is built once.
+def _trial_chunk(config: ExperimentConfig, points,
+                 trial_indices) -> list[list[dict]]:
+    """`_run_single`'s rows of a batch of trials at every sweep point, one
+    list per point, run on one BLAS thread.
 
-    The trial-users go in groups of `sbce.stack_rows` (16 at desk size, 2 at
-    paper size), which bounds the draws held at once.  A group's trial-users
-    are all drawn, SBCE fits their centre subcarriers in one stack
-    (`sbce.fit_centres`), and each then runs alone through `_run_single`.
-    A row's fit does not depend on its stack-mates, so the CSV does not
-    depend on how the trials are chunked.
+    points holds (sweep_idx, sweep_value) pairs, and each point's shared
+    set-up is built once.  The trial-users of all points queue for one
+    stack of SBCE centre fits (`sbce.fit_centres`; 16 rows at desk size, 2
+    at paper size): each is drawn only when the stack admits it and runs
+    through `_run_single` as soon as its fit leaves, so no more than
+    `sbce.stack_rows` draws are held at once.  The points share the array,
+    so one dictionary serves every row, and each row keeps its own point's
+    centre frequency.  A row's fit does not depend on its stack-mates, so
+    the CSV depends neither on how the trials are chunked nor on which
+    points share a stack.
     """
-    array_cfg, grid, snr_db, range_m = resolve_point(config, sweep_value)
-    ctx = EstimatorContext.build(array_cfg, grid, config.grid_size,
-                                 config.n_paths, config.estimators)
-    runs = [(trial, user) for trial in trial_indices
-            for user in range(config.n_users)]
-    group_size = stack_rows(config.n_pilots, config.n_antennas)
-    out = []
-    for start in range(0, len(runs), group_size):
-        group = runs[start:start + group_size]
-        draws = [draw_trial(config, array_cfg, grid, snr_db, range_m,
-                            sweep_idx, trial, user) for trial, user in group]
-        fits = [None] * len(group)
-        if "sbce" in config.estimators:
-            fits = fit_centres([obs for _, obs in draws], ctx.dictionary,
-                               grid)
-        for (trial, user), draw, fit in zip(group, draws, fits):
-            out.append(_run_single(config, ctx, sweep_idx, trial, user, draw,
-                                   fit))
+    resolved = [resolve_point(config, value) for _, value in points]
+    contexts = [EstimatorContext.build(array_cfg, grid, config.grid_size,
+                                       config.n_paths, config.estimators)
+                for array_cfg, grid, _, _ in resolved]
+    runs = [(k, trial, user) for k in range(len(points))
+            for trial in trial_indices for user in range(config.n_users)]
+    draws = {}
+
+    def queue():
+        for i, (k, trial, user) in enumerate(runs):
+            draws[i] = draw_trial(config, *resolved[k], points[k][0], trial,
+                                  user)
+            yield draws[i][1], contexts[k].grid
+
+    if "sbce" in config.estimators:
+        fits = fit_centres(queue(), contexts[0].dictionary)
+    else:
+        fits = ((i, None) for i, _ in enumerate(queue()))
+    out = [[] for _ in points]
+    for i, fit in fits:
+        k, trial, user = runs[i]
+        out[k].append(_run_single(config, contexts[k], points[k][0], trial,
+                                  user, draws.pop(i), fit))
     return out
 
 
@@ -424,31 +434,42 @@ def _trial_crb(channel, obs):
             float(np.mean(bounds[:, 1] * conv ** 2)))
 
 
-def run_point(config: ExperimentConfig, sweep_idx: int,
-              sweep_value: float) -> list[dict]:
-    """`_run_single`'s rows of all trials of one sweep point, sorted by
-    (trial, user); the trials may run across processes."""
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+def run_point(config: ExperimentConfig, points) -> list[list[dict]]:
+    """`_run_single`'s rows of all trials of every sweep point in the list
+    points of (sweep_idx, sweep_value) pairs: one list per point, sorted
+    by (trial, user).  The trials may run across processes, each chunk of
+    trials at every point."""
     trials = list(range(config.trials))
     if config.threads > 1 and len(trials) > 1:
         n_chunks = min(config.threads * 4, len(trials))
         chunks = [trials[i::n_chunks] for i in range(n_chunks)]
-        # A fork pool starts all its workers at once: no more than chunks.
-        with ProcessPoolExecutor(
-                max_workers=min(config.threads, len(chunks))) as pool:
+        # A fork pool starts all its workers at once: no more than chunks,
+        # and no more than the CPUs that could run them.
+        with ProcessPoolExecutor(max_workers=min(
+                config.threads, len(chunks), _cpu_count())) as pool:
             parts = list(pool.map(functools.partial(
-                _trial_chunk, config, sweep_idx, sweep_value), chunks))
-        rows = [r for part in parts for r in part]
+                _trial_chunk, config, points), chunks))
     else:
-        rows = _trial_chunk(config, sweep_idx, sweep_value, trials)
-    rows.sort(key=lambda r: (r["trial"], r["user"]))
-    return rows
+        parts = [_trial_chunk(config, points, trials)]
+    return [sorted((r for part in point_parts for r in part),
+                   key=lambda r: (r["trial"], r["user"]))
+            for point_parts in zip(*parts)]
 
 
-def sweep_points(config: ExperimentConfig) -> list[float]:
-    """The sweep values in CSV order; ``sweep = none`` is one point at snr_db."""
+def sweep_points(config: ExperimentConfig) -> list[tuple[int, float]]:
+    """(sweep_idx, sweep_value) of every point in CSV order; ``sweep =
+    none`` is one point at snr_db."""
     values = [config.snr_db] if config.sweep == "none" else \
         config.sweep_values
-    return [float(v) for v in values]
+    return [(idx, float(v)) for idx, v in enumerate(values)]
 
 
 def crb_degrees(rows: list[dict]) -> tuple[float, float]:
@@ -514,10 +535,10 @@ def write_output(text: str, path: str | None) -> None:
 def run_sweep(config: ExperimentConfig):
     """Run the full sweep; returns (records, csv_text) and writes the CSV."""
     config.validate()
+    points = sweep_points(config)
     records = []
-    for sweep_idx, value in enumerate(sweep_points(config)):
-        records.extend(summarize_point(config, value,
-                                       run_point(config, sweep_idx, value)))
+    for (_, value), rows in zip(points, run_point(config, points)):
+        records.extend(summarize_point(config, value, rows))
     csv_text = records_to_csv(records)
     if config.output_path:
         write_output(csv_text, config.output_path)

@@ -10,15 +10,17 @@ updates the posterior of the sparse beamspace coefficients, re-estimates
 the per-atom prior variances and the noise floor, and refits the
 perturbation from the peak atom.
 
-The fits of several observations, such as the trial-users of a harness
-chunk, run as one stack of rows (`fit_centres`): every FFT, product and
-factorisation of an E-step serves all live rows, while each row's fit
-stays bit for bit the one it gets alone.  A row leaves the stack when it
-converges or its covariance algebra breaks down.
+The fits of a queue of observations, such as the trial-users of every
+sweep point of a harness chunk, run as one stack of rows (`fit_centres`):
+every FFT, product and factorisation of an E-step serves all rows, while
+each row's fit stays bit for bit the one it gets alone.  A row leaves the
+stack when it converges, hits the iteration cap or its covariance algebra
+breaks down, and the next observation takes its slot.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,13 +209,14 @@ def posterior_update(effective_matrix: np.ndarray, sigma: np.ndarray,
     return post.z[0], pi
 
 
-def update_perturbation_diag(n_antennas: int, grid_dir,
-                             freq_hz: float, carrier_hz: float) -> np.ndarray:
+def update_perturbation_diag(n_antennas: int, grid_dir, freq_hz,
+                             carrier_hz: float) -> np.ndarray:
     """Diagonal of the perturbation mapping a(phi) onto a(eta*phi).
 
     c_i = exp(j*pi*(i-1)*delta) with delta = (f_m/f_c - 1)*phi, an N_T
-    vector, or the N_T x K columns of an array of K directions.  Each call
-    is an EM rebuild of all the rows whose peak moved: `run_sbce` maps its
+    vector, or the N_T x K columns of an array of K directions, each with
+    its own frequency when freq_hz is an array of K.  Each call is an EM
+    rebuild of all the rows whose peak moved: `run_sbce` maps its
     subcarriers through `_split_diag`.
     """
     # Negated so that a NaN fails it.
@@ -256,59 +259,92 @@ def stack_rows(n_pilots: int, n_antennas: int) -> int:
     return max(1, STACK_ELEMENTS // (n_pilots * _fft_size(n_antennas)))
 
 
-def fit_centres(observations, dictionary: Dictionary,
-                grid: SubcarrierGrid) -> list:
-    """The centre-subcarrier EM fit of every observation, in one stack.
+def fit_centres(observations, dictionary: Dictionary):
+    """Centre-subcarrier EM fits of a queue of observations, in one stack.
 
-    Row r is observation r's centre column y_r with its pilots B_r, and
-    entry r of the result is its `_Fit`, bit for bit the one it gets alone,
-    or the SingularCovarianceError that ended it: a breakdown fails only
-    its own observation, at the iteration where it would fail alone.
-    `run_sbce` takes an entry as its `fit`.  Each iteration is one
-    `_e_step` for every live row, never forming Pi or B C D.  A row's
-    factor A_r = B_r diag(c_r * d_0) is rebuilt only when its peak atom
-    moves, which the first iteration always does; the rows that move share
-    one `update_perturbation_diag` call.  A row leaves the stack when it
-    converges or breaks down, and the stack is compacted only then.  Every
-    step is per row, so a row's fit does not depend on the other rows of
-    its stack.  The stack's temporaries grow with its rows; `stack_rows`
-    bounds them.  ValueError unless the pilots have the N_T of the
-    dictionary's half-wavelength array.
+    `observations` yields (observation, grid) pairs, and the generator
+    yields (i, fit) for the i-th pair as its row leaves the stack: fit is
+    its `_Fit`, bit for bit the one it gets alone, or the
+    SingularCovarianceError that ended it.  A breakdown fails only its own
+    observation, at the iteration of its own fit where it would fail alone.
+    `run_sbce` takes a fit as its `fit`.
+
+    A row is an observation's centre column y with its pilots B at its own
+    grid's centre frequency, so the rows of different sweep points share a
+    stack.  The stack holds at most `stack_rows` rows, which bounds its
+    temporaries.  Each iteration is one `_e_step` for every row, never
+    forming Pi or B C D.  A row's factor A = B diag(c * d_0) is rebuilt
+    only when its peak atom moves, which its first iteration always does;
+    the rows that move share one `update_perturbation_diag` call.  A row
+    leaves when it converges, reaches `MAX_ITERS` iterations of its own or
+    breaks down, and the next observation takes its slot in place, so the
+    stack stays full until the queue drains; only then is it compacted.
+    The leaving rows of an iteration are yielded before the next
+    observation is read, so a consumer that drops an observation as its
+    fit leaves holds at most `stack_rows` of them.  Every step is per row,
+    so a row's fit does not depend on the other rows of its stack.
+    ValueError unless the pilots have the N_T of the dictionary's
+    half-wavelength array.
     """
-    b = np.array([obs.beamformer for obs in observations])
     array_config = dictionary.config
-    n_rows, n_pilots, n_antennas = b.shape
-    if array_config.n_antennas != n_antennas:
-        raise ValueError("dimension mismatch: dictionary rows != n_antennas")
+    n_antennas = array_config.n_antennas
     _check_dft_grid(array_config, "SBCE")
-    center = grid.center_index
-    freq = float(grid.frequencies[center])
-    y = np.array([obs.received[:, center] for obs in observations])
-    fits = [None] * n_rows
-    rows = np.arange(n_rows)
-    energy = _sq_norms(y) / n_pilots
-    noise_var = np.maximum(1e-6, 0.01 * energy)
-    sigma = np.ones((n_rows, dictionary.grid_size))
-    # Peak atom -1 stands for C = I, the factor of every row at the start.
-    peak = np.full(n_rows, -1)
-    factor = _dft_factor(b * dictionary.first_atom)
+    first_atom = dictionary.first_atom
+    queue = enumerate(observations)
+    head = next(queue, None)
+    if head is None:
+        return
+    n_pilots = len(head[1][0].beamformer)
+    batch = [head, *itertools.islice(
+        queue, stack_rows(n_pilots, n_antennas) - 1)]
+    n_rows, n_fft = len(batch), _fft_size(n_antennas)
+    rows = np.empty(n_rows, dtype=int)       # the observation in each slot
+    b = [None] * n_rows
+    y = np.empty((n_rows, n_pilots), dtype=complex)
+    freq, energy, noise_var = (np.empty(n_rows) for _ in range(3))
+    sigma = np.empty((n_rows, dictionary.grid_size))
+    factor = _DftFactor(
+        np.empty((n_rows, n_pilots, n_antennas), dtype=complex),
+        *(np.empty((n_rows, n_pilots, n_fft), dtype=complex)
+          for _ in range(2)))
     # When the true direction falls midway between two grid cells the peak
     # can alternate between them forever, with the perturbation rebuild and
     # the prior variances flipping in a period-2 limit cycle.  Detect the
     # alternation and pin the row's perturbation to the stronger cell; with
     # a fixed dictionary the remaining iterations converge smoothly.  A row
     # whose flips reach 3 is pinned: the loop skips it from then on.
-    before = np.full(n_rows, -1)        # the peak before the current one
-    flips = np.zeros(n_rows, dtype=int)
+    # `before` is the peak before the current one, and `its` counts each
+    # row's own iterations.
+    peak, before, flips, its = (np.empty(n_rows, dtype=int)
+                                for _ in range(4))
 
-    for it in range(1, MAX_ITERS + 1):
+    def admit(slot, item):
+        """Start the fit of item = (i, (observation, grid)) in a slot."""
+        rows[slot], (obs, grid) = item
+        if obs.beamformer.shape[1] != n_antennas:
+            raise ValueError(
+                "dimension mismatch: dictionary rows != n_antennas")
+        center = grid.center_index
+        b[slot] = obs.beamformer
+        y[slot] = obs.received[:, center]
+        freq[slot] = grid.frequencies[center]
+        energy[slot] = _sq_norms(y[slot:slot + 1])[0] / n_pilots
+        noise_var[slot] = np.maximum(1e-6, 0.01 * energy[slot])
+        sigma[slot] = 1.0
+        # Peak atom -1 stands for C = I, the factor of every new row.
+        peak[slot] = before[slot] = -1
+        flips[slot] = its[slot] = 0
+        factor.a[slot], factor.a_hat_conj[slot], factor.f_a[slot] = \
+            _dft_factor(obs.beamformer * first_atom)
+
+    for slot, item in enumerate(batch):
+        admit(slot, item)
+    while True:
+        its += 1
         post = _e_step(factor, sigma, noise_var, y)
         # A broken row runs the rest of the iteration on meaningless values
         # and leaves with the converged ones.
         failed = post.failed
-        for r in rows[failed]:
-            fits[r] = SingularCovarianceError(
-                f"observation covariance broke down at EM iteration {it}")
 
         # mu^2 update from the same E-step quantities.
         noise_var = np.maximum(
@@ -337,34 +373,45 @@ def fit_centres(observations, dictionary: Dictionary,
         peak[moved] = new[moved]
         if moved.any():
             c = update_perturbation_diag(
-                n_antennas, dictionary.grid_points[peak[moved]], freq,
+                n_antennas, dictionary.grid_points[peak[moved]], freq[moved],
                 array_config.carrier_freq_hz)
             # Row by row, so that the transforms' temporaries stay those
             # of one row.
             for r, c_r in zip(np.flatnonzero(moved), c.T):
                 factor.a[r], factor.a_hat_conj[r], factor.f_a[r] = \
-                    _dft_factor(b[r] * (c_r * dictionary.first_atom))
+                    _dft_factor(b[r] * (c_r * first_atom))
 
         delta_sigma = np.sqrt(_sq_norms(sigma_new - sigma))
         norm_sigma = np.sqrt(_sq_norms(sigma_new))
         done = ~failed & (norm_sigma > 0)
         done[done] = delta_sigma[done] / norm_sigma[done] < CONVERGENCE_TOL
         sigma = sigma_new
-        for r in np.flatnonzero(done):
-            fits[rows[r]] = _Fit(sigma[r], float(noise_var[r]), int(peak[r]),
-                                 it, True)
-        if done.any() or failed.any():
-            keep = ~(done | failed)
+        leaving = np.flatnonzero(done | failed | (its >= MAX_ITERS))
+        for r in leaving:
+            if failed[r]:
+                yield int(rows[r]), SingularCovarianceError(
+                    "observation covariance broke down at EM iteration "
+                    f"{its[r]}")
+            else:
+                # A copy: the slot's sigma row is overwritten on a refill.
+                yield int(rows[r]), _Fit(sigma[r].copy(), float(noise_var[r]),
+                                         int(peak[r]), int(its[r]),
+                                         bool(done[r]))
+        keep = np.ones(len(rows), dtype=bool)
+        for r in leaving:
+            item = next(queue, None)
+            if item is None:
+                keep[r] = False
+            else:
+                admit(r, item)
+        if not keep.all():
+            b = [b[r] for r in np.flatnonzero(keep)]
             factor = _DftFactor(*(x[keep] for x in factor))
-            rows, y, b, energy, noise_var, sigma, peak, before, flips = (
-                x[keep] for x in (rows, y, b, energy, noise_var, sigma, peak,
-                                  before, flips))
+            rows, y, freq, energy, noise_var, sigma, peak, before, flips, \
+                its = (x[keep] for x in (rows, y, freq, energy, noise_var,
+                                         sigma, peak, before, flips, its))
             if not len(rows):
-                return fits
-    for r, row in enumerate(rows):
-        fits[row] = _Fit(sigma[r], float(noise_var[r]), int(peak[r]),
-                         MAX_ITERS, False)
-    return fits
+                return
 
 
 def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
@@ -374,11 +421,11 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     One EM fit of the centre subcarrier gives the coarse direction, the
     wideband periodogram of all M subcarriers refines it, and each
     subcarrier's split and channel follow from it through C_m.  `fit` is
-    the observation's entry of `fit_centres`; without it the observation
+    the observation's fit from `fit_centres`; without it the observation
     is fitted alone, as a stack of one.
     """
     if fit is None:
-        [fit] = fit_centres([observation], dictionary, grid)
+        [(_, fit)] = fit_centres([(observation, grid)], dictionary)
     if isinstance(fit, SingularCovarianceError):
         raise fit
     pilot_matrix = observation.beamformer

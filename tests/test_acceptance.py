@@ -48,7 +48,7 @@ def snr_points():
     points, elapsed = {}, {}
     for idx, snr in enumerate((0.0, 10.0, 20.0, 30.0)):
         t0 = time.monotonic()
-        points[snr] = run_point(DESK, idx, snr)
+        [points[snr]] = run_point(DESK, [(idx, snr)])
         elapsed[snr] = time.monotonic() - t0
     return points, elapsed
 
@@ -227,7 +227,7 @@ def test_10_bandwidth_robustness():
     t0 = time.monotonic()
     means = {name: [] for name in config.estimators}
     for idx, bw in enumerate(config.sweep_values):
-        rows = run_point(config, idx, float(bw))
+        [rows] = run_point(config, [(idx, float(bw))])
         for name in config.estimators:
             means[name].append(float(np.mean([r["nmse"][name]
                                               for r in rows])))

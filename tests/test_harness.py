@@ -133,7 +133,7 @@ class TestConfig:
 
 class TestRunPoint:
     def test_records_and_csv_shape(self):
-        rows = run_point(TINY, 0, TINY.snr_db)
+        rows = run_point(TINY, [(0, TINY.snr_db)])[0]
         assert [(r["trial"], r["user"]) for r in rows] == \
             [(0, 0), (1, 0), (2, 0)]
         records = summarize_point(TINY, TINY.snr_db, rows)
@@ -149,7 +149,7 @@ class TestRunPoint:
         assert len(lines) == 2 + len(records)
 
     def test_sbce_metrics_populated(self):
-        rows = run_point(TINY, 0, 30.0)
+        rows = run_point(TINY, [(0, 30.0)])[0]
         assert len(rows) == 3
         for r in rows:
             assert np.isfinite(r["dir_err_deg"]) and r["iterations"] >= 1
@@ -163,7 +163,7 @@ class TestRunPoint:
             raise SingularCovarianceError("observation covariance is singular")
 
         monkeypatch.setattr(harness, "run_sbce", singular)
-        rows = run_point(TINY, 0, TINY.snr_db)
+        rows = run_point(TINY, [(0, TINY.snr_db)])[0]
         assert all(np.isnan(r["nmse"]["sbce"]) for r in rows)
         assert all(np.isfinite(r["nmse"]["ls"]) for r in rows)
         assert not any("dir_err_deg" in r or "iterations" in r for r in rows)
@@ -180,13 +180,13 @@ class TestRunPoint:
 
         monkeypatch.setattr(harness, "run_sbce", broken)
         with pytest.raises(NameError):
-            run_point(TINY, 0, TINY.snr_db)
+            run_point(TINY, [(0, TINY.snr_db)])
 
     def test_non_finite_estimate_counted_as_failure(self, monkeypatch):
         monkeypatch.setattr(harness, "ls_estimate",
                             lambda b, y: np.full(b.shape[1], np.nan))
         records = summarize_point(TINY, TINY.snr_db,
-                                  run_point(TINY, 0, TINY.snr_db))
+                                  run_point(TINY, [(0, TINY.snr_db)])[0])
         assert [r.failures for r in records] == [0, 3, 0]
 
     def test_poisoned_trial_user_fails_alone(self, monkeypatch):
@@ -195,7 +195,7 @@ class TestRunPoint:
         # every other trial-user's NMSE is, digit for digit, that of an
         # unpoisoned run.
         config = dataclasses.replace(TINY, trials=4)
-        clean = run_point(config, 0, config.snr_db)
+        clean = run_point(config, [(0, config.snr_db)])[0]
         draw = harness.draw_trial
 
         def poisoning(*args):
@@ -207,7 +207,7 @@ class TestRunPoint:
             return channel, obs
 
         monkeypatch.setattr(harness, "draw_trial", poisoning)
-        rows = run_point(config, 0, config.snr_db)
+        rows = run_point(config, [(0, config.snr_db)])[0]
         assert summarize_point(config, config.snr_db, rows)[0].failures == 1
         assert np.isnan(rows[2]["nmse"]["sbce"])
         assert sum("iterations" in r for r in rows) == 3
@@ -217,28 +217,33 @@ class TestRunPoint:
                     repr(clean[trial]["nmse"][name])
 
     @pytest.mark.parametrize("estimators", [("sbce", "ls"), ("ls",)])
-    def test_chunk_fits_one_stack_per_group(self, monkeypatch, estimators):
-        # With room for two trial-users per stack, a chunk of five draws
-        # two, fits their centre subcarriers in one stack call, runs them,
-        # and so on: it never holds more than one group's draws.  Without
-        # sbce nothing is fitted.  The CSV is that of one stack of five.
-        config = dataclasses.replace(TINY, trials=5, estimators=estimators)
+    def test_chunk_queues_every_point_for_one_stack(self, monkeypatch,
+                                                    estimators):
+        # With room for two trial-users per stack, a chunk of five trials
+        # at each of two points queues all ten for one stack: each is drawn
+        # when the stack admits it and runs as soon as its fit leaves, so
+        # no more than two draws are alive when _run_single runs.  Without
+        # sbce nothing is fitted and each draw runs at once.  The CSV is
+        # that of one stack of ten.
+        config = dataclasses.replace(TINY, trials=5, estimators=estimators,
+                                     sweep="snr", sweep_values=(0.0, 30.0))
         _, expected = run_sweep(config)
-        events = []
+        alive, seen, stacks = set(), [], []
         draw, fit = harness.draw_trial, harness.fit_centres
         run_single = harness._run_single
 
         def recording_draw(*args):
-            events.append("draw")
+            alive.add(args[-3:])            # (sweep_idx, trial, user)
             return draw(*args)
 
-        def recording_fit(observations, *args):
-            events.append(len(observations))
-            return fit(observations, *args)
+        def recording_fit(*args):
+            stacks.append(args)
+            return fit(*args)
 
-        def recording_run(*args):
-            events.append("run")
-            return run_single(*args)
+        def recording_run(config, ctx, sweep_idx, trial, user, *args):
+            seen.append(len(alive))
+            alive.remove((sweep_idx, trial, user))
+            return run_single(config, ctx, sweep_idx, trial, user, *args)
 
         monkeypatch.setattr(harness, "draw_trial", recording_draw)
         monkeypatch.setattr(harness, "fit_centres", recording_fit)
@@ -247,9 +252,9 @@ class TestRunPoint:
         monkeypatch.setattr(sbce, "STACK_ELEMENTS", 2 * 8 * 32)
         _, csv_text = run_sweep(config)
         fitted = "sbce" in estimators
-        group = ["draw", "draw", *([2] if fitted else []), "run", "run"]
-        assert events == group * 2 + ["draw", *([1] if fitted else []),
-                                      "run"]
+        assert len(stacks) == fitted
+        assert len(seen) == 10 and not alive
+        assert max(seen) == (2 if fitted else 1)
         assert csv_text == expected
 
 
@@ -338,7 +343,7 @@ class TestEstimatorContext:
                                 recording_steering)
         monkeypatch.setattr(harness, "build_dictionary", recording_build)
         config = dataclasses.replace(TINY, estimators=estimators, trials=1)
-        run_point(config, 0, config.snr_db)
+        run_point(config, [(0, config.snr_db)])
         assert dictionaries == [64]
         assert 64 not in widths
         if "sbce" in estimators:
@@ -425,29 +430,28 @@ class TestDeterminism:
         _, csv_text = run_sweep(cfg)
         assert out.read_text() == csv_text
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        # A stand-in pool records its size and runs the chunks in-process,
-        # so the test starts no worker.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch,
+                                                  recording_pool):
+        # Eight CPUs, so that the chunk count is what caps the pool.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         _, csv_text = run_sweep(dataclasses.replace(TINY, trials=2,
                                                     threads=4))
-        assert sizes == [2]
+        assert [workers for workers, _ in recording_pool] == [2]
         _, serial = run_sweep(dataclasses.replace(TINY, trials=2))
+        assert csv_text == serial
+
+    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch,
+                                                recording_pool):
+        # 10,000 threads on two CPUs: one pool for both points, of two
+        # workers, which still gets min(4 threads, trials) = 5 chunks.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        config = dataclasses.replace(TINY, trials=5, sweep="snr",
+                                     sweep_values=(0.0, 30.0))
+        _, csv_text = run_sweep(dataclasses.replace(config, threads=10_000))
+        assert recording_pool == [(2, 5)]
+        _, serial = run_sweep(config)
         assert csv_text == serial
 
 
@@ -466,6 +470,32 @@ class TestSweepAxes:
         records, _ = run_sweep(cfg)
         assert len(records) == 2
         assert all(np.isfinite(r.nmse) for r in records)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in for the process pool that runs the chunks in-process, so
+    that a test starts no worker; the list it returns records
+    (max_workers, chunk count) for each pool."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            pools.append((self.max_workers, len(chunks)))
+            return map(fn, chunks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return pools
 
 
 @pytest.fixture

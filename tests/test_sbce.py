@@ -10,7 +10,7 @@ from thzest.arrays import (
     build_dictionary,
     steering,
 )
-from thzest import harness, refine, sbce
+from thzest import arrays, harness, refine, sbce
 from thzest.channel import (
     PilotObservation,
     gen_channel,
@@ -575,9 +575,17 @@ def _noisy_observation(seed, snr_db, n_antennas=32, grid_size=128,
 def _solo_fit(y, pilot_matrix, dictionary, freq_hz):
     """The EM fit of one observation column y at freq_hz: a stack of one
     row, on a grid whose one subcarrier is exactly freq_hz."""
-    [fit] = sbce.fit_centres([PilotObservation(pilot_matrix, y[:, None], 0.0)],
-                             dictionary, SubcarrierGrid.build(1, 0.0, freq_hz))
+    [fit] = _queue_fits([(PilotObservation(pilot_matrix, y[:, None], 0.0),
+                          SubcarrierGrid.build(1, 0.0, freq_hz))], dictionary)
     return fit
+
+
+def _queue_fits(pairs, dictionary):
+    """The fits `fit_centres` yields for (observation, grid) pairs, each
+    yielded once, in the order of the pairs."""
+    fits = list(sbce.fit_centres(pairs, dictionary))
+    assert sorted(i for i, _ in fits) == list(range(len(pairs)))
+    return [fit for _, fit in sorted(fits, key=lambda entry: entry[0])]
 
 
 def _sq_norm(x):
@@ -716,13 +724,14 @@ class TestEmLoop:
 STACK_ARRAYS = {"desk": (64, 16, 512), "paper": (256, 32, 2048)}
 
 
-def _trial_users(array, snr_db, count):
+def _trial_users(array, snr_db, count, bandwidth_hz=30e9):
     """count trial-users of one 8-subcarrier sweep point on the array,
     drawn as the harness draws them: (observations, dictionary, grid)."""
     n_antennas, n_pilots, grid_size = STACK_ARRAYS[array]
     config = harness.ExperimentConfig(
         n_antennas=n_antennas, n_pilots=n_pilots, grid_size=grid_size,
-        n_subcarriers=8, sweep="none", snr_db=snr_db)
+        n_subcarriers=8, sweep="none", snr_db=snr_db,
+        bandwidth_hz=bandwidth_hz)
     array_cfg, grid, _, range_m = harness.resolve_point(config, snr_db)
     observations = [harness.draw_trial(config, array_cfg, grid, snr_db,
                                        range_m, 0, trial, 0)[1]
@@ -743,36 +752,88 @@ def _record_stack_sizes(monkeypatch):
     return sizes
 
 
+def _set_stack_rows(monkeypatch, rows, observation):
+    """Make a stack of observation's size hold the given number of rows."""
+    n_pilots, n_antennas = observation.beamformer.shape
+    monkeypatch.setattr(sbce, "STACK_ELEMENTS",
+                        rows * n_pilots * arrays._fft_size(n_antennas))
+    assert sbce.stack_rows(n_pilots, n_antennas) == rows
+
+
 class TestStack:
-    def _check_stacks(self, observations, d, grid):
-        """Every row of a stack of 16, of the first 6 and of 16 reversed
-        fits bit for bit as it does alone, in a stack of one; returns the
-        solo fits."""
-        solo = [sbce.fit_centres([obs], d, grid)[0] for obs in observations]
-        for order in (range(16), range(6), range(15, -1, -1)):
-            fits = sbce.fit_centres([observations[r] for r in order], d, grid)
+    def _check_stacks(self, monkeypatch, observations, d, grid):
+        """Every row of a queue of 16, of the first 6, of 16 reversed and of
+        16 through a stack of 3 fits bit for bit as it does alone, in a
+        stack of one; returns the solo fits."""
+        solo = [_queue_fits([(obs, grid)], d)[0] for obs in observations]
+
+        def check(order):
+            fits = _queue_fits([(observations[r], grid) for r in order], d)
             assert len(fits) == len(order)
             for r, fit in zip(order, fits):
                 _assert_fits_equal(fit, solo[r])
+
+        for order in (range(16), range(6), range(15, -1, -1)):
+            check(order)
+        with monkeypatch.context() as patch:
+            _set_stack_rows(patch, 3, observations[0])
+            check(range(16))
         return solo
 
     @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 10.0, 20.0, 30.0])
     @pytest.mark.parametrize("array", sorted(STACK_ARRAYS))
-    def test_rows_match_solo_fits(self, array, snr_db):
+    def test_rows_match_solo_fits(self, monkeypatch, array, snr_db):
         observations, d, grid = _trial_users(array, snr_db, 16)
-        solo = self._check_stacks(observations, d, grid)
+        solo = self._check_stacks(monkeypatch, observations, d, grid)
         # The rows leave the stack at different iterations.
         assert len({fit.iterations for fit in solo}) > 1
 
     def test_capped_rows_match_solo_fits(self, monkeypatch):
         # With the cap at 40 iterations some desk rows at 0 dB converge
-        # first and the others stop at the cap.
+        # first and the others stop at the cap.  In the stack of 3, rows 3
+        # to 15 are admitted after others have left, and each capped one
+        # among them still runs 40 iterations of its own.
         monkeypatch.setattr(sbce, "MAX_ITERS", 40)
         observations, d, grid = _trial_users("desk", 0.0, 16)
-        solo = self._check_stacks(observations, d, grid)
+        solo = self._check_stacks(monkeypatch, observations, d, grid)
         converged = [fit.converged for fit in solo]
         assert any(converged) and not all(converged)
+        assert not all(converged[3:])
         assert all(fit.iterations == 40 for fit in solo if not fit.converged)
+
+    def test_queue_keeps_the_stack_full_across_points(self, monkeypatch):
+        # Ten trial-users at each of 0 and 20 dB on 5 and 30 GHz grids,
+        # whose centre frequencies differ, queue through one stack of 16:
+        # a leaving row's slot takes the next row, so the stack stays full
+        # until the queue drains, and every row fits bit for bit as it
+        # does alone.
+        pairs = []
+        for snr_db in (0.0, 20.0):
+            for bandwidth in (5e9, 30e9):
+                observations, d, grid = _trial_users("desk", snr_db, 10,
+                                                     bandwidth)
+                pairs += [(obs, grid) for obs in observations]
+        assert len({float(g.frequencies[g.center_index])
+                    for _, g in pairs}) == 2
+        solo = [_queue_fits([pair], d)[0] for pair in pairs]
+        sizes = _record_stack_sizes(monkeypatch)
+
+        def queue():
+            yield from pairs
+            sizes.append("drained")
+
+        fits = list(sbce.fit_centres(queue(), d))
+        assert sorted(i for i, _ in fits) == list(range(40))
+        for i, fit in fits:
+            _assert_fits_equal(fit, solo[i])
+        assert sbce.stack_rows(16, 64) == 16
+        drained = sizes.index("drained")
+        assert sizes[:drained] == [16] * drained
+        tail = sizes[drained + 1:]
+        assert tail == sorted(tail, reverse=True) and tail[0] < 16
+        # Every iteration of a stack is one iteration of each of its rows.
+        assert sum(sizes[:drained] + tail) == sum(
+            fit.iterations for _, fit in fits)
 
     def test_stack_mixes_converged_pinned_and_capped_rows(self, monkeypatch):
         # The centre columns of five observations, each with its own
@@ -789,10 +850,10 @@ class TestStack:
                                                 freq, 300e9)
                 for b, received, _, _ in rows]
         sizes = _record_stack_sizes(monkeypatch)
-        fits = sbce.fit_centres(
-            [PilotObservation(b, received[:, center, None], 0.0)
-             for b, received, _, _ in rows],
-            d, SubcarrierGrid.build(1, 0.0, freq))
+        grid = SubcarrierGrid.build(1, 0.0, freq)
+        fits = _queue_fits(
+            [(PilotObservation(b, received[:, center, None], 0.0), grid)
+             for b, received, _, _ in rows], d)
         for fit, (ref, _) in zip(fits, refs):
             _assert_fits_equal(fit, ref)
         assert [(fit.iterations, fit.converged, pinned)
@@ -816,7 +877,7 @@ class TestStack:
 
         monkeypatch.setattr(sbce, "update_perturbation_diag", recording)
         monkeypatch.setattr(sbce, "MAX_ITERS", 1)
-        fits = sbce.fit_centres(observations, d, grid)
+        fits = _queue_fits([(obs, grid) for obs in observations], d)
         [dirs] = calls
         np.testing.assert_array_equal(
             dirs, d.grid_points[[fit.peak_index for fit in fits]])
@@ -835,18 +896,26 @@ class TestStack:
         pilots[3, 5] = np.nan
         observations[nan] = PilotObservation(
             pilots, observations[nan].received, 0.0)
-        solo = [sbce.fit_centres([obs], d, grid)[0] for obs in observations]
+        pairs = [(obs, grid) for obs in observations]
+        solo = [_queue_fits([pair], d)[0] for pair in pairs]
         sizes = _record_stack_sizes(monkeypatch)
-        fits = sbce.fit_centres(observations, d, grid)
+        fits = _queue_fits(pairs, d)
         assert sizes[:4] == [6, 5, 5, 4]
-        for r, fit in enumerate(fits):
-            if r in (zero, nan):
-                assert isinstance(fit, SingularCovarianceError)
-                assert str(fit) == str(solo[r])
-            else:
-                _assert_fits_equal(fit, solo[r])
-        assert str(fits[zero]).endswith("EM iteration 3")
-        assert str(fits[nan]).endswith("EM iteration 1")
+        # Through a stack of 2, the NaN row is admitted after others have
+        # left, and its error still names its own first iteration.
+        _set_stack_rows(monkeypatch, 2, observations[0])
+        sizes.clear()
+        queued = _queue_fits(pairs, d)
+        assert max(sizes) == 2 and len(sizes) > 1
+        for entries in (fits, queued):
+            for r, fit in enumerate(entries):
+                if r in (zero, nan):
+                    assert isinstance(fit, SingularCovarianceError)
+                    assert str(fit) == str(solo[r])
+                else:
+                    _assert_fits_equal(fit, solo[r])
+            assert str(entries[zero]).endswith("EM iteration 3")
+            assert str(entries[nan]).endswith("EM iteration 1")
         # run_sbce raises a failed row's error, whether it fits alone or is
         # handed the stack's entry.
         for fit in (None, fits[zero]):
