@@ -178,6 +178,8 @@ class ExperimentConfig:
         unknown = [e for e in self.estimators if e not in ALL_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators: {unknown}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError("estimators must not repeat a name")
         if self.output_path is not None and \
                 not isinstance(self.output_path, str):
             raise ValueError("output_path must be a path")
@@ -445,20 +447,17 @@ def _cpu_count() -> int:
 def run_point(config: ExperimentConfig, points) -> list[list[dict]]:
     """`_run_single`'s rows of all trials of every sweep point in the list
     points of (sweep_idx, sweep_value) pairs: one list per point, sorted
-    by (trial, user).  The trials may run across processes, each chunk of
-    trials at every point."""
-    trials = list(range(config.trials))
-    if config.threads > 1 and len(trials) > 1:
-        n_chunks = min(config.threads * 4, len(trials))
-        chunks = [trials[i::n_chunks] for i in range(n_chunks)]
-        # A fork pool starts all its workers at once: no more than chunks,
-        # and no more than the CPUs that could run them.
-        with ProcessPoolExecutor(max_workers=min(
-                config.threads, len(chunks), _cpu_count())) as pool:
-            parts = list(pool.map(functools.partial(
-                _trial_chunk, config, points), chunks))
+    by (trial, user).  Each of min(threads, trials, CPUs) workers runs
+    one chunk of the trials at every point, in-process when it is the one
+    worker."""
+    workers = min(config.threads, config.trials, _cpu_count())
+    chunks = [range(w, config.trials, workers) for w in range(workers)]
+    run_chunk = functools.partial(_trial_chunk, config, points)
+    if workers == 1:
+        parts = [run_chunk(chunks[0])]
     else:
-        parts = [_trial_chunk(config, points, trials)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_chunk, chunks))
     return [sorted((r for part in point_parts for r in part),
                    key=lambda r: (r["trial"], r["user"]))
             for point_parts in zip(*parts)]

@@ -131,6 +131,7 @@ class TestConfigValues:
         ("n_pilots", "2.5", "n_pilots"),
         ("sweep_values", "10, ten", "sweep value"),
         ("estimators", "ls, cnn", "cnn"),
+        ("estimators", "ls, ls", "repeat"),
     ])
     def test_bad_value_exits_one_with_message(self, tmp_path, capsys, key,
                                               value, words):

@@ -111,6 +111,8 @@ class TestConfig:
         # What the dictionary and the array refuse, refused up front.
         {"grid_size": 32},
         {"n_antennas": 1},
+        # A repeated estimator would run twice and emit two equal rows.
+        {"estimators": ("ls", "ls")},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -430,27 +432,31 @@ class TestDeterminism:
         _, csv_text = run_sweep(cfg)
         assert out.read_text() == csv_text
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch,
-                                                  recording_pool):
-        # Eight CPUs, so that the chunk count is what caps the pool.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
-        _, csv_text = run_sweep(dataclasses.replace(TINY, trials=2,
-                                                    threads=4))
-        assert [workers for workers, _ in recording_pool] == [2]
-        _, serial = run_sweep(dataclasses.replace(TINY, trials=2))
-        assert csv_text == serial
+    @pytest.mark.parametrize("threads, trials, cpus, workers", [
+        (4, 2, 8, 2),
+        (10_000, 5, 2, 2),
+        (4, 5, 1, 1),
+    ], ids=["trials-bind", "cpus-bind", "one-cpu-no-pool"])
+    def test_pool_runs_one_chunk_per_worker(self, monkeypatch,
+                                            recording_pool, threads, trials,
+                                            cpus, workers):
+        # One chunk per worker, and no pool for one worker: each worker
+        # builds each point's set-up once.
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        builds = []
+        build = harness.EstimatorContext.build
 
-    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch,
-                                                recording_pool):
-        # 10,000 threads on two CPUs: one pool for both points, of two
-        # workers, which still gets min(4 threads, trials) = 5 chunks.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        config = dataclasses.replace(TINY, trials=5, sweep="snr",
+        def counting_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(harness.EstimatorContext, "build", counting_build)
+        config = dataclasses.replace(TINY, trials=trials, sweep="snr",
                                      sweep_values=(0.0, 30.0))
-        _, csv_text = run_sweep(dataclasses.replace(config, threads=10_000))
-        assert recording_pool == [(2, 5)]
+        _, csv_text = run_sweep(dataclasses.replace(config, threads=threads))
+        assert recording_pool == ([(workers, workers)] if workers > 1 else [])
+        assert len(builds) == len(config.sweep_values) * workers
         _, serial = run_sweep(config)
         assert csv_text == serial
 
@@ -545,6 +551,9 @@ class TestBlasThreads:
                                             two_blas_threads):
         log = tmp_path / "threads.log"
         _record_blas_threads(monkeypatch, log, two_blas_threads)
+        # Two CPUs, so that two threads fork two workers on any host.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         fork = multiprocessing.get_context("fork")
         monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=fork))
