@@ -27,7 +27,6 @@ class PathParams:
     delay_s: float
     direction: Direction
     range_m: float | None
-    is_los: bool
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class ChannelRealization:
     per_subcarrier: np.ndarray = field(repr=False)  # N_T x M
     grid: SubcarrierGrid
     config: ArrayConfig
-    scenario: str
 
     @property
     def los_path(self) -> PathParams:
@@ -61,24 +59,19 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def channel_from_paths(config: ArrayConfig, grid: SubcarrierGrid,
-                       paths, scenario: str = "far") -> np.ndarray:
+                       paths) -> np.ndarray:
     """Evaluate h[m] = sqrt(N_T/L) * sum_l alpha_l a'(theta_m,l) e^{-j2pi tau_l f_m}.
 
-    Each path is one pass over all M subcarriers.  A near-field path's
-    steering carries its range; a far-field one ignores it.
+    Each path is one pass over all M subcarriers.  A path's range decides
+    its steering: near field at range_m, far field when range_m is None.
     """
-    if scenario not in ("far", "near"):
-        raise ValueError(f"unknown scenario {scenario!r}")
     paths = tuple(paths)
     if not paths:
         raise ValueError("a channel needs at least one path")
     freqs = grid.frequencies
     h = np.zeros((config.n_antennas, grid.n_subcarriers), dtype=complex)
     for p in paths:
-        if scenario == "near" and p.range_m is None:
-            raise ValueError("near-field path requires range_m")
-        range_m = p.range_m if scenario == "near" else None
-        h += p.gain * steering(config, p.direction.sine, freqs, range_m) * \
+        h += p.gain * steering(config, p.direction.sine, freqs, p.range_m) * \
             np.exp(-2j * np.pi * p.delay_s * freqs)
     return np.sqrt(config.n_antennas / len(paths)) * h
 
@@ -110,13 +103,14 @@ def gen_channel(config: ArrayConfig, grid: SubcarrierGrid, n_paths: int,
             r = None
         paths.append(PathParams(gain=complex(gain), delay_s=float(delay),
                                 direction=Direction.from_angle(angle),
-                                range_m=r, is_los=(l == 0)))
-    h = channel_from_paths(config, grid, paths, scenario)
-    return ChannelRealization(tuple(paths), h, grid, config, scenario)
+                                range_m=r))
+    h = channel_from_paths(config, grid, paths)
+    return ChannelRealization(tuple(paths), h, grid, config)
 
 
 def gen_pilot_matrix(config: ArrayConfig, n_pilots: int, rng_seed=0) -> np.ndarray:
-    """Random phase-only beamformer with entries of modulus 1/sqrt(N_T)."""
+    """Random phase-only beamformer: entries of modulus 1/sqrt(N_T) whose
+    phases are drawn uniform in [-1, 1] rad, not over the full circle."""
     if n_pilots < 1:
         raise ValueError("n_pilots must be >= 1")
     rng = _as_rng(rng_seed)

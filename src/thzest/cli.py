@@ -131,11 +131,9 @@ def scenario_to_json(channel: ChannelRealization, obs: PilotObservation,
                  "bandwidth_hz": grid.bandwidth_hz,
                  "carrier_freq_hz": grid.carrier_freq_hz},
         "grid_size": grid_size,
-        "scenario": channel.scenario,
         "paths": [
             {"gain": [p.gain.real, p.gain.imag], "delay_s": p.delay_s,
-             "angle_rad": p.direction.angle_rad, "range_m": p.range_m,
-             "is_los": p.is_los}
+             "angle_rad": p.direction.angle_rad, "range_m": p.range_m}
             for p in channel.paths
         ],
         "beamformer": {"shape": list(obs.beamformer.shape),
@@ -149,8 +147,9 @@ def scenario_to_json(channel: ChannelRealization, obs: PilotObservation,
 def scenario_from_json(doc: dict):
     """(channel, observation, grid_size), the inverse of scenario_to_json.
 
-    A "seed" key of older files is ignored, and a file without
-    "grid_size" gets 8 N_T grid points.  A document of the wrong structure
+    The "seed", "scenario" and "is_los" keys of older files are ignored: a
+    path's range_m decides its field model.  A file without "grid_size"
+    gets 8 N_T grid points.  A document of the wrong structure
     or types, such as a list where an object belongs or a string where a
     number does, raises ValueError, as do a NaN or infinite number, arrays
     whose shapes disagree (the beamformer must be P x N_T, P >= 1, and the
@@ -162,12 +161,12 @@ def scenario_from_json(doc: dict):
         paths = tuple(
             PathParams(gain=complex(*p["gain"]), delay_s=p["delay_s"],
                        direction=Direction.from_angle(p["angle_rad"]),
-                       range_m=p["range_m"], is_los=p["is_los"])
+                       range_m=p["range_m"])
             for p in doc["paths"])
         if not np.isfinite([(p.gain, p.delay_s) for p in paths]).all():
             raise ValueError("a path gain or delay is not finite")
-        h = channel_from_paths(cfg, grid, paths, doc["scenario"])
-        channel = ChannelRealization(paths, h, grid, cfg, doc["scenario"])
+        h = channel_from_paths(cfg, grid, paths)
+        channel = ChannelRealization(paths, h, grid, cfg)
         beamformer = _complex_from_json("beamformer", doc["beamformer"])
         received = _complex_from_json("received", doc["received"])
         if beamformer.ndim != 2 or beamformer.shape[1] != cfg.n_antennas \

@@ -27,7 +27,7 @@ from .baselines import (check_psd_covariance, ls_estimate, mmse_estimate,
                         toeplitz_spectrum)
 from .channel import gen_channel, gen_pilot_matrix, observe
 from .crb import ParamVector, crb
-from .sbce import SingularCovarianceError, fit_centres, run_sbce
+from .sbce import fit_centres, run_sbce
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def run_estimator(name: str, ctx: EstimatorContext, obs, h_true,
     failed = (float("nan"), None)
     try:
         est, fit = ESTIMATORS[name](ctx, obs, centre_fit)
-    except (SingularCovarianceError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         return failed
     if not np.all(np.isfinite(est)):
         return failed
@@ -386,7 +386,8 @@ def _run_single(config, ctx, sweep_idx, trial, user, draw,
     {estimator: NMSE, NaN on failure}, "crb_dir_var" to the direction bound
     in rad^2 and "crb_split_var" to the split bound in deg^2.  Only when
     SBCE ran and succeeded does it also hold "iterations", "converged",
-    "dir_err_deg" (degrees) and "split_err_deg" (M values in degrees).
+    "dir_err_deg" (degrees) and "split_err_deg" (an array of M values in
+    degrees).
     """
     array_cfg, grid = ctx.dictionary.config, ctx.grid
     channel, obs = draw
@@ -407,7 +408,7 @@ def _run_single(config, ctx, sweep_idx, trial, user, draw,
                           - 1.0) * los.direction.sine
             result["split_err_deg"] = (
                 _split_to_deg(fit.est_direction_sine, fit.est_beam_split)
-                - _split_to_deg(los.direction.sine, true_split)).tolist()
+                - _split_to_deg(los.direction.sine, true_split))
 
     result["crb_dir_var"], result["crb_split_var"] = _trial_crb(channel, obs)
     return result
@@ -479,7 +480,7 @@ def crb_degrees(rows: list[dict]) -> tuple[float, float]:
 
 
 def _rms(values) -> float | None:
-    return float(np.sqrt(np.mean(np.square(values)))) if values else None
+    return float(np.sqrt(np.mean(np.square(values)))) if len(values) else None
 
 
 def summarize_point(config: ExperimentConfig, sweep_value: float,
@@ -490,7 +491,8 @@ def summarize_point(config: ExperimentConfig, sweep_value: float,
     fitted = [r for r in rows if "dir_err_deg" in r]   # SBCE succeeded
     # rmse_dir_deg through mean_iters belong to the sbce row alone.
     sbce_columns = (_rms([r["dir_err_deg"] for r in fitted]),
-                    _rms([e for r in fitted for e in r["split_err_deg"]]),
+                    _rms(np.concatenate([r["split_err_deg"] for r in fitted]))
+                    if fitted else None,
                     *crb_degrees(rows),
                     float(np.mean([r["iterations"] for r in fitted]))
                     if fitted else None)

@@ -31,7 +31,7 @@ from .arrays import (Dictionary, SubcarrierGrid, _check_dft_grid, _fft_size,
 from . import refine
 
 
-class SingularCovarianceError(RuntimeError):
+class SingularCovarianceError(np.linalg.LinAlgError):
     """Raised when an observation covariance is numerically singular."""
 
 

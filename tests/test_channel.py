@@ -1,5 +1,7 @@
 """Channel synthesis and pilot observation tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ GRID = SubcarrierGrid.build(4, 30e9, 300e9)
 def _los(sine=0.3, delay=0.0, gain=1.0 + 0j):
     return PathParams(gain=gain, delay_s=delay,
                       direction=Direction.from_sine(sine),
-                      range_m=None, is_los=True)
+                      range_m=None)
 
 
 class TestChannelFromPaths:
@@ -52,41 +54,50 @@ class TestChannelFromPaths:
         assert np.linalg.norm(two) == pytest.approx(
             np.sqrt(2) * np.linalg.norm(one), rel=1e-12)
 
-    def test_near_path_requires_range(self):
-        with pytest.raises(ValueError, match="requires range_m"):
-            channel_from_paths(CFG, GRID, [_los()], "near")
-        with pytest.raises(ValueError, match="unknown scenario"):
-            channel_from_paths(CFG, GRID, [_los()], "underwater")
+    def test_path_range_decides_its_steering(self):
+        # No range is the plane wave; a range is the near-field phase at
+        # that range, path by path in one channel.
+        near = dataclasses.replace(_los(-0.5), range_m=2.0)
+        h = channel_from_paths(CFG, GRID, [_los(0.3), near])
+        expected = np.sqrt(16 / 2) * (steering(CFG, 0.3, GRID.frequencies)
+                                      + steering(CFG, -0.5, GRID.frequencies,
+                                                 2.0))
+        np.testing.assert_allclose(h, expected, atol=1e-12)
+        for bad in (0.0, -3.0, float("nan")):
+            with pytest.raises(ValueError, match="invalid range"):
+                channel_from_paths(
+                    CFG, GRID, [dataclasses.replace(_los(), range_m=bad)])
 
     def test_empty_path_list_rejected(self):
         # sqrt(N_T / L) has no value at L = 0.
         with pytest.raises(ValueError, match="at least one path"):
             channel_from_paths(CFG, GRID, [])
 
-    @pytest.mark.parametrize("scenario", ["far", "near"])
-    def test_one_pass_matches_per_subcarrier_loop(self, scenario):
-        # Three paths with gains, delays and ranges; the far scenario
-        # ignores the ranges.
+    @pytest.mark.parametrize("ranges", [(None, None, None), (4.0, 0.7, 25.0),
+                                        (4.0, None, 25.0)],
+                             ids=["far", "near", "mixed"])
+    def test_one_pass_matches_per_subcarrier_loop(self, ranges):
+        # Three paths with gains and delays, far field where the range is
+        # None.
         paths = [PathParams(gain=g, delay_s=tau, direction=Direction.from_sine(s),
-                            range_m=r, is_los=(k == 0))
-                 for k, (g, tau, s, r) in enumerate([
-                     (0.8 - 0.6j, 3e-9, 0.31, 4.0),
-                     (0.2 + 0.1j, 11e-9, -0.72, 0.7),
-                     (-0.25j, 17e-9, 0.05, 25.0)])]
+                            range_m=r)
+                 for (g, tau, s), r in zip([
+                     (0.8 - 0.6j, 3e-9, 0.31),
+                     (0.2 + 0.1j, 11e-9, -0.72),
+                     (-0.25j, 17e-9, 0.05)], ranges)]
         grid = SubcarrierGrid.build(8, 30e9, 300e9)
         np.testing.assert_array_equal(
-            channel_from_paths(CFG, grid, paths, scenario),
-            _per_subcarrier_channel(CFG, grid, paths, scenario))
+            channel_from_paths(CFG, grid, paths),
+            _per_subcarrier_channel(CFG, grid, paths))
 
 
-def _per_subcarrier_channel(config, grid, paths, scenario):
+def _per_subcarrier_channel(config, grid, paths):
     """Reference: h[m] built one subcarrier and one path at a time."""
     h = np.zeros((config.n_antennas, grid.n_subcarriers), dtype=complex)
     for m, f_m in enumerate(grid.frequencies):
         col = np.zeros(config.n_antennas, dtype=complex)
         for p in paths:
-            range_m = p.range_m if scenario == "near" else None
-            steer = steering(config, p.direction.sine, f_m, range_m)
+            steer = steering(config, p.direction.sine, f_m, p.range_m)
             col += p.gain * steer * np.exp(-2j * np.pi * p.delay_s * f_m)
         h[:, m] = np.sqrt(config.n_antennas / len(paths)) * col
     return h
@@ -101,10 +112,9 @@ class TestGenChannel:
 
     def test_los_first_and_gain_profile(self):
         ch = gen_channel(CFG, GRID, 4, rng_seed=3)
-        assert ch.los_path.is_los
+        assert ch.los_path is ch.paths[0]
         assert abs(ch.los_path.gain) == pytest.approx(1.0)
         for p in ch.paths[1:]:
-            assert not p.is_los
             assert abs(p.gain) == pytest.approx(10 ** (NLOS_GAIN_DB / 20))
 
     def test_delays_within_spread(self):
@@ -113,6 +123,8 @@ class TestGenChannel:
             assert 0.0 <= p.delay_s <= DELAY_SPREAD_S
 
     def test_near_scenario_ranges(self):
+        far = gen_channel(CFG, GRID, 2, rng_seed=5)
+        assert all(p.range_m is None for p in far.paths)
         ch = gen_channel(CFG, GRID, 2, scenario="near", rng_seed=5)
         for p in ch.paths:
             assert 1.0 <= p.range_m <= 30.0

@@ -246,20 +246,27 @@ class TestScenarioRoundTrip:
         np.testing.assert_allclose(obs2.received, obs.received, atol=1e-12)
         assert obs2.noise_var == obs.noise_var
 
-    def test_gen_then_run(self, tmp_path):
+    def test_gen_then_run(self, tmp_path, capsys):
         cfg = _write_tiny_config(tmp_path)
         scen = tmp_path / "scen.json"
         assert main(["scenario", "gen", "--config", cfg,
                      "--out", str(scen)]) == EXIT_OK
         doc = json.loads(scen.read_text())
         assert doc["received"]["shape"] == [8, 2]
-        assert "seed" not in doc
+        assert not {"seed", "scenario"} & set(doc)
+        assert all(set(p) == {"gain", "delay_s", "angle_rad", "range_m"}
+                   for p in doc["paths"])
         code = main(["scenario", "run", str(scen), "--estimators", "ls,omp"])
         assert code == EXIT_OK
-        # Files written by older versions carry a "seed" key; it is ignored.
-        scen.write_text(json.dumps(dict(doc, seed=-1)))
-        assert main(["scenario", "run", str(scen), "--estimators", "ls"]) \
+        replay = capsys.readouterr().out
+        # Files written by older versions carry "seed", "scenario" and
+        # per-path "is_los" keys; they are ignored.
+        scen.write_text(json.dumps(dict(
+            doc, seed=-1, scenario="far",
+            paths=[dict(p, is_los=k == 0) for k, p in enumerate(doc["paths"])])))
+        assert main(["scenario", "run", str(scen), "--estimators", "ls,omp"]) \
             == EXIT_OK
+        assert capsys.readouterr().out == replay
         assert main(["scenario", "run", str(scen),
                      "--estimators", "foo"]) == EXIT_CONFIG
 
@@ -278,16 +285,29 @@ class TestScenarioReplay:
         return path
 
     def test_run_reproduces_sweep_row(self, scen, tmp_path, capsys):
-        out = tmp_path / "row.csv"
-        assert main(["sweep", *self.ARGS, "--trials", "1", "--sweep", "none",
-                     "--out", str(out)]) == EXIT_OK
-        rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
-        capsys.readouterr()
-        assert main(["scenario", "run", str(scen)]) == EXIT_OK
-        replay = json.loads(capsys.readouterr().out)
-        assert [r[1] for r in rows] == list(replay)
-        assert [r[2] for r in rows] == \
-            [repr(entry["nmse"]) for entry in replay.values()]
+        # Far field, then near field: the near file's paths carry ranges,
+        # and no key other than each path's range_m says so.
+        near_cfg = tmp_path / "near.cfg"
+        near_cfg.write_text("scenario = near\n")
+        near_args = [*self.ARGS, "--config", str(near_cfg)]
+        near = tmp_path / "near.json"
+        assert main(["scenario", "gen", *near_args, "--out", str(near)]) \
+            == EXIT_OK
+        for args, path, far in ((self.ARGS, scen, True),
+                                (near_args, near, False)):
+            doc = json.loads(path.read_text())
+            assert "scenario" not in doc
+            assert all((p["range_m"] is None) == far for p in doc["paths"])
+            out = tmp_path / "row.csv"
+            assert main(["sweep", *args, "--trials", "1", "--sweep", "none",
+                         "--out", str(out)]) == EXIT_OK
+            rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+            capsys.readouterr()
+            assert main(["scenario", "run", str(path)]) == EXIT_OK
+            replay = json.loads(capsys.readouterr().out)
+            assert [r[1] for r in rows] == list(replay)
+            assert [r[2] for r in rows] == \
+                [repr(entry["nmse"]) for entry in replay.values()]
 
     def test_file_holds_the_trial_streams(self, scen):
         config = harness.PRESETS["desk"]

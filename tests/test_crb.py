@@ -54,12 +54,11 @@ class TestPerturbedSteering:
         # from: one unit-gain, zero-delay path, far (no range) or near.
         cfg = ArrayConfig.half_wavelength(64, 300e9)
         grid = SubcarrierGrid.build(8, 30e9, 300e9)
-        scenario = "far" if range_m is None else "near"
         for angle in (-1.3, -0.4, 0.0, 0.45, 1.2):
             path = PathParams(gain=1.0 + 0j, delay_s=0.0,
                               direction=Direction.from_angle(angle),
-                              range_m=range_m, is_los=True)
-            h = channel_from_paths(cfg, grid, [path], scenario)
+                              range_m=range_m)
+            h = channel_from_paths(cfg, grid, [path])
             for m, f in enumerate(grid.frequencies):
                 np.testing.assert_array_equal(
                     perturbed_steering(cfg, angle, 0.0, f, range_m),

@@ -164,6 +164,9 @@ class TestRunPoint:
         def singular(*args, **kwargs):
             raise SingularCovarianceError("observation covariance is singular")
 
+        # SBCE's breakdown is a LinAlgError, the one type run_estimator
+        # counts as a failure.
+        assert issubclass(SingularCovarianceError, np.linalg.LinAlgError)
         monkeypatch.setattr(harness, "run_sbce", singular)
         rows = run_point(TINY, [(0, TINY.snr_db)])[0]
         assert all(np.isnan(r["nmse"]["sbce"]) for r in rows)
@@ -265,6 +268,8 @@ class TestSummarizePoint:
         # Trial 1's SBCE failed: a NaN NMSE and none of the sbce keys.  It
         # counts as a failure and stays out of the NMSE mean, the RMSEs and
         # mean_iters, but both bound columns average over all three rows.
+        # The split errors give the same records as lists and as the
+        # arrays `_run_single` stores.
         config = dataclasses.replace(TINY, estimators=("sbce", "ls"))
 
         def row(trial, sbce_nmse, ls_nmse, dir_var, split_var, **fit):
@@ -273,12 +278,17 @@ class TestSummarizePoint:
                     "crb_dir_var": dir_var, "crb_split_var": split_var,
                     **fit}
 
-        rows = [row(0, 0.1, 0.5, 1e-4, 4.0, iterations=10, converged=True,
-                    dir_err_deg=0.3, split_err_deg=[0.1, -0.2]),
-                row(1, float("nan"), 0.7, 9e-4, 16.0),
-                row(2, 0.3, 0.6, 5e-4, 1.0, iterations=30, converged=False,
-                    dir_err_deg=-0.4, split_err_deg=[0.2, 0.2])]
-        sb, ls = summarize_point(config, 5.0, rows)
+        records = []
+        for split in (list, np.array):
+            rows = [row(0, 0.1, 0.5, 1e-4, 4.0, iterations=10, converged=True,
+                        dir_err_deg=0.3, split_err_deg=split([0.1, -0.2])),
+                    row(1, float("nan"), 0.7, 9e-4, 16.0),
+                    row(2, 0.3, 0.6, 5e-4, 1.0, iterations=30,
+                        converged=False, dir_err_deg=-0.4,
+                        split_err_deg=split([0.2, 0.2]))]
+            records.append(summarize_point(config, 5.0, rows))
+        assert records[0] == records[1]
+        sb, ls = records[0]
         assert (sb.sweep_value, sb.estimator, sb.trials) == (5.0, "sbce", 3)
         assert sb.failures == 1 and sb.flagged          # 1 > 0.2 * 3
         assert sb.nmse == pytest.approx(0.2, rel=1e-14)
