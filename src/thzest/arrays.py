@@ -152,8 +152,11 @@ def spherical_steering(config: ArrayConfig, sine_dir: float,
 
 def fraunhofer_distance(aperture_m: float, carrier_hz: float) -> float:
     """Far-field boundary 2*G^2*f_c/c0 for an aperture G."""
-    if aperture_m <= 0.0:
-        raise ValueError("aperture_m must be positive")
+    # Negated so that a NaN fails them.
+    if not 0.0 < aperture_m < math.inf:
+        raise ValueError("aperture_m must be finite and positive")
+    if not 0.0 < carrier_hz < math.inf:
+        raise ValueError("carrier_hz must be finite and positive")
     return 2.0 * aperture_m ** 2 * carrier_hz / SPEED_OF_LIGHT
 
 

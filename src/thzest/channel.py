@@ -84,10 +84,15 @@ def gen_channel(config: ArrayConfig, grid: SubcarrierGrid, n_paths: int,
     Directions are uniform in angle over [-pi/2, pi/2].  The LoS gain has
     unit magnitude and uniform phase; NLoS gains sit 10 dB below.  In the
     near-field scenario each path gets a range, either the fixed ``range_m``
-    or a uniform draw from DEFAULT_RANGE_BOUNDS_M.
+    or a uniform draw from DEFAULT_RANGE_BOUNDS_M.  ValueError, before any
+    draw, for another scenario or a range_m in the far field.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if scenario not in ("far", "near"):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario == "far" and range_m is not None:
+        raise ValueError("range_m needs scenario = near")
     rng = _as_rng(rng_seed)
     nlos_mag = 10.0 ** (NLOS_GAIN_DB / 20.0)
     paths = []

@@ -289,29 +289,24 @@ def draw_trial(config: ExperimentConfig, array_cfg, grid, snr_db, range_m,
 
 
 @functools.cache
-def _blas_thread_control(maps_path: str = "/proc/self/maps"):
-    """(get, set) thread-count functions of the OpenBLAS mapped into the
-    process, e.g. numpy's ``scipy_openblas_set_num_threads64_``, or None."""
+def _blas_thread_control(path: str | None = None):
+    """(get, set) thread-count functions of the OpenBLAS that numpy links,
+    e.g. ``scipy_openblas_set_num_threads64_``, or None: a lookup through
+    the handle of numpy's linear-algebra extension, or of the library at
+    path, also searches the libraries it depends on."""
     try:
-        with open(maps_path) as fh:
-            libs = {line.split(None, 5)[-1].strip() for line in fh
-                    if "openblas" in line.rsplit("/", 1)[-1]}
-    except OSError:
+        lib = ctypes.CDLL(path or np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):   # no such module, or no library
         return None
     names = [(f"{p}_get_num_threads{s}", f"{p}_set_num_threads{s}")
              for p in ("scipy_openblas", "openblas") for s in ("64_", "")]
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in names:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                getter = getattr(lib, get_name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter = getattr(lib, set_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
+    for get_name, set_name in names:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            getter = getattr(lib, get_name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter = getattr(lib, set_name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
     return None
 
 
@@ -343,8 +338,9 @@ def _trial_chunk(config: ExperimentConfig, points,
     points holds (sweep_idx, sweep_value) pairs, and each point's shared
     set-up is built once.  The trial-users of all points queue for one
     stack of SBCE centre fits (`sbce.fit_centres`; 16 rows at desk size, 2
-    at paper size): each is drawn only when the stack admits it and runs
-    through `_run_single` as soon as its fit leaves, so no more than
+    at paper size), keyed by (point, trial, user, draw): each is drawn
+    only when the stack admits it and runs through `_run_single` as soon as
+    its fit leaves (at once without SBCE), so no more than
     `sbce.stack_rows` draws are held at once.  The points share the array,
     so one dictionary serves every row, and each row keeps its own point's
     centre frequency.  A row's fit does not depend on its stack-mates, so
@@ -355,25 +351,24 @@ def _trial_chunk(config: ExperimentConfig, points,
     contexts = [EstimatorContext.build(array_cfg, grid, config.grid_size,
                                        config.n_paths, config.estimators)
                 for array_cfg, grid, _, _ in resolved]
-    runs = [(k, trial, user) for k in range(len(points))
-            for trial in trial_indices for user in range(config.n_users)]
-    draws = {}
 
     def queue():
-        for i, (k, trial, user) in enumerate(runs):
-            draws[i] = draw_trial(config, *resolved[k], points[k][0], trial,
-                                  user)
-            yield draws[i][1], contexts[k].grid
+        for k, (sweep_idx, _) in enumerate(points):
+            for trial in trial_indices:
+                for user in range(config.n_users):
+                    draw = draw_trial(config, *resolved[k], sweep_idx, trial,
+                                      user)
+                    yield (k, trial, user, draw), draw[1], contexts[k].grid
 
     if "sbce" in config.estimators:
         fits = fit_centres(queue(), contexts[0].dictionary)
     else:
-        fits = ((i, None) for i, _ in enumerate(queue()))
+        fits = ((key, None) for key, _, _ in queue())
     out = [[] for _ in points]
-    for i, fit in fits:
-        k, trial, user = runs[i]
+    for (k, trial, user, draw), fit in fits:
         out[k].append(_run_single(config, contexts[k], points[k][0], trial,
-                                  user, draws.pop(i), fit))
+                                  user, draw, fit))
+        del draw    # before the stack draws the next trial-user
     return out
 
 

@@ -63,23 +63,19 @@ class _DftFactor(NamedTuple):
 
     On the grid (2n - N - 1)/N of a half-wavelength array, atom n is atom 0
     times w^{in} with w = exp(2 pi j / N), so P' = A W with the P x N_T
-    factor A = B diag(c * d_0) and W_in = w^{in}.  a_hat = F ifft(A, F) and
-    f_a = fft(A, F) are its zero-padded row transforms, F >= 2 N_T - 1;
-    a_hat is kept as its conjugate, the form `_gram` reads.  Every array
-    carries a leading row axis: a is R x P x N_T, a_hat_conj and f_a are
-    R x P x F.  N is the length of the sigma that goes with it.
+    factor A = B diag(c * d_0) and W_in = w^{in}.  f_a = fft(A, F) is its
+    zero-padded row transform, F >= 2 N_T - 1, the one `_gram` and `_e_step`
+    read.  Every array carries a leading row axis: a is R x P x N_T and f_a
+    is R x P x F.  N is the length of the sigma that goes with it.
     """
 
     a: np.ndarray
-    a_hat_conj: np.ndarray
     f_a: np.ndarray
 
 
 def _dft_factor(a: np.ndarray) -> _DftFactor:
-    """R x P x N_T factors A_r with their row transforms, two FFTs for all."""
-    n_fft = _fft_size(a.shape[-1])
-    return _DftFactor(a, (n_fft * np.fft.ifft(a, n_fft)).conj(),
-                      np.fft.fft(a, n_fft))
+    """R x P x N_T factors A_r with their row transforms, one FFT for all."""
+    return _DftFactor(a, np.fft.fft(a, _fft_size(a.shape[-1])))
 
 
 def _herm(stack: np.ndarray) -> np.ndarray:
@@ -100,19 +96,21 @@ class _EStep(NamedTuple):
 
 def _gram(factor: _DftFactor, sigma: np.ndarray) -> np.ndarray:
     """S = P' Sigma P'^H = A T A^H of every row, T Toeplitz with T_ik =
-    tau_{i-k}, tau_d = sum_n sigma_n w^{dn}; embedded in an F-point circulant
-    with spectrum lam, S = a_hat diag(lam) a_hat^H / F.  R x P x P."""
-    a, a_hat_conj, _ = factor
-    k, n_fft, n_grid = a.shape[-1], a_hat_conj.shape[-1], sigma.shape[-1]
-    tau = n_grid * np.fft.ifft(sigma)
+    tau_{i-k}, tau_d = sum_n sigma_n w^{dn}; embedded in an F-point circulant,
+    S = f_a diag(lam') f_a^H / F, where lam', the circulant spectrum of
+    tau' = fft(sigma) = conj(tau), is tau's index-reversed.  R x P x P."""
+    a, f_a = factor
+    k, n_fft, n_grid = a.shape[-1], f_a.shape[-1], sigma.shape[-1]
+    tau = np.fft.fft(sigma)
     col = np.zeros((len(sigma), n_fft), dtype=complex)
     col[:, :k] = tau[:, :k]
     col[:, n_fft - k + 1:] = tau[:, n_grid - k + 1:]
     lam = np.fft.fft(col).real
-    # a_hat diag(lam) is formed in place: one R x P x F temporary, not two.
-    weighted = a_hat_conj.conj()
+    # conj(f_a) diag(lam') f_a^T = S^T is formed in place: one R x P x F
+    # temporary, not two.
+    weighted = f_a.conj()
     weighted *= lam[:, np.newaxis, :]
-    s_mat = weighted @ np.swapaxes(a_hat_conj, -1, -2) / n_fft
+    s_mat = np.swapaxes(weighted @ np.swapaxes(f_a, -1, -2), -1, -2) / n_fft
     return 0.5 * (s_mat + _herm(s_mat))
 
 
@@ -158,7 +156,7 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
     Cholesky factor or inverse does not exist, or whose posterior is not
     finite, is flagged in `failed`; its other fields are meaningless.
     """
-    a, _, f_a = factor
+    a, f_a = factor
     k, n_fft, n_grid = a.shape[-1], f_a.shape[-1], sigma.shape[-1]
     s_mat = _gram(factor, sigma)
     failed = np.zeros(len(sigma), dtype=bool)
@@ -247,7 +245,7 @@ class _Fit(NamedTuple):
     converged: bool
 
 
-#: Most complex elements of the R x P x F factor transforms that one stack
+#: Most complex elements of the R x P x F factor transform that one stack
 #: of fits holds.  Bigger stacks save little per-call overhead but grow the
 #: E-step's temporaries: 16 desk rows (P = 16, F = 128) share one stack,
 #: while paper-size ones (P = 32, F = 512) run two at a time.
@@ -262,12 +260,12 @@ def stack_rows(n_pilots: int, n_antennas: int) -> int:
 def fit_centres(observations, dictionary: Dictionary):
     """Centre-subcarrier EM fits of a queue of observations, in one stack.
 
-    `observations` yields (observation, grid) pairs, and the generator
-    yields (i, fit) for the i-th pair as its row leaves the stack: fit is
-    its `_Fit`, bit for bit the one it gets alone, or the
-    SingularCovarianceError that ended it.  A breakdown fails only its own
-    observation, at the iteration of its own fit where it would fail alone.
-    `run_sbce` takes a fit as its `fit`.
+    `observations` yields (key, observation, grid) triples, and the
+    generator yields (key, fit), key the caller's own object, as the
+    triple's row leaves the stack: fit is its `_Fit`, bit for bit the one
+    it gets alone, or the SingularCovarianceError that ended it.  A
+    breakdown fails only its own observation, at the iteration of its own
+    fit where it would fail alone.  `run_sbce` takes a fit as its `fit`.
 
     A row is an observation's centre column y with its pilots B at its own
     grid's centre frequency, so the rows of different sweep points share a
@@ -279,10 +277,11 @@ def fit_centres(observations, dictionary: Dictionary):
     leaves when it converges, reaches `MAX_ITERS` iterations of its own or
     breaks down, and the next observation takes its slot in place, so the
     stack stays full until the queue drains; only then is it compacted.
-    The leaving rows of an iteration are yielded before the next
-    observation is read, so a consumer that drops an observation as its
-    fit leaves holds at most `stack_rows` of them.  Every step is per row,
-    so a row's fit does not depend on the other rows of its stack.
+    The stack copies in a row's pilots and centre column and keeps only
+    its key; the leaving rows of an iteration are yielded, and their keys
+    dropped, before the next observation is read, so draws kept in the
+    keys number at most `stack_rows`.  Every step is per row, so a row's
+    fit does not depend on the other rows of its stack.
     ValueError unless the pilots have the N_T of the dictionary's
     half-wavelength array.
     """
@@ -290,23 +289,21 @@ def fit_centres(observations, dictionary: Dictionary):
     n_antennas = array_config.n_antennas
     _check_dft_grid(array_config, "SBCE")
     first_atom = dictionary.first_atom
-    queue = enumerate(observations)
+    queue = iter(observations)
     head = next(queue, None)
     if head is None:
         return
-    n_pilots = len(head[1][0].beamformer)
-    batch = [head, *itertools.islice(
-        queue, stack_rows(n_pilots, n_antennas) - 1)]
-    n_rows, n_fft = len(batch), _fft_size(n_antennas)
-    rows = np.empty(n_rows, dtype=int)       # the observation in each slot
-    b = [None] * n_rows
+    n_pilots = len(head[1].beamformer)
+    queue = itertools.chain([head], queue)
+    del head
+    n_rows = stack_rows(n_pilots, n_antennas)
+    rows = np.empty(n_rows, dtype=object)    # the caller's key in each slot
+    b = np.empty((n_rows, n_pilots, n_antennas), dtype=complex)
     y = np.empty((n_rows, n_pilots), dtype=complex)
     freq, energy, noise_var = (np.empty(n_rows) for _ in range(3))
     sigma = np.empty((n_rows, dictionary.grid_size))
-    factor = _DftFactor(
-        np.empty((n_rows, n_pilots, n_antennas), dtype=complex),
-        *(np.empty((n_rows, n_pilots, n_fft), dtype=complex)
-          for _ in range(2)))
+    factor = _DftFactor(np.empty_like(b), np.empty(
+        (n_rows, n_pilots, _fft_size(n_antennas)), dtype=complex))
     # When the true direction falls midway between two grid cells the peak
     # can alternate between them forever, with the perturbation rebuild and
     # the prior variances flipping in a period-2 limit cycle.  Detect the
@@ -319,8 +316,11 @@ def fit_centres(observations, dictionary: Dictionary):
                                 for _ in range(4))
 
     def admit(slot, item):
-        """Start the fit of item = (i, (observation, grid)) in a slot."""
-        rows[slot], (obs, grid) = item
+        """Start the fit of item = (key, observation, grid) in a slot;
+        False when the queue has drained and item is None."""
+        if item is None:
+            return False
+        rows[slot], obs, grid = item
         if obs.beamformer.shape[1] != n_antennas:
             raise ValueError(
                 "dimension mismatch: dictionary rows != n_antennas")
@@ -334,12 +334,21 @@ def fit_centres(observations, dictionary: Dictionary):
         # Peak atom -1 stands for C = I, the factor of every new row.
         peak[slot] = before[slot] = -1
         flips[slot] = its[slot] = 0
-        factor.a[slot], factor.a_hat_conj[slot], factor.f_a[slot] = \
-            _dft_factor(obs.beamformer * first_atom)
+        factor.a[slot], factor.f_a[slot] = _dft_factor(b[slot] * first_atom)
+        return True
 
-    for slot, item in enumerate(batch):
-        admit(slot, item)
+    leaving = np.arange(n_rows)     # every slot starts empty
     while True:
+        keep = np.ones(len(rows), dtype=bool)
+        for r in leaving:
+            keep[r] = admit(r, next(queue, None))
+        if not keep.all():
+            factor = _DftFactor(*(x[keep] for x in factor))
+            rows, b, y, freq, energy, noise_var, sigma, peak, before, flips, \
+                its = (x[keep] for x in (rows, b, y, freq, energy, noise_var,
+                                         sigma, peak, before, flips, its))
+            if not len(rows):
+                return
         its += 1
         post = _e_step(factor, sigma, noise_var, y)
         # A broken row runs the rest of the iteration on meaningless values
@@ -378,7 +387,7 @@ def fit_centres(observations, dictionary: Dictionary):
             # Row by row, so that the transforms' temporaries stay those
             # of one row.
             for r, c_r in zip(np.flatnonzero(moved), c.T):
-                factor.a[r], factor.a_hat_conj[r], factor.f_a[r] = \
+                factor.a[r], factor.f_a[r] = \
                     _dft_factor(b[r] * (c_r * first_atom))
 
         delta_sigma = np.sqrt(_sq_norms(sigma_new - sigma))
@@ -389,29 +398,14 @@ def fit_centres(observations, dictionary: Dictionary):
         leaving = np.flatnonzero(done | failed | (its >= MAX_ITERS))
         for r in leaving:
             if failed[r]:
-                yield int(rows[r]), SingularCovarianceError(
+                yield rows[r], SingularCovarianceError(
                     "observation covariance broke down at EM iteration "
                     f"{its[r]}")
             else:
                 # A copy: the slot's sigma row is overwritten on a refill.
-                yield int(rows[r]), _Fit(sigma[r].copy(), float(noise_var[r]),
-                                         int(peak[r]), int(its[r]),
-                                         bool(done[r]))
-        keep = np.ones(len(rows), dtype=bool)
-        for r in leaving:
-            item = next(queue, None)
-            if item is None:
-                keep[r] = False
-            else:
-                admit(r, item)
-        if not keep.all():
-            b = [b[r] for r in np.flatnonzero(keep)]
-            factor = _DftFactor(*(x[keep] for x in factor))
-            rows, y, freq, energy, noise_var, sigma, peak, before, flips, \
-                its = (x[keep] for x in (rows, y, freq, energy, noise_var,
-                                         sigma, peak, before, flips, its))
-            if not len(rows):
-                return
+                yield rows[r], _Fit(sigma[r].copy(), float(noise_var[r]),
+                                    int(peak[r]), int(its[r]), bool(done[r]))
+        rows[leaving] = None
 
 
 def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
@@ -425,7 +419,7 @@ def run_sbce(observation, dictionary: Dictionary, grid: SubcarrierGrid,
     is fitted alone, as a stack of one.
     """
     if fit is None:
-        [(_, fit)] = fit_centres([(observation, grid)], dictionary)
+        [(_, fit)] = fit_centres([(None, observation, grid)], dictionary)
     if isinstance(fit, SingularCovarianceError):
         raise fit
     pilot_matrix = observation.beamformer

@@ -205,8 +205,15 @@ class TestFraunhofer:
             2 * 0.01 * 300e9 / SPEED_OF_LIGHT)
 
     def test_rejects_nonpositive_aperture(self):
-        with pytest.raises(ValueError):
-            fraunhofer_distance(0.0, 300e9)
+        # A NaN or infinite aperture or carrier, a negative carrier and a
+        # zero or negative aperture are rejected, not turned into NaN or a
+        # negative distance.
+        for aperture, carrier in ((0.0, 300e9), (-0.1, 300e9),
+                                  (np.nan, 300e9), (np.inf, 300e9),
+                                  (0.1, -300e9), (0.1, 0.0), (0.1, np.nan),
+                                  (0.1, np.inf)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                fraunhofer_distance(aperture, carrier)
 
 
 class TestDictionary:

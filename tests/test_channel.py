@@ -136,6 +136,20 @@ class TestGenChannel:
         with pytest.raises(ValueError):
             gen_channel(CFG, GRID, 0)
 
+    @pytest.mark.parametrize("scenario, range_m, message", [
+        ("Near", None, "unknown scenario"),
+        ("", 5.0, "unknown scenario"),
+        ("far", 5.0, "range_m needs scenario = near"),
+    ])
+    def test_rejects_bad_scenario_before_any_draw(self, scenario, range_m,
+                                                  message):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            gen_channel(CFG, GRID, 2, scenario=scenario, rng_seed=rng,
+                        range_m=range_m)
+        assert rng.bit_generator.state == state
+
 
 class TestPilotsAndObservation:
     def test_pilot_entries_constant_modulus(self):

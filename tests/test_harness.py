@@ -590,19 +590,14 @@ class TestBlasThreads:
             run_sweep(TINY)
         assert two_blas_threads() == 2
 
-    def test_lookup_without_openblas_is_none(self, tmp_path):
-        # A maps file naming no OpenBLAS, one naming a missing file, and one
-        # naming a loadable library without the thread controls.
-        stub = tmp_path / "libopenblas_stub.so"
-        stub.symlink_to(_ctypes.__file__)
-        for name, text in (("none", "00-01 r--p 0 0:0 0 /usr/lib/libm.so\n"),
-                           ("missing", f"00-01 r--p 0 0:0 0 {tmp_path}/"
-                                       "libopenblas_gone.so\n"),
-                           ("stub", f"00-01 r--p 0 0:0 0 {stub}\n")):
-            maps = tmp_path / name
-            maps.write_text(text)
-            assert harness._blas_thread_control(str(maps)) is None
-        assert harness._blas_thread_control(str(tmp_path / "absent")) is None
+    def test_lookup_without_openblas_is_none(self, monkeypatch, tmp_path):
+        # A loadable library without the thread controls, a missing one,
+        # and a numpy without its linear-algebra extension (uncached).
+        assert harness._blas_thread_control(_ctypes.__file__) is None
+        assert harness._blas_thread_control(
+            str(tmp_path / "libopenblas_gone.so")) is None
+        monkeypatch.delattr(np.linalg, "_umath_linalg")
+        assert harness._blas_thread_control.__wrapped__() is None
 
     def test_no_control_is_a_silent_no_op(self, monkeypatch):
         _, expected = run_sweep(TINY)

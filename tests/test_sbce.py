@@ -581,9 +581,11 @@ def _solo_fit(y, pilot_matrix, dictionary, freq_hz):
 
 
 def _queue_fits(pairs, dictionary):
-    """The fits `fit_centres` yields for (observation, grid) pairs, each
-    yielded once, in the order of the pairs."""
-    fits = list(sbce.fit_centres(pairs, dictionary))
+    """The fits `fit_centres` yields for (observation, grid) pairs queued as
+    triples keyed by their positions, each yielded once, in the order of
+    the pairs."""
+    fits = list(sbce.fit_centres(
+        ((i, obs, grid) for i, (obs, grid) in enumerate(pairs)), dictionary))
     assert sorted(i for i, _ in fits) == list(range(len(pairs)))
     return [fit for _, fit in sorted(fits, key=lambda entry: entry[0])]
 
@@ -819,7 +821,8 @@ class TestStack:
         sizes = _record_stack_sizes(monkeypatch)
 
         def queue():
-            yield from pairs
+            for i, (obs, grid) in enumerate(pairs):
+                yield i, obs, grid
             sizes.append("drained")
 
         fits = list(sbce.fit_centres(queue(), d))
@@ -834,6 +837,23 @@ class TestStack:
         # Every iteration of a stack is one iteration of each of its rows.
         assert sum(sizes[:drained] + tail) == sum(
             fit.iterations for _, fit in fits)
+
+    def test_yields_each_callers_key(self):
+        # Each fit comes back with the very object its triple was keyed by,
+        # whatever its type, and so does the error of the zero observation,
+        # whose covariance breaks down at iteration 3.
+        observations, d, grid = _trial_users("desk", 10.0, 4)
+        observations[2] = PilotObservation(
+            observations[2].beamformer,
+            np.zeros_like(observations[2].received), 0.0)
+        keys = [[0], (1, "trial"), np.arange(2), object()]
+        fits = list(sbce.fit_centres(
+            [(key, obs, grid) for key, obs in zip(keys, observations)], d))
+        got = {id(key): fit for key, fit in fits}
+        assert len(fits) == 4 and set(got) == {id(key) for key in keys}
+        for r, key in enumerate(keys):
+            assert isinstance(got[id(key)], SingularCovarianceError) == \
+                (r == 2)
 
     def test_stack_mixes_converged_pinned_and_capped_rows(self, monkeypatch):
         # The centre columns of five observations, each with its own
