@@ -7,7 +7,6 @@ from .arrays import (
     SubcarrierGrid,
     build_dictionary,
     fraunhofer_distance,
-    spherical_steering,
     steering,
 )
 from .channel import (
@@ -23,8 +22,7 @@ from .harness import ExperimentConfig, nmse, run_sweep
 
 __all__ = [
     "ArrayConfig", "Dictionary", "Direction", "SubcarrierGrid",
-    "build_dictionary", "fraunhofer_distance", "spherical_steering",
-    "steering",
+    "build_dictionary", "fraunhofer_distance", "steering",
     "ChannelRealization", "PathParams", "PilotObservation",
     "gen_channel", "gen_pilot_matrix", "observe",
     "SbceResult", "run_sbce",

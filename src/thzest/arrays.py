@@ -135,21 +135,6 @@ def _split_diag(n_antennas: int, delta) -> np.ndarray:
     return np.exp(np.multiply.outer(1j * np.pi * np.arange(n_antennas), delta))
 
 
-def spherical_steering(config: ArrayConfig, sine_dir: float,
-                       range_m: float, freq_hz: float) -> np.ndarray:
-    """Exact spherical-wave steering vector, the reference of `steering`'s
-    Taylor phase: the per-element path-length excess r_i - r relative to
-    antenna 1 gives entry i = exp(-j*2*pi*(f/c0)*(r_i - r))/sqrt(N), for
-    one sine and frequency.
-    """
-    _check_inputs(sine_dir, freq_hz, range_m)
-    offs = np.arange(config.n_antennas) * config.element_spacing_m
-    r_i = range_m * np.sqrt(
-        1.0 + (offs / range_m) ** 2 - 2.0 * offs * sine_dir / range_m)
-    phase = -2.0 * np.pi * (freq_hz / SPEED_OF_LIGHT) * (r_i - range_m)
-    return np.exp(1j * phase) / np.sqrt(config.n_antennas)
-
-
 def fraunhofer_distance(aperture_m: float, carrier_hz: float) -> float:
     """Far-field boundary 2*G^2*f_c/c0 for an aperture G."""
     # Negated so that a NaN fails them.

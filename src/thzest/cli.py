@@ -26,8 +26,6 @@ EXIT_RUNTIME = 2
 
 def _parse_scalar(text: str):
     text = text.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
     if text.lower() in ("null", ""):
         return None
     for cast in (int, float):

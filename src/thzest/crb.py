@@ -66,21 +66,14 @@ def perturbed_steering(config: ArrayConfig, angle_rad: float, split: float,
     return (steer.T * _split_diag(config.n_antennas, split)).T
 
 
-def steering_derivatives_near(config: ArrayConfig, angle_rad: float,
-                              range_m: float | None, split: float, freq_hz):
-    """Analytic (d/d angle, d/d range, d/d split) of the perturbed steering.
+def _steering_derivatives(config: ArrayConfig, a: np.ndarray,
+                          angle_rad: float, range_m: float | None, freq_hz):
+    """Analytic (d/d angle, d/d range, d/d split) of the perturbed steering
+    a = `perturbed_steering(config, angle_rad, split, freq_hz, range_m)`.
 
     Its phase is 2 pi d f/c0 (i-1) [sin - (i-1) d cos^2/(2 r)] + pi (i-1)
     split; range_m None is the far field, whose d/d range is None.
     """
-    return _steering_derivatives(
-        config, perturbed_steering(config, angle_rad, split, freq_hz, range_m),
-        angle_rad, range_m, freq_hz)
-
-
-def _steering_derivatives(config: ArrayConfig, a: np.ndarray,
-                          angle_rad: float, range_m: float | None, freq_hz):
-    """`steering_derivatives_near` from its perturbed steering a."""
     idx = np.arange(config.n_antennas).reshape((-1,) + (1,) * np.ndim(freq_hz))
     offs = config.element_spacing_m * idx
     slope = 2.0 * np.pi * np.asarray(freq_hz) / SPEED_OF_LIGHT * offs

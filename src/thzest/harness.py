@@ -289,13 +289,13 @@ def draw_trial(config: ExperimentConfig, array_cfg, grid, snr_db, range_m,
 
 
 @functools.cache
-def _blas_thread_control(path: str | None = None):
+def _blas_thread_control():
     """(get, set) thread-count functions of the OpenBLAS that numpy links,
     e.g. ``scipy_openblas_set_num_threads64_``, or None: a lookup through
-    the handle of numpy's linear-algebra extension, or of the library at
-    path, also searches the libraries it depends on."""
+    the handle of numpy's linear-algebra extension also searches the
+    libraries it depends on."""
     try:
-        lib = ctypes.CDLL(path or np.linalg._umath_linalg.__file__)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):   # no such module, or no library
         return None
     names = [(f"{p}_get_num_threads{s}", f"{p}_set_num_threads{s}")

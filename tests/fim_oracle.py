@@ -1,10 +1,25 @@
 """Second-difference oracle for the closed-form Fisher information of
-`thzest.crb`, shared by the CRB unit tests and acceptance criterion 6."""
+`thzest.crb`, shared by the CRB unit tests and acceptance criterion 6, and
+the steering derivatives of one path that criterion 7 checks."""
 
 import numpy as np
 
 from thzest.arrays import ArrayConfig
-from thzest.crb import ParamVector, _steering_and_derivs
+from thzest.crb import (
+    ParamVector,
+    _steering_and_derivs,
+    _steering_derivatives,
+    perturbed_steering,
+)
+
+
+def steering_derivatives_near(config: ArrayConfig, angle_rad: float,
+                              range_m: float | None, split: float, freq_hz):
+    """(d/d angle, d/d range, d/d split) of one path's perturbed steering,
+    as the bound differentiates it; range_m None gives d/d range None."""
+    return _steering_derivatives(
+        config, perturbed_steering(config, angle_rad, split, freq_hz, range_m),
+        angle_rad, range_m, freq_hz)
 
 
 def numeric_fim(config: ArrayConfig, params: ParamVector,

@@ -18,17 +18,11 @@ from thzest.arrays import (
     SubcarrierGrid,
     build_dictionary,
     fraunhofer_distance,
-    spherical_steering,
     steering,
 )
 from thzest.baselines import omp_estimate_joint
 from thzest.channel import PilotObservation, gen_pilot_matrix
-from thzest.crb import (
-    ParamVector,
-    crb,
-    perturbed_steering,
-    steering_derivatives_near,
-)
+from thzest.crb import ParamVector, crb, perturbed_steering
 from thzest.harness import ExperimentConfig, run_point, run_sweep, summarize_point
 from thzest.sbce import (
     beam_split_from_c,
@@ -37,7 +31,8 @@ from thzest.sbce import (
     update_perturbation_diag,
 )
 
-from fim_oracle import numeric_fim
+from fim_oracle import numeric_fim, steering_derivatives_near
+from spherical import spherical_steering
 
 DESK = ExperimentConfig(estimators=("sbce", "ls", "omp"))
 

@@ -12,11 +12,11 @@ from thzest.arrays import (
     SubcarrierGrid,
     build_dictionary,
     fraunhofer_distance,
-    spherical_steering,
     steering,
 )
 
 from grid_atoms import grid_atoms
+from spherical import spherical_steering
 
 CFG = ArrayConfig.half_wavelength(32, 300e9)
 

@@ -60,11 +60,13 @@ class TestConfigFile:
             "snr_db = 12.5\n"
             "sweep_values = 0, 10, 20\n"
             "scenario = near   # trailing comment\n"
-            "range_m = null\n")
+            "range_m = null\n"
+            "n_paths = true\n")
         mapping = load_config_file(str(path))
         assert mapping == {"trials": 7, "snr_db": 12.5,
                            "sweep_values": [0, 10, 20],
-                           "scenario": "near", "range_m": None}
+                           "scenario": "near", "range_m": None,
+                           "n_paths": "true"}
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -5,14 +5,9 @@ import pytest
 
 from thzest.arrays import ArrayConfig, Direction, SubcarrierGrid, steering
 from thzest.channel import PathParams, channel_from_paths, gen_pilot_matrix
-from thzest.crb import (
-    ParamVector,
-    crb,
-    perturbed_steering,
-    steering_derivatives_near,
-)
+from thzest.crb import ParamVector, crb, perturbed_steering
 
-from fim_oracle import numeric_fim
+from fim_oracle import numeric_fim, steering_derivatives_near
 
 CFG4 = ArrayConfig.half_wavelength(4, 300e9)
 CFG16 = ArrayConfig.half_wavelength(16, 300e9)
@@ -125,22 +120,6 @@ class TestCrb:
         pilots = gen_pilot_matrix(CFG16, 8, rng_seed=0)
         with pytest.raises(ValueError):
             crb(CFG16, params, pilots, [16.0, 1.0], 0.01, 300e9)
-
-
-class TestNumericOracle:
-    def test_closed_form_matches_numeric_far(self):
-        params = ParamVector([0.25], [0.0])
-        rep = crb(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
-        ref = numeric_fim(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
-        scale = np.max(np.abs(ref))
-        np.testing.assert_allclose(rep.fim, ref, atol=2e-2 * scale)
-
-    def test_closed_form_matches_numeric_near(self):
-        params = ParamVector([0.25], [0.0], [0.05])
-        rep = crb(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
-        ref = numeric_fim(CFG4, params, np.eye(4), [4.0], 0.05, 306e9)
-        scale = np.max(np.abs(ref))
-        np.testing.assert_allclose(rep.fim, ref, atol=2e-2 * scale)
 
 
 class TestFrequencyVector:

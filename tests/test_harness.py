@@ -6,6 +6,7 @@ import functools
 import math
 import multiprocessing
 import os
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -551,9 +552,13 @@ class TestBlasThreads:
                                              two_blas_threads):
         log = tmp_path / "threads.log"
         _record_blas_threads(monkeypatch, log, two_blas_threads)
-        run_sweep(TINY)
+        _, two_threads_csv = run_sweep(TINY)
         assert _read_log(log) == [(os.getpid(), 1)] * TINY.trials
         assert two_blas_threads() == 2
+        # The pinned chunk makes the bytes independent of the caller's count.
+        harness._blas_thread_control()[1](1)
+        _, one_thread_csv = run_sweep(TINY)
+        assert one_thread_csv == two_threads_csv
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the recording wrapper reaches workers by fork")
@@ -591,11 +596,12 @@ class TestBlasThreads:
         assert two_blas_threads() == 2
 
     def test_lookup_without_openblas_is_none(self, monkeypatch, tmp_path):
-        # A loadable library without the thread controls, a missing one,
-        # and a numpy without its linear-algebra extension (uncached).
-        assert harness._blas_thread_control(_ctypes.__file__) is None
-        assert harness._blas_thread_control(
-            str(tmp_path / "libopenblas_gone.so")) is None
+        # numpy's linear-algebra extension as a loadable library without
+        # the thread controls, as a missing file, and absent (uncached).
+        for path in (_ctypes.__file__, str(tmp_path / "libopenblas_gone.so")):
+            monkeypatch.setattr(np.linalg, "_umath_linalg",
+                                types.SimpleNamespace(__file__=path))
+            assert harness._blas_thread_control.__wrapped__() is None
         monkeypatch.delattr(np.linalg, "_umath_linalg")
         assert harness._blas_thread_control.__wrapped__() is None
 

@@ -57,51 +57,6 @@ def dft_matrix(n_rows, n_grid):
                                         np.arange(n_grid)) / n_grid)
 
 
-def update_sigma(z, posterior_cov=None):
-    """Reference prior-variance updates from a formed posterior.
-
-    With the posterior covariance supplied this is the full second moment
-    E|x_n|^2 = |z_n|^2 + Pi_nn; without it, the point-estimate power |z_n|^2.
-    These are the "em" and "point" variants of the EM loop; the loop's
-    default is the faster fixed-point form built from the same quantities.
-    """
-    power = np.abs(z) ** 2
-    if posterior_cov is None:
-        return power
-    return power + np.maximum(np.real(np.diag(posterior_cov)), 0.0)
-
-
-def update_noise_var(y, effective_matrix, z, pi, divisor):
-    """Reference noise floor from the posterior residual energy."""
-    residual = float(np.linalg.norm(y - effective_matrix @ z) ** 2)
-    spread = effective_matrix @ pi @ effective_matrix.conj().T
-    return (residual + float(np.real(np.trace(spread)))) / divisor
-
-
-def update_perturbation_full(y, pilot_matrix, atoms, z, pi):
-    """Reference dense update of the full N_T^2 perturbation matrix.
-
-    Solves E{Q^H Q} u = E{Q^H (y - P x)} in the least-squares sense, with
-    Q's columns generated by the unit basis matrices of U.  It validates the
-    diagonal path at toy scale: the system is N_T^2-sized, which is exactly
-    why the estimator restricts U to a diagonal.
-    """
-    n_antennas = pilot_matrix.shape[1]
-    if n_antennas > 16:
-        raise ValueError("scale guard: full perturbation update requires N_T <= 16")
-    second_moment = np.outer(z, z.conj()) + pi
-    spread = atoms @ second_moment @ atoms.conj().T            # D E{xx^H} D^H
-    gram = pilot_matrix.conj().T @ pilot_matrix                # B^H B
-    # [Q^H Q]_{(p,q),(p',q')} = (B^H B)_{p p'} * spread_{q' q}
-    lhs = np.kron(spread.T, gram)
-    nominal = pilot_matrix @ atoms
-    cross = pilot_matrix.conj().T @ (
-        np.outer(y, z.conj()) - nominal @ second_moment) @ atoms.conj().T
-    rhs = cross.flatten(order="F")
-    u, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    return u
-
-
 def _random_instance(rng, p_dim=6, n_dim=10):
     mat = rng.standard_normal((p_dim, n_dim)) + \
         1j * rng.standard_normal((p_dim, n_dim))
@@ -273,32 +228,6 @@ class TestSqNorms:
                                           sbce._sq_norms(x[r:r + 1]))
 
 
-class TestHyperparameterUpdates:
-    def test_sigma_point_and_moment_forms(self):
-        rng = np.random.default_rng(2)
-        mat, sigma, y = _random_instance(rng)
-        z, pi = posterior_update(mat, sigma, 0.2, y)
-        np.testing.assert_allclose(update_sigma(z), np.abs(z) ** 2)
-        np.testing.assert_allclose(
-            update_sigma(z, pi),
-            np.abs(z) ** 2 + np.real(np.diag(pi)), rtol=1e-12)
-
-    def test_noise_var_oracle(self):
-        rng = np.random.default_rng(3)
-        mat, sigma, y = _random_instance(rng)
-        z, pi = posterior_update(mat, sigma, 0.2, y)
-        got = update_noise_var(y, mat, z, pi, divisor=6)
-        expected = (np.linalg.norm(y - mat @ z) ** 2 +
-                    np.real(np.trace(mat @ pi @ mat.conj().T))) / 6
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_noise_var_nonnegative(self):
-        rng = np.random.default_rng(4)
-        mat, sigma, y = _random_instance(rng)
-        z, pi = posterior_update(mat, sigma, 0.2, y)
-        assert update_noise_var(y, mat, z, pi, divisor=6) > 0.0
-
-
 class TestPerturbation:
     def test_diagonal_maps_between_steering_vectors(self):
         # C a(phi) = a(eta phi) with eta = f/f_c.
@@ -336,33 +265,6 @@ class TestPerturbation:
         for bad in (2.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 beam_split_from_c(np.array([1.0, bad, 1.0], dtype=complex))
-
-    def test_full_update_explains_diagonal_perturbation(self):
-        # Noiseless rank-one data: the dense solve must reproduce the
-        # perturbed observation through its min-norm solution.
-        rng = np.random.default_rng(5)
-        d = build_dictionary(CFG, 24)
-        b = gen_pilot_matrix(CFG, 8, rng_seed=rng)
-        c = np.exp(1j * np.pi * np.arange(16) * 0.04)
-        x = np.zeros(24, dtype=complex)
-        x[7] = 1.5 - 0.5j
-        atoms = grid_atoms(d)
-        y = b @ (c * (atoms @ x))
-        u = update_perturbation_full(y, b, atoms, x,
-                                     np.zeros((24, 24), dtype=complex))
-        u_mat = u.reshape((16, 16), order="F")
-        pred = b @ (np.eye(16) + u_mat) @ atoms @ x
-        np.testing.assert_allclose(pred, y, atol=1e-9)
-
-    def test_full_update_scale_guard(self):
-        big = ArrayConfig.half_wavelength(32, 300e9)
-        d = build_dictionary(big, 40)
-        b = gen_pilot_matrix(big, 8, rng_seed=0)
-        with pytest.raises(ValueError):
-            update_perturbation_full(np.zeros(8, dtype=complex), b,
-                                     grid_atoms(d),
-                                     np.zeros(40, dtype=complex),
-                                     np.zeros((40, 40), dtype=complex))
 
 
 def _noiseless_observation(grid_index=20, grid_size=64, n_pilots=16,
