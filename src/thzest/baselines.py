@@ -98,7 +98,7 @@ def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
     return np.fft.ifft(v * cov_spectra.T, axis=0)[:n_antennas]
 
 
-def _bessel_j0(x: np.ndarray) -> np.ndarray:
+def _midpoint_j0(x: np.ndarray) -> np.ndarray:
     """J0(x) = (1/pi) int_0^pi cos(x cos t) dt by the midpoint rule.
 
     The integrand is even and 2*pi-periodic in t, so n midpoints miss only
@@ -106,12 +106,61 @@ def _bessel_j0(x: np.ndarray) -> np.ndarray:
     below rounding.  It is also even about t = pi/2, so the sum doubles the
     first n//2 nodes and, for odd n, adds the middle node's cos(0) = 1.
     """
-    x = np.asarray(x, dtype=float)
     n = int(np.max(np.abs(x), initial=0.0)) + 33
     t = (np.arange(n // 2) + 0.5) * (np.pi / n)
     phase = np.multiply.outer(x, np.cos(t))
     half = np.sum(np.cos(phase, out=phase), axis=-1)
     return (2.0 * half + n % 2) / n
+
+
+def _hankel_series(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of P and Q in Hankel's expansion of J0 (Abramowitz &
+    Stegun 9.2.9-9.2.10), P = sum_k (-1)^k a_2k u^k and
+    Q = x^-1 sum_k (-1)^k a_2k+1 u^k in u = 1/x^2, where a_0 = 1 and
+    a_k = a_k-1 (-(2k - 1)^2) / (8k)."""
+    a = [1.0]
+    for k in range(1, 2 * n_terms):
+        a.append(a[-1] * -(2 * k - 1) ** 2 / (8 * k))
+    signs = (-1.0) ** np.arange(n_terms)
+    return signs * a[0::2], signs * a[1::2]
+
+
+#: J0 switches from the midpoint rule (at most 72 nodes below it) to 16
+#: terms of each Hankel series; together they stay within 1e-15 of J0 on
+#: [0, 4000].
+_HANKEL_X0 = 40.0
+_HANKEL_P, _HANKEL_Q = _hankel_series(16)
+
+
+def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    acc = np.full_like(u, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= u
+        acc += c
+    return acc
+
+
+def _bessel_j0(x: np.ndarray) -> np.ndarray:
+    """J0 at every entry of x, in O(1) operations per entry.
+
+    Below x0 = 40 the midpoint rule; at and above it Hankel's expansion
+    J0(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - pi/4
+    (Abramowitz & Stegun 9.2.5), written as
+    ((P + Q) cos x + (P - Q) sin x) / sqrt(pi x).  That form never rounds
+    x - pi/4, which would cost up to ulp(x)/2 in phase: 2e-15 in J0 at
+    x = 1000.  J0 is even, so negative x read |x|.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    low = x < _HANKEL_X0
+    out[low] = _midpoint_j0(x[low])
+    far = x[~low]
+    u = 1.0 / (far * far)
+    p = _horner(_HANKEL_P, u)
+    q = _horner(_HANKEL_Q, u) / far
+    out[~low] = ((p + q) * np.cos(far) + (p - q) * np.sin(far)) \
+        / np.sqrt(np.pi * far)
+    return out
 
 
 def oracle_covariance(config: ArrayConfig, freq_hz: float) -> np.ndarray:

@@ -220,6 +220,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     """Fast invariant suite covering each module's core identities."""
+    from .baselines import _bessel_j0
     from .sbce import (beam_split_from_c, posterior_update,
                        update_perturbation_diag)
 
@@ -251,6 +252,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     z2 = direct @ pp.conj().T @ y / 0.1
     checks.append(("posterior identity",
                    np.linalg.norm(z - z2) / np.linalg.norm(z2) < 1e-8))
+
+    # J0 on both sides of the switch to Hankel's expansion at 40, as
+    # scipy 1.17.1's j0 tabulates it.
+    table = {1.0: 0.7651976865579665, 10.0: -0.24593576445134832,
+             100.0: 0.01998585030422333, 1000.0: 0.02478668615242003}
+    j0 = _bessel_j0(np.array(list(table)))
+    checks.append(("Bessel J0 table",
+                   np.max(np.abs(j0 - list(table.values()))) <= 1e-14))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:

@@ -168,6 +168,10 @@ class ExperimentConfig:
                 raise ValueError("bandwidth sweep values must be >= 0")
         if self.sweep != "none" and len(self.sweep_values) == 0:
             raise ValueError("sweep value list must be nonempty")
+        self._check_lowest_subcarrier("bandwidth_hz", self.bandwidth_hz)
+        if self.sweep == "bandwidth":
+            for value in self.sweep_values:
+                self._check_lowest_subcarrier("bandwidth sweep value", value)
         if self.scenario not in ("far", "near"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario != "near" and (self.sweep == "range"
@@ -183,6 +187,15 @@ class ExperimentConfig:
         if self.output_path is not None and \
                 not isinstance(self.output_path, str):
             raise ValueError("output_path must be a path")
+
+    def _check_lowest_subcarrier(self, name: str, bandwidth: float) -> None:
+        # SubcarrierGrid.build's lowest frequency, rounded the same way.
+        m = self.n_subcarriers
+        lowest = self.carrier_freq_hz - bandwidth / m * ((m - 1) / 2)
+        if lowest <= 0:
+            raise ValueError(
+                f"{name} {bandwidth:g} puts the lowest of {m} subcarriers "
+                f"at {lowest:g} Hz; it must lie above 0 Hz")
 
 
 def _check_int(name: str, value, minimum: int) -> None:

@@ -20,6 +20,8 @@ from thzest.arrays import (
 )
 from thzest.channel import gen_channel, gen_pilot_matrix, observe
 from thzest.baselines import (
+    _HANKEL_X0,
+    _bessel_j0,
     check_psd_covariance,
     ls_estimate,
     mmse_estimate,
@@ -28,6 +30,7 @@ from thzest.baselines import (
     toeplitz_spectrum,
 )
 
+from bessel import midpoint_j0
 from grid_atoms import grid_atoms
 
 CFG = ArrayConfig.half_wavelength(16, 300e9)
@@ -241,6 +244,51 @@ class TestPsdCheck:
                 check_psd_covariance(cov)
         if np.min(np.linalg.eigvalsh(cov)) >= 0.0:
             check_psd_covariance(cov)
+
+
+def _reference_j0(x):
+    # The reference's cost grows as len(x) * max|x|: sorted chunks of a few
+    # hundred points keep each chunk's node count near its own max|x|.
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double has no extended precision here")
+    order = np.argsort(np.abs(x))
+    out = np.empty_like(x)
+    for idx in np.array_split(order, max(1, len(x) // 250)):
+        out[idx] = midpoint_j0(x[idx])
+    return out
+
+
+class TestBesselJ0:
+    # J0 is 1 - x^2/4 + ... at 0 and decays like sqrt(2/(pi x)), so an
+    # absolute tolerance of a few ulps of 1 applies over the whole range.
+    ATOL = 2e-15
+
+    def test_matches_reference_on_dense_grid(self):
+        # [0, 4000] holds every lag of N_T = 1024 at 1.25 f_c.
+        x = np.linspace(0.0, 4000.0, 8001)
+        np.testing.assert_allclose(_bessel_j0(x), _reference_j0(x),
+                                   rtol=0, atol=self.ATOL)
+
+    def test_matches_reference_around_switch(self):
+        rng = np.random.default_rng(0)
+        x0 = _HANKEL_X0
+        x = np.concatenate([rng.uniform(x0 - 1.0, x0 + 1.0, 500),
+                            [np.nextafter(x0, 0.0), x0,
+                             np.nextafter(x0, np.inf)]])
+        np.testing.assert_allclose(_bessel_j0(x), _reference_j0(x),
+                                   rtol=0, atol=self.ATOL)
+
+    def test_even(self):
+        rng = np.random.default_rng(1)
+        x = np.concatenate([rng.uniform(0.0, 100.0, 200), [_HANKEL_X0]])
+        np.testing.assert_array_equal(_bessel_j0(-x), _bessel_j0(x))
+        np.testing.assert_allclose(_bessel_j0(-x), _reference_j0(x),
+                                   rtol=0, atol=self.ATOL)
+
+    def test_exactly_one_at_zero(self):
+        # The oracle covariance's diagonal is J0(0), exactly 1.
+        assert _bessel_j0(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+        assert _bessel_j0(np.array([0.0, 500.0]))[0] == 1.0
 
 
 class TestOracleCovariance:

@@ -143,6 +143,27 @@ class TestConfigValues:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and words in err
 
+    @pytest.mark.parametrize("config, flags, words", [
+        ("bandwidth_hz = 700e9", [], "bandwidth_hz"),
+        ("", ["--sweep", "bandwidth", "--values", "30e9,700e9"],
+         "bandwidth sweep value"),
+    ], ids=["bandwidth_hz", "bandwidth-sweep"])
+    def test_subcarrier_below_zero_hz_exits_one(self, tmp_path, capsys,
+                                                monkeypatch, config, flags,
+                                                words):
+        # validate refuses the config before any set-up is built.
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up built for an invalid config")
+
+        monkeypatch.setattr(harness.EstimatorContext, "build", no_setup)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(config + "\n")
+        assert main(["sweep", "--preset", "desk", "--config", str(cfg),
+                     *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and words in err
+        assert "above 0 Hz" in err
+
 
 class TestCrbCommand:
     def test_emits_table(self, tmp_path):

@@ -114,9 +114,19 @@ class TestConfig:
         {"n_antennas": 1},
         # A repeated estimator would run twice and emit two equal rows.
         {"estimators": ("ls", "ls")},
+        # The lowest subcarrier, f_c - B/2 + B/(2M), at or below 0 Hz.
+        {"bandwidth_hz": 700e9},
+        {"n_subcarriers": 2, "bandwidth_hz": 1200e9},
+        {"sweep": "bandwidth", "sweep_values": (30e9, 700e9)},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ValueError):
+            dataclasses.replace(ExperimentConfig(), **kwargs).validate()
+
+    def test_validate_accepts_lowest_subcarrier_above_zero(self):
+        # 600 GHz over 8 subcarriers puts the lowest at 37.5 GHz.
+        for kwargs in ({"bandwidth_hz": 600e9},
+                       {"sweep": "bandwidth", "sweep_values": (0.0, 600e9)}):
             dataclasses.replace(ExperimentConfig(), **kwargs).validate()
 
     def test_config_from_mapping(self):
