@@ -1,16 +1,15 @@
 """Reference estimators: least squares, oracle LMMSE, and greedy joint OMP.
 
 LMMSE and OMP work from the structure of the problem rather than from dense
-matrices: each oracle covariance is real symmetric Toeplitz, held as the
-spectrum of its circulant embedding, and on a half-wavelength array the
-dictionary's atoms are a zero-padded DFT.  Neither forms an N_T x N_T or
-N_T x grid matrix.
+matrices: each oracle covariance is real symmetric Toeplitz, held as its
+first column and the spectrum of its circulant embedding, and on a
+half-wavelength array the dictionary's atoms are a zero-padded DFT.
+Neither forms an N_T x N_T or N_T x grid matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .arrays import (SPEED_OF_LIGHT, ArrayConfig, Dictionary, _check_dft_grid,
                      _fft_size, steering)
@@ -33,39 +32,73 @@ def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
     return b_h @ np.linalg.solve(pilot_matrix @ b_h, y)
 
 
-def check_psd_covariance(channel_cov: np.ndarray) -> None:
-    """Raise ValueError unless channel_cov is Hermitian positive semidefinite.
+def check_psd_toeplitz(first_cols: np.ndarray) -> None:
+    """Raise ValueError unless every real symmetric Toeplitz matrix T whose
+    first column is a row of the (M, N) first_cols is positive semidefinite.
 
-    PSD here means that R + tau I has a Cholesky factor, with tau =
-    1e-8 max(1, max_i R_ii).  The largest diagonal entry never exceeds the
-    largest eigenvalue, so this rejects every matrix that the eigenvalue
-    rule lambda_min < -1e-8 max(1, lambda_max) rejects, at the cost of one
-    factorisation instead of an eigendecomposition.
+    PSD here means that T + tau I is positive definite, with tau =
+    1e-8 max(1, t_0), the rule under which a dense Cholesky factor of
+    T + tau I exists.  The Schur recursion tests it from the first columns
+    in O(M N^2), every column in one pass: T + tau I is positive definite
+    exactly when each of its N - 1 reflection coefficients rho has
+    |rho| < 1.  Each step applies the hyperbolic rotation in the mixed
+    form of Bojanczyk, Brent, de Hoog and Sweet (SIAM J. Matrix Anal.
+    Appl. 16(1), 1995), which is about as stable as Cholesky, here without
+    its 1 / sqrt(1 - rho^2) scaling: scaling both generators alike leaves
+    every later rho unchanged.  A column with a NaN or infinite entry, or
+    with t_0 <= 0, is rejected.
     """
-    herm_err = np.max(np.abs(channel_cov - channel_cov.conj().T))
-    if herm_err > 1e-8 * max(1.0, np.max(np.abs(channel_cov))):
-        raise ValueError("non-PSD covariance: channel_cov is not Hermitian")
-    # In place: each N_T x N_T temporary is another set-up allocation.
-    hermitian = channel_cov + channel_cov.conj().T
-    hermitian *= 0.5
-    tau = 1e-8 * max(1.0, float(np.max(np.real(np.diagonal(hermitian)))))
-    hermitian[np.diag_indices_from(hermitian)] += tau
-    try:
-        np.linalg.cholesky(hermitian)
-    except np.linalg.LinAlgError:
-        raise ValueError("non-PSD covariance: negative eigenvalue") from None
+    cols = np.atleast_2d(first_cols)
+    if not np.isrealobj(cols):
+        raise ValueError("non-PSD covariance: Toeplitz columns must be real")
+    if not np.isfinite(cols).all():
+        raise ValueError("non-PSD covariance: an entry is not finite")
+    if not (cols[:, 0] > 0.0).all():
+        raise ValueError("non-PSD covariance: variance t_0 <= 0")
+    n_cols, n = cols.shape
+    # Generators of T + tau I, whose displacement T - Z T Z^T is
+    # (u u^T - v v^T) / u_0, Z the down shift; one column per matrix, so
+    # that each step's views are contiguous.
+    u = cols.T.astype(float, order="C")
+    u[0] += 1e-8 * np.maximum(1.0, u[0])
+    v = cols.T.astype(float, order="C")
+    v[0] = 0.0
+    # 1 - rho^2 of every step; a matrix whose step fails carries on with
+    # meaningless values and is rejected at the end.
+    one_minus_rho2 = np.ones((n, n_cols))
+    w = np.empty_like(u)
+    rho, lo, hi = np.empty((3, n_cols))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for i in range(1, n):
+            # The Schur complement's generators: u shifted down by one and
+            # v without its zeroed head, both views of length n - i.
+            u_i, v_i, w_i = u[:n - i], v[i:], w[:n - i]
+            np.divide(v_i[0], u_i[0], out=rho)
+            c2 = one_minus_rho2[i]
+            np.subtract(1.0, rho, out=lo)
+            np.add(1.0, rho, out=hi)
+            np.multiply(lo, hi, out=c2)
+            # u <- u - rho v, then v <- (1 - rho^2) v - rho u with the new u.
+            np.multiply(v_i, rho, out=w_i)
+            u_i -= w_i
+            v_i *= c2
+            np.multiply(u_i, rho, out=w_i)
+            v_i -= w_i
+    if not (one_minus_rho2 > 0.0).all():
+        raise ValueError("non-PSD covariance: negative eigenvalue")
 
 
-def toeplitz_spectrum(first_col: np.ndarray) -> np.ndarray:
-    """Spectrum of the F-point circulant that embeds the real symmetric
-    Toeplitz matrix with the given first column, F the power of two
-    >= 2 N - 1: that matrix times x is ifft(spectrum * fft(x, F))[:N]."""
-    n = len(first_col)
+def toeplitz_spectrum(first_cols: np.ndarray) -> np.ndarray:
+    """Spectra of the F-point circulants that embed the real symmetric
+    Toeplitz matrices whose first columns are the rows of the (M, N)
+    first_cols, F the power of two >= 2 N - 1: that matrix times x is
+    ifft(spectrum * fft(x, F))[:N].  (M, F)."""
+    n = first_cols.shape[-1]
     n_fft = _fft_size(n)
-    col = np.zeros(n_fft)
-    col[:n] = first_col
-    col[n_fft - n + 1:] = first_col[:0:-1]
-    return np.fft.fft(col).real
+    cols = np.zeros((len(first_cols), n_fft))
+    cols[:, :n] = first_cols
+    cols[:, n_fft - n + 1:] = first_cols[:, :0:-1]
+    return np.fft.fft(cols).real
 
 
 def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
@@ -79,8 +112,8 @@ def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
     B_hat diag(lam_m) B_hat^H / F, one P x F x P product per subcarrier,
     then one batched P x P solve gives x_m, and R_m (B^H x_m) is one FFT
     product per subcarrier.  No N_T x N_T matrix is formed.  Each R_m must
-    be positive semidefinite; callers that build it check it once with
-    `check_psd_covariance`.
+    be positive semidefinite; callers check the first columns of all M
+    once, with `check_psd_toeplitz`, before taking their spectra.
     """
     n_pilots, n_antennas = pilot_matrix.shape
     n_fft = cov_spectra.shape[1]
@@ -164,21 +197,18 @@ def _bessel_j0(x: np.ndarray) -> np.ndarray:
 
 
 def oracle_covariance(config: ArrayConfig, freq_hz: float) -> np.ndarray:
-    """Channel covariance under the uniform direction prior, in closed form.
+    """First column of the channel covariance under the uniform direction
+    prior, in closed form.
 
     For a single unit-power path, R = N_T * E{a'(theta) a'^H(theta)} with the
     physical angle uniform over [-pi/2, pi/2] and the steering evaluated at
     the subcarrier frequency (so the prior already carries the split).
     Entry (i, k) is E{exp(j kappa (i - k) sin theta)} = J0(kappa |i - k|)
-    with kappa = 2 pi d f / c0: a real symmetric Toeplitz matrix.
+    with kappa = 2 pi d f / c0: a real symmetric Toeplitz matrix, returned
+    as its length-N_T first column J0(kappa i).  Nothing here forms R.
     """
     kappa = 2.0 * np.pi * config.element_spacing_m * freq_hz / SPEED_OF_LIGHT
-    idx = np.arange(config.n_antennas)
-    first_col = _bessel_j0(kappa * idx)
-    # Row i is entries N-1-i .. 2N-2-i of [c_{N-1}, .., c_1, c_0, .., c_{N-1}],
-    # copied from a strided view in one allocation.
-    lags = np.concatenate([first_col[:0:-1], first_col])
-    return sliding_window_view(lags, len(idx))[::-1].copy()
+    return _bessel_j0(kappa * np.arange(config.n_antennas))
 
 
 def omp_estimate_joint(pilot_matrix: np.ndarray, dictionary: Dictionary,

@@ -66,12 +66,21 @@ def _apply_common_flags(config: ExperimentConfig,
                       ("trials", "trials")):
         if getattr(args, flag, None) is not None:
             updates[key] = getattr(args, flag)
-    if getattr(args, "estimators", None):
-        updates["estimators"] = tuple(args.estimators.split(","))
-    if getattr(args, "values", None):
+    if getattr(args, "estimators", None) is not None:
+        updates["estimators"] = tuple(_comma_list("estimators",
+                                                  args.estimators))
+    if getattr(args, "values", None) is not None:
         updates["sweep_values"] = tuple(
-            float(v) for v in args.values.split(","))
+            float(v) for v in _comma_list("values", args.values))
     return dataclasses.replace(config, **updates)
+
+
+def _comma_list(flag: str, text: str) -> list[str]:
+    """The items of a --flag comma list; an empty flag is an error, not a
+    request for the config's own list."""
+    if not text.strip():
+        raise ValueError(f"--{flag} is empty: give a comma list")
+    return text.split(",")
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -220,7 +229,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     """Fast invariant suite covering each module's core identities."""
-    from .baselines import _bessel_j0
+    from .baselines import _bessel_j0, check_psd_toeplitz, oracle_covariance
     from .sbce import (beam_split_from_c, posterior_update,
                        update_perturbation_diag)
 
@@ -260,6 +269,34 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     j0 = _bessel_j0(np.array(list(table)))
     checks.append(("Bessel J0 table",
                    np.max(np.abs(j0 - list(table.values()))) <= 1e-14))
+
+    # The Schur PSD check accepts the oracle columns at the desk and paper
+    # band edges, rejects a column with eigenvalue -1, and agrees with a
+    # dense Cholesky of T + tau I on a definite and an indefinite 4 x 4.
+    def accepts(check, arg):
+        try:
+            check(arg)
+        except ValueError:      # LinAlgError included
+            return False
+        return True
+
+    edges = []
+    for preset in (PRESETS["desk"], PRESETS["paper"]):
+        array = ArrayConfig.half_wavelength(preset.n_antennas,
+                                            preset.carrier_freq_hz)
+        grid = SubcarrierGrid.build(preset.n_subcarriers, preset.bandwidth_hz,
+                                    preset.carrier_freq_hz)
+        edges += [oracle_covariance(array, f)
+                  for f in grid.frequencies[[0, -1]]]
+    small = np.array([[1.0, 0.9, 0.7, 0.4], [1.0, 0.9, 0.6, 0.1]])
+    lags = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    checks.append((
+        "Toeplitz PSD check",
+        all(accepts(check_psd_toeplitz, col) for col in edges)
+        and not accepts(check_psd_toeplitz, np.array([1.0, 2.0, 0.0]))
+        and [accepts(check_psd_toeplitz, col) for col in small]
+        == [accepts(np.linalg.cholesky, col[lags] + 1e-8 * np.eye(4))
+            for col in small] == [True, False]))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:

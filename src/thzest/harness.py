@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayConfig, Dictionary, SubcarrierGrid, build_dictionary
-from .baselines import (check_psd_covariance, ls_estimate, mmse_estimate,
+from .baselines import (check_psd_toeplitz, ls_estimate, mmse_estimate,
                         omp_estimate_joint, oracle_covariance,
                         toeplitz_spectrum)
 from .channel import gen_channel, gen_pilot_matrix, observe
@@ -46,20 +46,20 @@ class EstimatorContext:
 
         The dictionary holds only the grid and its first atom: SBCE and
         OMP work from its DFT structure, so its atom matrix is never built.
-        The oracle covariances are built only when mmse will run.  Each
-        R_m is checked positive semidefinite once, when it is built, and
-        only the spectrum of its circulant embedding is kept (F >= 2 N_T - 1
-        values per subcarrier), which `mmse_estimate` reads.
+        The oracle covariances are built only when mmse will run, each as
+        the first column of its real symmetric Toeplitz R_m.  One Schur
+        pass checks all M columns positive semidefinite, in O(M N_T^2),
+        and only the spectra of their circulant embeddings are kept
+        (F >= 2 N_T - 1 values per subcarrier), which `mmse_estimate`
+        reads.  No N_T x N_T matrix is built.
         """
         dictionary = build_dictionary(array_cfg, grid_size)
         mmse_spectra = None
         if "mmse" in estimators:
-            spectra = []
-            for freq in grid.frequencies:
-                cov = oracle_covariance(array_cfg, float(freq))
-                check_psd_covariance(cov)
-                spectra.append(toeplitz_spectrum(cov[:, 0]))
-            mmse_spectra = np.array(spectra)
+            cols = np.array([oracle_covariance(array_cfg, float(freq))
+                             for freq in grid.frequencies])
+            check_psd_toeplitz(cols)
+            mmse_spectra = toeplitz_spectrum(cols)
         return cls(grid, dictionary, n_paths, mmse_spectra)
 
 

@@ -98,14 +98,20 @@ def _gram(factor: _DftFactor, sigma: np.ndarray) -> np.ndarray:
     """S = P' Sigma P'^H = A T A^H of every row, T Toeplitz with T_ik =
     tau_{i-k}, tau_d = sum_n sigma_n w^{dn}; embedded in an F-point circulant,
     S = f_a diag(lam') f_a^H / F, where lam', the circulant spectrum of
-    tau' = fft(sigma) = conj(tau), is tau's index-reversed.  R x P x P."""
+    tau' = fft(sigma) = conj(tau), is tau's index-reversed.  R x P x P.
+
+    sigma is real, so tau' is Hermitian: rfft gives its lags 0 .. N/2, and
+    a lag d > N/2, reached only when the grid wraps (N < 2 N_T - 1), is
+    conj(tau'_{N-d}).  lam' is then the hfft of tau'_0 .. tau'_{N_T-1}."""
     a, f_a = factor
     k, n_fft, n_grid = a.shape[-1], f_a.shape[-1], sigma.shape[-1]
-    tau = np.fft.fft(sigma)
-    col = np.zeros((len(sigma), n_fft), dtype=complex)
-    col[:, :k] = tau[:, :k]
-    col[:, n_fft - k + 1:] = tau[:, n_grid - k + 1:]
-    lam = np.fft.fft(col).real
+    tau = np.fft.rfft(sigma)
+    lag = np.arange(k)
+    wrapped = lag > n_grid // 2
+    half = np.zeros((len(sigma), n_fft // 2 + 1), dtype=complex)
+    half[:, :k] = tau[:, np.where(wrapped, n_grid - lag, lag)]
+    np.conjugate(half[:, :k], out=half[:, :k], where=wrapped)
+    lam = np.fft.hfft(half, n_fft)
     # conj(f_a) diag(lam') f_a^T = S^T is formed in place: one R x P x F
     # temporary, not two.
     weighted = f_a.conj()
@@ -152,7 +158,10 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
       rows and folded onto N lags;
     - z = sigma * fft(A^H u, N) and P' z = S u;
     - Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2.
-    Each row costs O(P^2 F + N log N) instead of O(P^2 N).  A row whose
+    Each row costs O(P^2 F + N log N) instead of O(P^2 N).  sigma and
+    |L^{-1} f_a|^2 are real, so tau, lam and rho come from half-length
+    transforms (rfft, hfft), in one code path for the padded
+    (N >= 2 N_T - 1), wrapped and square (N = N_T) grids.  A row whose
     Cholesky factor or inverse does not exist, or whose posterior is not
     finite, is flagged in `failed`; its other fields are meaningless.
     """
@@ -165,16 +174,25 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
                  * np.eye(s_mat.shape[-1]), failed)
     l_inv = _each(np.linalg.inv, chol, failed)
     u = _herm(l_inv) @ (l_inv @ y[:, :, np.newaxis])
-    z = sigma * np.fft.fft((_herm(a) @ u)[:, :, 0], n_grid)
-    # |g|^2 is squared in place in g's own memory.
+    # A^H u = conj(u^H A): u is conjugated, not A.
+    z = sigma * np.fft.fft((_herm(u) @ a)[:, 0, :].conj(), n_grid)
+    # |g|^2 is squared in place, in one pass over g's own memory, and
+    # summed over rows before its real and imaginary halves are added.
     g = l_inv @ f_a
-    g2 = np.square(g.real, out=g.real)
-    g2 += np.square(g.imag, out=g.imag)
-    lags = np.fft.ifft(np.sum(g2, axis=1))
-    folded = np.zeros((len(sigma), n_grid), dtype=complex)
-    folded[:, :k] = lags[:, :k]
-    folded[:, n_grid - k + 1:] += lags[:, n_fft - k + 1:]
-    rho = n_grid * np.fft.ifft(folded).real
+    g2 = g.view(np.float64)
+    np.square(g2, out=g2)
+    g2 = np.sum(g2, axis=1)
+    g2 = g2[:, 0::2] + g2[:, 1::2]
+    # rho_n = sum_{|d| < N_T} q_d w^{dn}, q = ifft(|g|^2) summed over rows,
+    # so rho = hfft(h) / F with h_d = F conj(q_d) = rfft(|g|^2)_d folded
+    # onto N points.  hfft reads h_0 .. h_{N/2}; lag -d lands on N - d with
+    # value conj(h_d), among them only when the grid wraps.
+    lags = np.fft.rfft(g2)
+    half = np.zeros((len(sigma), n_grid // 2 + 1), dtype=complex)
+    pos = min(k, n_grid // 2 + 1)
+    half[:, :pos] = lags[:, :pos]
+    half[:, n_grid - k + 1:] += lags[:, n_grid - n_grid // 2:k][:, ::-1].conj()
+    rho = np.fft.hfft(half, n_grid) / n_fft
     post_var = sigma - sigma ** 2 * rho
     trace_term = s_mat.trace(axis1=1, axis2=2).real \
         - _sq_norms(l_inv @ s_mat)

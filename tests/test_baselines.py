@@ -22,7 +22,7 @@ from thzest.channel import gen_channel, gen_pilot_matrix, observe
 from thzest.baselines import (
     _HANKEL_X0,
     _bessel_j0,
-    check_psd_covariance,
+    check_psd_toeplitz,
     ls_estimate,
     mmse_estimate,
     omp_estimate_joint,
@@ -32,10 +32,11 @@ from thzest.baselines import (
 
 from bessel import midpoint_j0
 from grid_atoms import grid_atoms
+from psd import check_psd_covariance, dense_accepts, toeplitz
 
 CFG = ArrayConfig.half_wavelength(16, 300e9)
 DICT = build_dictionary(CFG, 64)
-IDENTITY = toeplitz_spectrum(np.eye(16)[0])[np.newaxis]
+IDENTITY = toeplitz_spectrum(np.eye(16)[:1])
 
 # (n_antennas, n_pilots, grid_size, n_subcarriers, n_paths) of the trials
 # on which the structured LMMSE and OMP must match their dense references.
@@ -169,9 +170,10 @@ class TestMmse:
         # from the dense stack of oracle covariances.
         for seed in range(3):
             cfg, grid, _, _, channel, obs = _structure_trial(case, seed)
-            covs = np.stack([oracle_covariance(cfg, float(f))
+            cols = np.stack([oracle_covariance(cfg, float(f))
                              for f in grid.frequencies])
-            spectra = np.stack([toeplitz_spectrum(c[:, 0]) for c in covs])
+            covs = np.stack([toeplitz(c) for c in cols])
+            spectra = toeplitz_spectrum(cols)
             est = mmse_estimate(obs.beamformer, obs.received, spectra,
                                 obs.noise_var)
             ref = _dense_mmse(obs.beamformer, obs.received, covs,
@@ -193,21 +195,35 @@ class TestMmse:
         lags = np.arange(n)
         dense = col[np.abs(lags[:, None] - lags[None, :])]
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lam = toeplitz_spectrum(col)
+        # A stack of columns gives each column's spectrum, bit for bit.
+        stack = np.stack([col, -col, rng.standard_normal(n)])
+        spectra = toeplitz_spectrum(stack)
+        lam = spectra[0]
+        for row, spectrum in zip(stack, spectra):
+            np.testing.assert_array_equal(
+                toeplitz_spectrum(row[np.newaxis])[0], spectrum)
         assert len(lam) >= 2 * n - 1 and len(lam) & (len(lam) - 1) == 0
         got = np.fft.ifft(lam * np.fft.fft(x, len(lam)))[:n]
         np.testing.assert_allclose(got, dense @ x, rtol=0,
                                    atol=1e-12 * np.linalg.norm(dense @ x))
 
     def test_rejects_non_hermitian_covariance(self):
+        # The dense reference rejects a non-Hermitian matrix; a Toeplitz
+        # first column is symmetric by construction, and a complex one is
+        # rejected.
         bad = np.eye(16, dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
             check_psd_covariance(bad)
+        with pytest.raises(ValueError, match="non-PSD"):
+            check_psd_toeplitz(np.eye(16, dtype=complex)[:1])
 
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError):
             check_psd_covariance(-np.eye(16, dtype=complex))
+        # [[1, 2], [2, 1]] has eigenvalue -1.
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            check_psd_toeplitz(np.array([[1.0, 2.0], [1.0, 0.5]]))
 
 
 def _eigenvalue_rule_rejects(cov):
@@ -244,6 +260,93 @@ class TestPsdCheck:
                 check_psd_covariance(cov)
         if np.min(np.linalg.eigvalsh(cov)) >= 0.0:
             check_psd_covariance(cov)
+
+
+def _schur_accepts(first_cols) -> bool:
+    try:
+        check_psd_toeplitz(first_cols)
+    except ValueError:
+        return False
+    return True
+
+
+class TestPsdToeplitz:
+    """The Schur check against the dense Cholesky rule of `tests/psd.py`,
+    column by column and on the stack of all the columns at once."""
+
+    @staticmethod
+    def _agree(cols):
+        dense = [dense_accepts(c) for c in cols]
+        assert [_schur_accepts(c[np.newaxis]) for c in cols] == dense
+        assert _schur_accepts(cols) == all(dense)
+        return dense
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 32])
+    def test_matches_dense_cholesky_on_random_columns(self, n):
+        # t_0 = s sum_d |t_d| is diagonally dominant, so PD, for s > 1; the
+        # draws of s span both sides of the boundary.
+        rng = np.random.default_rng(n)
+        cols = rng.standard_normal((200, n)) * rng.uniform(0.01, 100.0,
+                                                           (200, 1))
+        cols[:, 0] = rng.uniform(0.0, 1.5, 200) \
+            * np.sum(np.abs(cols[:, 1:]), axis=1) + 1e-3
+        dense = self._agree(cols)
+        if n > 1:
+            assert 0 < sum(dense) < len(dense)
+
+    @pytest.mark.parametrize("scale", [0.5, 1e3])
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 32])
+    def test_matches_dense_cholesky_near_boundary(self, n, scale):
+        # The lags are scaled so that lambda_min(T) = -scale at t_0 = 0
+        # (trace 0), then t_0 is set so that lambda_min(T + tau I) =
+        # t_0 - scale + tau is drawn from [-tau/2, tau/2]: tau = 1e-8 for
+        # t_0 <= 1 and 1e-8 t_0 above it.
+        rng = np.random.default_rng(100 + n)
+        cols = []
+        for _ in range(100):
+            col = rng.standard_normal(n)
+            col[0] = 0.0
+            col *= scale / -np.linalg.eigvalsh(toeplitz(col))[0]
+            frac = rng.uniform(-0.5, 0.5)
+            if scale <= 1.0:
+                col[0] = scale - (1.0 - frac) * 1e-8
+            else:
+                col[0] = scale / (1.0 + (1.0 - frac) * 1e-8)
+            assert (col[0] <= 1.0) == (scale <= 1.0)
+            cols.append(col)
+        dense = self._agree(np.array(cols))
+        assert 0 < sum(dense) < len(dense)
+
+    @pytest.mark.parametrize("n_antennas", [2, 3, 16, 64, 256, 1024, 2048])
+    def test_accepts_oracle_columns(self, n_antennas):
+        # Across the whole band a half-wavelength array can see, up to
+        # 1.999 f_c.  By eigvalsh, lambda_min(T) is -3.9e-13 = -3.9e-5 tau
+        # at its lowest, at N_T = 2048 and 0.001 f_c.
+        cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
+        cols = np.array([oracle_covariance(cfg, ratio * 300e9) for ratio in
+                         (0.001, 0.05, 0.5, 0.9, 0.95, 1.0, 1.05, 1.5,
+                          1.999)])
+        assert self._agree(cols) == [True] * len(cols)
+
+    @pytest.mark.parametrize("col", [
+        [np.nan] * 4,
+        [1.0, np.nan, 0.0],
+        [np.inf, 0.0, 0.0],
+        [1.0, 0.0, -np.inf],
+        [0.0, 0.0, 0.0],
+        [-1.0, 0.0],
+        [0.0],
+    ], ids=["all-nan", "nan-lag", "inf-variance", "inf-lag", "zero-variance",
+            "negative-variance", "zero-scalar"])
+    def test_rejects_non_finite_or_nonpositive_variance(self, col):
+        # The dense rule accepted an all-NaN matrix and an infinite
+        # diagonal; a column with zero variance is rejected even though
+        # T + tau I is then definite.
+        good = np.eye(len(col))[0]
+        with pytest.raises(ValueError, match="non-PSD"):
+            check_psd_toeplitz(np.array([col]))
+        with pytest.raises(ValueError, match="non-PSD"):
+            check_psd_toeplitz(np.array([good, col]))
 
 
 def _reference_j0(x):
@@ -293,8 +396,9 @@ class TestBesselJ0:
 
 class TestOracleCovariance:
     def test_hermitian_psd_with_unit_diagonal(self):
-        r = oracle_covariance(CFG, 310e9)
-        np.testing.assert_allclose(r, r.conj().T, atol=1e-12)
+        col = oracle_covariance(CFG, 310e9)
+        assert col.shape == (16,)
+        r = toeplitz(col)
         eig = np.linalg.eigvalsh(r)
         assert eig[0] > -1e-10
         # N_T * E{a a^H} has trace N_T and unit diagonal for a ULA.
@@ -309,14 +413,16 @@ class TestOracleCovariance:
     @pytest.mark.parametrize("n_antennas, freq_hz",
                              [(16, 310e9), (256, 285e9), (256, 315e9)])
     def test_real_symmetric_toeplitz_psd(self, n_antennas, freq_hz):
+        # The first column J0(kappa i), one J0 call for all the lags, of a
+        # PSD matrix with unit diagonal.
         cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
-        r = oracle_covariance(cfg, freq_hz)
-        assert np.isrealobj(r)
-        np.testing.assert_array_equal(r, r.T)
-        for lag in range(n_antennas):
-            np.testing.assert_array_equal(np.diag(r, lag), r[0, lag])
-        np.testing.assert_array_equal(np.diag(r), 1.0)
-        eig = np.linalg.eigvalsh(r)
+        col = oracle_covariance(cfg, freq_hz)
+        assert np.isrealobj(col) and col.shape == (n_antennas,)
+        kappa = 2 * np.pi * cfg.element_spacing_m * freq_hz / SPEED_OF_LIGHT
+        np.testing.assert_array_equal(
+            col, _bessel_j0(kappa * np.arange(n_antennas)))
+        assert col[0] == 1.0
+        eig = np.linalg.eigvalsh(toeplitz(col))
         assert eig[0] > -1e-12 * eig[-1]
 
     def test_matches_scipy_bessel(self):
@@ -324,8 +430,7 @@ class TestOracleCovariance:
         for n_antennas, freq_hz in ((16, 310e9), (256, 285e9), (256, 315e9)):
             cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
             kappa = 2 * np.pi * cfg.element_spacing_m * freq_hz / SPEED_OF_LIGHT
-            lags = np.arange(n_antennas)
-            expected = special.j0(kappa * np.abs(lags[:, None] - lags[None, :]))
+            expected = special.j0(kappa * np.arange(n_antennas))
             np.testing.assert_allclose(oracle_covariance(cfg, freq_hz),
                                        expected, rtol=0, atol=1e-12)
 
@@ -337,7 +442,8 @@ class TestOracleCovariance:
         atoms = np.stack([steering(CFG, float(np.sin(t)), 310e9)
                           for t in angles], axis=1)
         sample = 16 * atoms @ atoms.conj().T / angles.size
-        np.testing.assert_allclose(sample, oracle_covariance(CFG, 310e9),
+        np.testing.assert_allclose(sample,
+                                   toeplitz(oracle_covariance(CFG, 310e9)),
                                    atol=0.03)
 
 

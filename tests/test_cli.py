@@ -252,6 +252,33 @@ class TestExitCodes:
         assert captured.out == "" and "error: " in captured.err
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--estimators", ""], "--estimators"),
+        (["sweep", "--values", " "], "--values"),
+        (["crb", "--values", ""], "--values"),
+        (["scenario", "run", "SCENARIO", "--estimators", ""], "--estimators"),
+    ], ids=["sweep-estimators", "sweep-values", "crb-values",
+            "scenario-run-estimators"])
+    def test_empty_flag_exits_one_with_message(self, tmp_path, capsys,
+                                               monkeypatch, argv, flag):
+        # An empty list is an error, not a request for the config's lists.
+        scen = tmp_path / "scen.json"
+        assert main(["scenario", "gen", "--config",
+                     _write_tiny_config(tmp_path), "--out", str(scen)]) \
+            == EXIT_OK
+        argv = [str(scen) if a == "SCENARIO" else a for a in argv]
+        capsys.readouterr()
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up built for an empty flag")
+
+        monkeypatch.setattr(harness.EstimatorContext, "build", no_setup)
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
+
+
 class TestScenarioRoundTrip:
     def test_json_round_trip_preserves_observation(self):
         cfg = ArrayConfig.half_wavelength(16, 300e9)
@@ -577,5 +604,7 @@ class TestHighSnrSweep:
 
 
 class TestSelftest:
-    def test_selftest_passes(self):
+    def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK
+        lines = capsys.readouterr().out.split("\n")
+        assert "PASS  Toeplitz PSD check" in lines

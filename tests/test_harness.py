@@ -6,6 +6,7 @@ import functools
 import math
 import multiprocessing
 import os
+import tracemalloc
 import types
 from concurrent.futures import ProcessPoolExecutor
 
@@ -319,24 +320,46 @@ class TestSummarizePoint:
 
 class TestEstimatorContext:
     def test_oracle_covariances_checked_once_each(self, monkeypatch):
-        # One check per subcarrier; only the spectrum of the checked
-        # covariance's circulant embedding is kept, and no field holds an
-        # N_T x N_T block.
+        # One Schur check per build, on the (M, N_T) stack of first
+        # columns; only the spectra of their circulant embeddings are kept,
+        # each bit-equal to its column's spectrum alone, and no field holds
+        # an N_T x N_T block.
         calls = []
-        monkeypatch.setattr(harness, "check_psd_covariance",
-                            lambda cov: calls.append(cov.copy()))
+        check = harness.check_psd_toeplitz
+
+        def recording(cols):
+            calls.append(cols.copy())
+            check(cols)
+
+        monkeypatch.setattr(harness, "check_psd_toeplitz", recording)
         ctx = harness.EstimatorContext.build(TINY_ARRAY, TINY_GRID, 64, 1,
                                              ("mmse",))
-        assert len(calls) == TINY_GRID.n_subcarriers
+        [seen] = calls
+        assert seen.shape == (TINY_GRID.n_subcarriers, 16)
         assert ctx.mmse_spectra.shape == (TINY_GRID.n_subcarriers, 32)
-        for seen, freq, stored in zip(calls, TINY_GRID.frequencies,
-                                      ctx.mmse_spectra):
+        for col, freq, stored in zip(seen, TINY_GRID.frequencies,
+                                     ctx.mmse_spectra):
             np.testing.assert_array_equal(
-                seen, harness.oracle_covariance(TINY_ARRAY, float(freq)))
+                col, harness.oracle_covariance(TINY_ARRAY, float(freq)))
             np.testing.assert_array_equal(
-                stored, harness.toeplitz_spectrum(seen[:, 0]))
+                stored, harness.toeplitz_spectrum(col[np.newaxis])[0])
         for value in vars(ctx).values():
             assert np.shape(value)[-2:] != (16, 16)
+
+    def test_set_up_builds_no_n_by_n_array(self):
+        # One N_T x N_T float array is 8 MiB at N_T = 1024; the whole
+        # set-up of all four estimators, eight covariances and their check
+        # included, peaks far below it.
+        cfg = ArrayConfig.half_wavelength(1024, 300e9)
+        grid = SubcarrierGrid.build(8, 30e9, 300e9)
+        tracemalloc.start()
+        try:
+            harness.EstimatorContext.build(cfg, grid, 1024, 1,
+                                           harness.ALL_ESTIMATORS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8 // 4
 
     @pytest.mark.parametrize("estimators", [
         (), ("ls", "mmse"), ("sbce",), ("omp",), ("sbce", "omp"),
@@ -373,8 +396,11 @@ class TestEstimatorContext:
             assert 1 in widths
 
     def test_bad_oracle_covariance_rejected(self, monkeypatch):
-        monkeypatch.setattr(harness, "oracle_covariance",
-                            lambda cfg, f: -np.eye(cfg.n_antennas))
+        # [[1, 2], [2, 1]] heads a first column with a negative eigenvalue.
+        monkeypatch.setattr(
+            harness, "oracle_covariance",
+            lambda cfg, f: np.eye(cfg.n_antennas)[0] + 2.0 * np.eye(
+                cfg.n_antennas)[1])
         with pytest.raises(ValueError, match="non-PSD"):
             harness.EstimatorContext.build(TINY_ARRAY, TINY_GRID, 64, 1,
                                            ("ls", "mmse"))
