@@ -190,6 +190,19 @@ def _fft_size(n: int) -> int:
     return 1 << (2 * n - 2).bit_length()
 
 
+def _row_autocorrelation(rows: np.ndarray) -> np.ndarray:
+    """Lags d < N of the autocorrelation summed over the rows x of the
+    (K, N) rows, r_d = sum_x sum_i x_{i+d} conj(x_i); r_{-d} = conj(r_d).
+
+    One F-point FFT per row, F = `_fft_size(N)`, so no lag wraps: the sum
+    of |X|^2 over the rows, transformed back.  Its spectrum
+    sum_d r_d e^{-j w d} is sum_x |sum_i x_i e^{-j w i}|^2.
+    """
+    n = rows.shape[-1]
+    f = np.fft.fft(rows, _fft_size(n))
+    return np.fft.ifft(np.sum(f.real ** 2 + f.imag ** 2, axis=0))[:n]
+
+
 def _check_dft_grid(config: ArrayConfig, estimator: str) -> None:
     """Raise ValueError unless the grid's atoms are a zero-padded DFT.
 

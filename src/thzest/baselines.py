@@ -4,7 +4,7 @@ LMMSE and OMP work from the structure of the problem rather than from dense
 matrices: each oracle covariance is real symmetric Toeplitz, held as its
 first column and the spectrum of its circulant embedding, and on a
 half-wavelength array the dictionary's atoms are a zero-padded DFT.
-Neither forms an N_T x N_T or N_T x grid matrix.
+Neither forms an N_T x N_T, N_T x grid or P x grid matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import (SPEED_OF_LIGHT, ArrayConfig, Dictionary, _check_dft_grid,
-                     _fft_size, steering)
+                     _fft_size, _row_autocorrelation, steering)
 
 
 def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -211,36 +211,56 @@ def oracle_covariance(config: ArrayConfig, freq_hz: float) -> np.ndarray:
     return _bessel_j0(kappa * np.arange(config.n_antennas))
 
 
+def _lag_spectrum(lags: np.ndarray, n_points: int) -> np.ndarray:
+    """sum_{|d| < N} r_d exp(-2 pi j d k / G) at k < G = n_points, from the
+    lags r_0..r_{N-1} of a Hermitian sequence, r_{-d} = conj(r_d): one
+    G-point `hfft` of the lags folded onto its half.  Lag d sits at d mod G
+    and -d at G - d; for G < 2 N - 1 some of them land on the same point,
+    and the ones past the half enter as the conjugates of their mirrors.
+    Needs G >= N."""
+    half = np.zeros(n_points // 2 + 1, dtype=complex)
+    n_pos = min(lags.size, half.size)
+    half[:n_pos] = lags[:n_pos]
+    d = np.arange((n_points + 1) // 2, lags.size)
+    half[n_points - d] += lags[d].conj()
+    return np.fft.hfft(half, n_points)
+
+
 def omp_estimate_joint(pilot_matrix: np.ndarray, dictionary: Dictionary,
                        received: np.ndarray, sparsity: int):
     """OMP with a single support shared by every subcarrier.
 
-    Atom selection maximizes the correlation energy summed over subcarriers;
-    per-subcarrier gains are then refit by least squares on the common
-    support.  This is the split-blind wideband baseline: it presumes the
-    beamspace support does not move with frequency.  On the half-wavelength
-    grid atom n is `first_atom` times w^{in}, w = exp(2 pi j / G), so the
-    sensed atoms B D are G ifft(B * first_atom, G) and the atom matrix D is
-    never formed; the support's atoms are steering vectors at their grid
-    points.
+    Atom selection maximizes the correlation energy summed over subcarriers,
+    sum_m |(B a_n)^H r_m|^2 / ||B a_n||^2; per-subcarrier gains are then
+    refit by least squares on the common support.  This is the split-blind
+    wideband baseline: it presumes the beamspace support does not move
+    with frequency.  On the half-wavelength grid atom n is `first_atom`
+    times w^{in}, w = exp(2 pi j / G), so with e = B * first_atom both
+    terms are G-point spectra of summed row autocorrelations: of e for the
+    norms, once per call, and of the rows of X = R^T conj(e), one
+    M x P x N_T product per round, for the correlations.  No sensed-atom
+    block B D is formed; the support's columns are B times the steering
+    vectors at their grid points.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be >= 1")
     config = dictionary.config
     _check_dft_grid(config, "OMP")
     n_grid = dictionary.grid_size
-    sensed = n_grid * np.fft.ifft(pilot_matrix * dictionary.first_atom,
-                                  n_grid)
-    col_norms = np.linalg.norm(sensed, axis=0)
-    residual = received.copy()
+    e_conj = (pilot_matrix * dictionary.first_atom).conj()
+    # ||B a_n||^2 = sum_p |sum_i e_pi w^{in}|^2 = sum_p |sum_i conj(e_pi)
+    # w^{-in}|^2, the spectrum of conj(e)'s row autocorrelation.
+    norms = _lag_spectrum(_row_autocorrelation(e_conj), n_grid)
+    residual = received
     support: list[int] = []
     for _ in range(sparsity):
-        corr = np.sum(np.abs(sensed.conj().T @ residual) ** 2, axis=1) / col_norms ** 2
+        corr = _lag_spectrum(_row_autocorrelation(residual.T @ e_conj),
+                             n_grid) / norms
         corr[support] = -1.0
         support.append(int(np.argmax(corr)))
-        sub = sensed[:, support]
+        atoms = steering(config, dictionary.grid_points[support],
+                         config.carrier_freq_hz)
+        sub = pilot_matrix @ atoms
         coeffs, *_ = np.linalg.lstsq(sub, received, rcond=None)
         residual = received - sub @ coeffs
-    atoms = steering(config, dictionary.grid_points[support],
-                     config.carrier_freq_hz)
     return tuple(support), atoms @ coeffs

@@ -71,8 +71,16 @@ def _apply_common_flags(config: ExperimentConfig,
                                                   args.estimators))
     if getattr(args, "values", None) is not None:
         updates["sweep_values"] = tuple(
-            float(v) for v in _comma_list("values", args.values))
+            _sweep_value(v) for v in _comma_list("values", args.values))
     return dataclasses.replace(config, **updates)
+
+
+def _sweep_value(item: str) -> float:
+    try:
+        return float(item)
+    except ValueError:
+        raise ValueError(f"--values: sweep value must be a number, "
+                         f"got {item!r}") from None
 
 
 def _comma_list(flag: str, text: str) -> list[str]:

@@ -118,7 +118,15 @@ def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray,
 
     F_ij = (2/mu^2) Re Tr{M K_ij} with M = S A'^H Pi_y^{-1} A' S and
     K_ij = dA_i^H (I - A' A'^+) dA_j, evaluated through the pilot
-    beamformer.
+    beamformer.  Both come from L x L algebra, L the path count: with the
+    gram G = A'^H A' and C = A'^H D, the matrix inversion lemma gives
+    A'^H Pi_y^{-1} A' = G (S G + mu^2 I)^{-1} = (G S + mu^2 I)^{-1} G and,
+    since A' A'^+ = A' G^+ A'^H, (I - A' A'^+) D = D - A' (G^+ C).  That
+    residual keeps the accuracy of the projector form where
+    D^H D - C^H G^+ C would cancel: 4e-10 against 1e-14 relative on four
+    antennas and three near-field paths.  `pinv` of G keeps a
+    rank-deficient A' (two paths alike) to the projector `pinv(A')` gives.
+    No P x P matrix is formed.
 
     The bound on each parameter is the reciprocal diagonal 1/F_ii, not the
     diagonal of the inverse: for a single far-field path at one subcarrier
@@ -138,13 +146,11 @@ def crb(config: ArrayConfig, params: ParamVector, pilot_matrix: np.ndarray,
     powers = np.atleast_1d(np.asarray(signal_powers, dtype=float))
     if powers.shape[0] != params.n_paths:
         raise ValueError("signal_powers length must match path count")
-    eye = np.eye(a_obs.shape[-2])
     a_obs_h = a_obs.conj().swapaxes(-1, -2)
-    cov_y = (a_obs * powers) @ a_obs_h + noise_var * eye
-    m_mat = powers[:, np.newaxis] * (
-        a_obs_h @ np.linalg.solve(cov_y, a_obs)) * powers
-
-    proj_d = (eye - a_obs @ np.linalg.pinv(a_obs)) @ d_obs
+    gram = a_obs_h @ a_obs
+    m_mat = powers[:, np.newaxis] * np.linalg.solve(
+        gram * powers + noise_var * np.eye(params.n_paths), gram) * powers
+    proj_d = d_obs - a_obs @ (np.linalg.pinv(gram) @ (a_obs_h @ d_obs))
     k_mat = proj_d.conj().swapaxes(-1, -2) @ proj_d
     # fim[i, j] pairs K_ij with M[path of j, path of i].
     fim = (2.0 / noise_var) * np.real(

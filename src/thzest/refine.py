@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import _fft_size
+from .arrays import _row_autocorrelation
 
 N_SCAN_POINTS = 401
 
@@ -56,10 +56,7 @@ def _periodogram(received: np.ndarray, pilot_matrix: np.ndarray,
     of B^H B and r_{-d} = conj(r_d), so numerator and denominator are one
     zoom DFT of a (2, M, N_T) stack.
     """
-    n_antennas = pilot_matrix.shape[1]
-    f_b = np.fft.fft(pilot_matrix, _fft_size(n_antennas))
-    r = np.fft.ifft(np.sum(f_b.real ** 2 + f_b.imag ** 2, axis=0))
-    r = r[:n_antennas]
+    r = _row_autocorrelation(pilot_matrix)
     # Row m of Y^H B is v_m^H; each row of r goes with one subcarrier.
     seqs = np.stack(np.broadcast_arrays(received.conj().T @ pilot_matrix, r))
     phase = np.pi * np.asarray(eta)

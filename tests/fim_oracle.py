@@ -1,6 +1,7 @@
-"""Second-difference oracle for the closed-form Fisher information of
-`thzest.crb`, shared by the CRB unit tests and acceptance criterion 6, and
-the steering derivatives of one path that criterion 7 checks."""
+"""References for the closed-form Fisher information of `thzest.crb`: the
+P x P form it is derived from, and a second-difference oracle shared by
+the CRB unit tests and acceptance criterion 6; also the steering
+derivatives of one path that criterion 7 checks."""
 
 import numpy as np
 
@@ -20,6 +21,30 @@ def steering_derivatives_near(config: ArrayConfig, angle_rad: float,
     return _steering_derivatives(
         config, perturbed_steering(config, angle_rad, split, freq_hz, range_m),
         angle_rad, range_m, freq_hz)
+
+
+def dense_fim(config: ArrayConfig, params: ParamVector,
+              pilot_matrix: np.ndarray, signal_powers, noise_var: float,
+              freq_hz: float) -> np.ndarray:
+    """The signal-parameter FIM at one frequency from P x P matrices.
+
+    F_ij = (2/mu^2) Re Tr{M K_ij} with M = S A'^H Pi_y^{-1} A' S, Pi_y the
+    P x P covariance, and K_ij = dA_i^H (I - A' A'^+) dA_j, the projector
+    built from `pinv` of the P x L observed steering matrix A'.
+    """
+    a_mat, d_mat, paths = _steering_and_derivs(config, params, freq_hz)
+    a_obs = pilot_matrix @ a_mat
+    d_obs = pilot_matrix @ d_mat
+    powers = np.atleast_1d(np.asarray(signal_powers, dtype=float))
+    eye = np.eye(len(pilot_matrix))
+    cov_y = (a_obs * powers) @ a_obs.conj().T + noise_var * eye
+    m_mat = powers[:, np.newaxis] * (
+        a_obs.conj().T @ np.linalg.solve(cov_y, a_obs)) * powers
+    proj_d = (eye - a_obs @ np.linalg.pinv(a_obs)) @ d_obs
+    k_mat = proj_d.conj().T @ proj_d
+    fim = (2.0 / noise_var) * np.real(
+        m_mat[paths[np.newaxis, :], paths[:, np.newaxis]] * k_mat)
+    return 0.5 * (fim + fim.T)
 
 
 def numeric_fim(config: ArrayConfig, params: ParamVector,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +41,17 @@ IDENTITY = toeplitz_spectrum(np.eye(16)[:1])
 
 # (n_antennas, n_pilots, grid_size, n_subcarriers, n_paths) of the trials
 # on which the structured LMMSE and OMP must match their dense references.
+# Below 2 N_T - 1 grid points OMP's autocorrelation lags fold onto the grid.
 STRUCTURE_CASES = {
     "desk": (64, 16, 512, 8, 1),
     "paper-m8": (256, 32, 2048, 8, 1),
+    "paper-m128": (256, 32, 2048, 128, 1),
+    "paper-three-paths": (256, 32, 2048, 8, 3),
     "tall-pilots": (16, 20, 64, 4, 1),
     "three-paths": (64, 16, 512, 8, 3),
     "one-subcarrier": (64, 16, 512, 1, 1),
+    "grid-of-n-antennas": (16, 8, 16, 4, 2),
+    "odd-folded-grid": (16, 8, 21, 4, 2),
 }
 
 
@@ -172,12 +178,15 @@ class TestMmse:
             cfg, grid, _, _, channel, obs = _structure_trial(case, seed)
             cols = np.stack([oracle_covariance(cfg, float(f))
                              for f in grid.frequencies])
-            covs = np.stack([toeplitz(c) for c in cols])
             spectra = toeplitz_spectrum(cols)
             est = mmse_estimate(obs.beamformer, obs.received, spectra,
                                 obs.noise_var)
-            ref = _dense_mmse(obs.beamformer, obs.received, covs,
-                              obs.noise_var)
+            # One dense covariance at a time: at M = 128 the stack would
+            # take 128 MiB.
+            ref = np.concatenate(
+                [_dense_mmse(obs.beamformer, y[:, np.newaxis],
+                             toeplitz(c)[np.newaxis], obs.noise_var)
+                 for y, c in zip(obs.received.T, cols)], axis=1)
             assert est.shape == channel.per_subcarrier.shape
             np.testing.assert_allclose(est, ref, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(ref)))
@@ -509,6 +518,20 @@ class TestOmpJoint:
             assert support == ref_support
             np.testing.assert_allclose(est, ref, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_peak_allocation_below_one_sensed_block(self):
+        # At paper-point size no P x G array is built: one call's traced
+        # peak stays below the 1 MiB of one P x G complex block.
+        cfg, _, grid_size, n_paths, _, obs = _structure_trial("paper-m8", 0)
+        d = build_dictionary(cfg, grid_size)
+        d.first_atom  # cached, as in a sweep, before the traced call
+        tracemalloc.start()
+        try:
+            omp_estimate_joint(obs.beamformer, d, obs.received, n_paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < obs.beamformer.shape[0] * grid_size * 16
 
     def test_rejects_non_half_wavelength_array(self):
         # Only half-wavelength spacing makes the grid's atoms a DFT.

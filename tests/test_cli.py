@@ -278,6 +278,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and flag in captured.err
 
+    @pytest.mark.parametrize("command", ["sweep", "crb"])
+    @pytest.mark.parametrize("values, item", [("10,x", "'x'"), (",", "''")],
+                             ids=["letter", "empty-items"])
+    def test_bad_values_item_exits_one_naming_flag_and_item(
+            self, capsys, monkeypatch, command, values, item):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up built for a bad --values item")
+
+        monkeypatch.setattr(harness.EstimatorContext, "build", no_setup)
+        assert main([command, "--values", values]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --values: sweep value must be a "
+                                f"number, got {item}\n")
+
 
 class TestScenarioRoundTrip:
     def test_json_round_trip_preserves_observation(self):

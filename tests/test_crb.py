@@ -7,7 +7,7 @@ from thzest.arrays import ArrayConfig, Direction, SubcarrierGrid, steering
 from thzest.channel import PathParams, channel_from_paths, gen_pilot_matrix
 from thzest.crb import ParamVector, crb, perturbed_steering
 
-from fim_oracle import numeric_fim, steering_derivatives_near
+from fim_oracle import dense_fim, numeric_fim, steering_derivatives_near
 
 CFG4 = ArrayConfig.half_wavelength(4, 300e9)
 CFG16 = ArrayConfig.half_wavelength(16, 300e9)
@@ -158,3 +158,35 @@ class TestFrequencyVector:
             ref = numeric_fim(CFG4, params, np.eye(4), powers, 0.05, f)
             np.testing.assert_allclose(rep.fim[m], ref,
                                        atol=2e-2 * np.max(np.abs(ref)))
+
+
+class TestDenseReference:
+    # Unequal powers, so that an S on the wrong side of the L x L algebra
+    # shows; identical paths make A' rank-deficient.
+    FREQS = SubcarrierGrid.build(8, 30e9, 300e9).frequencies
+    POWERS = [16.0, 1.0, 0.25]
+    DIRECTIONS, SPLITS, RANGES = [0.3, -0.6, 0.1], [0.0, 0.01, -0.02], \
+        [3.0, 1.5, 9.0]
+
+    @pytest.mark.parametrize("pilots", ["12-on-16", "identity"])
+    @pytest.mark.parametrize("field", ["far", "near"])
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, "identical"])
+    def test_matches_projector_form(self, pilots, field, n_paths):
+        if n_paths == "identical":
+            directions, splits, ranges = [0.3, 0.3], [0.0, 0.0], [3.0, 3.0]
+        else:
+            directions, splits, ranges = (
+                x[:n_paths] for x in (self.DIRECTIONS, self.SPLITS,
+                                      self.RANGES))
+        params = ParamVector(directions, splits,
+                             ranges if field == "near" else None)
+        powers = self.POWERS[:params.n_paths]
+        b = gen_pilot_matrix(CFG16, 12, rng_seed=3) if pilots == "12-on-16" \
+            else np.eye(16)
+        rep = crb(CFG16, params, b, powers, 0.01, self.FREQS)
+        for m, f in enumerate(self.FREQS):
+            ref = dense_fim(CFG16, params, b, powers, 0.01, float(f))
+            np.testing.assert_allclose(rep.fim[m], ref, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(ref)))
+            np.testing.assert_allclose(rep.crb_diag[m], 1.0 / np.diag(ref),
+                                       rtol=1e-10)
