@@ -121,11 +121,18 @@ def mmse_estimate(pilot_matrix: np.ndarray, y: np.ndarray,
         raise ValueError(f"covariance spectra of length {n_fft} cannot "
                          f"embed {n_antennas} x {n_antennas} matrices")
     b_hat = n_fft * np.fft.ifft(pilot_matrix, n_fft)
-    b_hat_h = b_hat.conj().T
+    # lam_m is real, so B_hat diag(lam_m) B_hat^H is the conjugate of
+    # (conj(B_hat) lam_m) B_hat^T, bit for bit: no conjugated copy of
+    # B_hat is kept, and one P x F buffer holds each weighted factor.
+    weighted = np.empty_like(b_hat)
     gram = np.empty((len(cov_spectra), n_pilots, n_pilots), dtype=complex)
     for out, lam in zip(gram, cov_spectra):
-        np.matmul(b_hat * lam, b_hat_h, out=out)
-    gram = gram / n_fft + noise_var * np.eye(n_pilots)
+        np.conjugate(b_hat, out=weighted)
+        weighted *= lam
+        np.matmul(weighted, b_hat.T, out=out)
+    np.conjugate(gram, out=gram)
+    gram /= n_fft
+    gram += noise_var * np.eye(n_pilots)
     x = np.linalg.solve(gram, y.T[..., np.newaxis])[..., 0].T
     v = np.fft.fft(pilot_matrix.conj().T @ x, n_fft, axis=0)
     return np.fft.ifft(v * cov_spectra.T, axis=0)[:n_antennas]

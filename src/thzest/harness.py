@@ -16,7 +16,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -451,6 +450,14 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity mask outside Linux
         return os.cpu_count() or 1
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """`concurrent.futures.ProcessPoolExecutor`, imported on the first
+    pooled run: the import loads multiprocessing, socket, subprocess and
+    queue, which a serial run never uses."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def run_point(config: ExperimentConfig, points) -> list[list[dict]]:

@@ -28,7 +28,10 @@ def _zoom_dft(x: np.ndarray, start: np.ndarray, step: np.ndarray,
 
     Bluestein's chirp-z transform: n k = (n^2 + k^2 - (k - n)^2) / 2 turns
     the sum into a convolution with the chirp exp(-j step (k - n)^2 / 2),
-    three FFTs of F >= N + n_out - 1 points along the last axis.
+    three FFTs of F >= N + n_out - 1 points along the last axis.  The
+    pre-chirp, both transforms of the convolution and the post-chirp run
+    in place in one zero-padded (..., M, F) buffer, and the kernel is
+    transformed in place; the result is a view of that buffer.
     """
     n_in = x.shape[-1]
     n_fft = 1 << (n_in + n_out - 2).bit_length()
@@ -38,10 +41,20 @@ def _zoom_dft(x: np.ndarray, start: np.ndarray, step: np.ndarray,
     # Lags -(N - 1)..n_out - 1 wrap onto the F points; the rest are unread.
     lag = np.arange(n_fft)
     lag = np.where(lag < n_out, lag, lag - n_fft)
-    kernel = np.fft.fft(np.exp(-1j * half_step * lag ** 2))
-    pre = np.exp(1j * (start * n + half_step * n ** 2))
-    conv = np.fft.ifft(np.fft.fft(x * pre, n_fft) * kernel)[..., :n_out]
-    return np.exp(1j * half_step * np.arange(n_out) ** 2) * conv
+    kernel = -1j * half_step * lag ** 2
+    np.exp(kernel, out=kernel)
+    np.fft.fft(kernel, out=kernel)
+    buf = np.zeros(x.shape[:-1] + (n_fft,), dtype=complex)
+    np.multiply(x, np.exp(1j * (start * n + half_step * n ** 2)),
+                out=buf[..., :n_in])
+    np.fft.fft(buf, out=buf)
+    buf *= kernel
+    np.fft.ifft(buf, out=buf)
+    conv = buf[..., :n_out]
+    # chirp * conv, in that order: complex products need not commute in
+    # the last bit.
+    return np.multiply(np.exp(1j * half_step * np.arange(n_out) ** 2), conv,
+                       out=conv)
 
 
 def _periodogram(received: np.ndarray, pilot_matrix: np.ndarray,

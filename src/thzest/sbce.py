@@ -66,16 +66,21 @@ class _DftFactor(NamedTuple):
     factor A = B diag(c * d_0) and W_in = w^{in}.  f_a = fft(A, F) is its
     zero-padded row transform, F >= 2 N_T - 1, the one `_gram` and `_e_step`
     read.  Every array carries a leading row axis: a is R x P x N_T and f_a
-    is R x P x F.  N is the length of the sigma that goes with it.
+    is R x P x F.  work, of f_a's shape, is the scratch in which `_gram`
+    weights the transform and `_e_step` forms L^{-1} f_a, so that an E-step
+    allocates no R x P x F array.  N is the length of the sigma that goes
+    with it.
     """
 
     a: np.ndarray
     f_a: np.ndarray
+    work: np.ndarray
 
 
 def _dft_factor(a: np.ndarray) -> _DftFactor:
     """R x P x N_T factors A_r with their row transforms, one FFT for all."""
-    return _DftFactor(a, np.fft.fft(a, _fft_size(a.shape[-1])))
+    f_a = np.fft.fft(a, _fft_size(a.shape[-1]))
+    return _DftFactor(a, f_a, np.empty_like(f_a))
 
 
 def _herm(stack: np.ndarray) -> np.ndarray:
@@ -103,7 +108,7 @@ def _gram(factor: _DftFactor, sigma: np.ndarray) -> np.ndarray:
     sigma is real, so tau' is Hermitian: rfft gives its lags 0 .. N/2, and
     a lag d > N/2, reached only when the grid wraps (N < 2 N_T - 1), is
     conj(tau'_{N-d}).  lam' is then the hfft of tau'_0 .. tau'_{N_T-1}."""
-    a, f_a = factor
+    a, f_a, work = factor
     k, n_fft, n_grid = a.shape[-1], f_a.shape[-1], sigma.shape[-1]
     tau = np.fft.rfft(sigma)
     lag = np.arange(k)
@@ -112,9 +117,8 @@ def _gram(factor: _DftFactor, sigma: np.ndarray) -> np.ndarray:
     half[:, :k] = tau[:, np.where(wrapped, n_grid - lag, lag)]
     np.conjugate(half[:, :k], out=half[:, :k], where=wrapped)
     lam = np.fft.hfft(half, n_fft)
-    # conj(f_a) diag(lam') f_a^T = S^T is formed in place: one R x P x F
-    # temporary, not two.
-    weighted = f_a.conj()
+    # conj(f_a) diag(lam') f_a^T = S^T is formed in the factor's workspace.
+    weighted = np.conjugate(f_a, out=work)
     weighted *= lam[:, np.newaxis, :]
     s_mat = np.swapaxes(weighted @ np.swapaxes(f_a, -1, -2), -1, -2) / n_fft
     return 0.5 * (s_mat + _herm(s_mat))
@@ -165,7 +169,7 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
     Cholesky factor or inverse does not exist, or whose posterior is not
     finite, is flagged in `failed`; its other fields are meaningless.
     """
-    a, f_a = factor
+    a, f_a, work = factor
     k, n_fft, n_grid = a.shape[-1], f_a.shape[-1], sigma.shape[-1]
     s_mat = _gram(factor, sigma)
     failed = np.zeros(len(sigma), dtype=bool)
@@ -176,9 +180,10 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
     u = _herm(l_inv) @ (l_inv @ y[:, :, np.newaxis])
     # A^H u = conj(u^H A): u is conjugated, not A.
     z = sigma * np.fft.fft((_herm(u) @ a)[:, 0, :].conj(), n_grid)
-    # |g|^2 is squared in place, in one pass over g's own memory, and
-    # summed over rows before its real and imaginary halves are added.
-    g = l_inv @ f_a
+    # g = L^{-1} f_a takes the workspace from `_gram`'s weighted transform;
+    # |g|^2 is squared in place, in one pass over g's memory, and summed
+    # over rows before its real and imaginary halves are added.
+    g = np.matmul(l_inv, f_a, out=work)
     g2 = g.view(np.float64)
     np.square(g2, out=g2)
     g2 = np.sum(g2, axis=1)
@@ -295,11 +300,13 @@ def fit_centres(observations, dictionary: Dictionary):
     leaves when it converges, reaches `MAX_ITERS` iterations of its own or
     breaks down, and the next observation takes its slot in place, so the
     stack stays full until the queue drains; only then is it compacted.
-    The stack copies in a row's pilots and centre column and keeps only
-    its key; the leaving rows of an iteration are yielded, and their keys
-    dropped, before the next observation is read, so draws kept in the
-    keys number at most `stack_rows`.  Every step is per row, so a row's
-    fit does not depend on the other rows of its stack.
+    The stack keeps a reference to a row's pilots, a copy of its centre
+    column and its key, and one R x P x F workspace that every E-step
+    reuses; the leaving rows of an iteration are yielded, after the
+    iteration's posterior is dropped, and their keys dropped before the
+    next observation is read, so draws kept in the keys number at most
+    `stack_rows`.  Every step is per row, so a row's fit does not depend
+    on the other rows of its stack.
     ValueError unless the pilots have the N_T of the dictionary's
     half-wavelength array.
     """
@@ -315,13 +322,23 @@ def fit_centres(observations, dictionary: Dictionary):
     queue = itertools.chain([head], queue)
     del head
     n_rows = stack_rows(n_pilots, n_antennas)
-    rows = np.empty(n_rows, dtype=object)    # the caller's key in each slot
-    b = np.empty((n_rows, n_pilots, n_antennas), dtype=complex)
+    n_fft = _fft_size(n_antennas)
+    # The caller's key and the row's pilots B in each slot.
+    rows, b = (np.empty(n_rows, dtype=object) for _ in range(2))
     y = np.empty((n_rows, n_pilots), dtype=complex)
     freq, energy, noise_var = (np.empty(n_rows) for _ in range(3))
     sigma = np.empty((n_rows, dictionary.grid_size))
-    factor = _DftFactor(np.empty_like(b), np.empty(
-        (n_rows, n_pilots, _fft_size(n_antennas)), dtype=complex))
+    factor = _DftFactor(
+        np.empty((n_rows, n_pilots, n_antennas), dtype=complex),
+        *(np.empty((n_rows, n_pilots, n_fft), dtype=complex)
+          for _ in range(2)))
+
+    def set_factor(slot, diag):
+        """A = B diag(diag) of a slot, diag = c * d_0, and its row
+        transform, in place."""
+        np.multiply(b[slot], diag, out=factor.a[slot])
+        np.fft.fft(factor.a[slot], n_fft, out=factor.f_a[slot])
+
     # When the true direction falls midway between two grid cells the peak
     # can alternate between them forever, with the perturbation rebuild and
     # the prior variances flipping in a period-2 limit cycle.  Detect the
@@ -343,7 +360,7 @@ def fit_centres(observations, dictionary: Dictionary):
             raise ValueError(
                 "dimension mismatch: dictionary rows != n_antennas")
         center = grid.center_index
-        b[slot] = obs.beamformer
+        b[slot] = np.asarray(obs.beamformer, dtype=complex)
         y[slot] = obs.received[:, center]
         freq[slot] = grid.frequencies[center]
         energy[slot] = _sq_norms(y[slot:slot + 1])[0] / n_pilots
@@ -352,7 +369,7 @@ def fit_centres(observations, dictionary: Dictionary):
         # Peak atom -1 stands for C = I, the factor of every new row.
         peak[slot] = before[slot] = -1
         flips[slot] = its[slot] = 0
-        factor.a[slot], factor.f_a[slot] = _dft_factor(b[slot] * first_atom)
+        set_factor(slot, first_atom)
         return True
 
     leaving = np.arange(n_rows)     # every slot starts empty
@@ -361,7 +378,8 @@ def fit_centres(observations, dictionary: Dictionary):
         for r in leaving:
             keep[r] = admit(r, next(queue, None))
         if not keep.all():
-            factor = _DftFactor(*(x[keep] for x in factor))
+            factor = _DftFactor(factor.a[keep], factor.f_a[keep],
+                                factor.work[:keep.sum()])
             rows, b, y, freq, energy, noise_var, sigma, peak, before, flips, \
                 its = (x[keep] for x in (rows, b, y, freq, energy, noise_var,
                                          sigma, peak, before, flips, its))
@@ -402,17 +420,16 @@ def fit_centres(observations, dictionary: Dictionary):
             c = update_perturbation_diag(
                 n_antennas, dictionary.grid_points[peak[moved]], freq[moved],
                 array_config.carrier_freq_hz)
-            # Row by row, so that the transforms' temporaries stay those
-            # of one row.
             for r, c_r in zip(np.flatnonzero(moved), c.T):
-                factor.a[r], factor.f_a[r] = \
-                    _dft_factor(b[r] * (c_r * first_atom))
+                set_factor(r, c_r * first_atom)
 
         delta_sigma = np.sqrt(_sq_norms(sigma_new - sigma))
         norm_sigma = np.sqrt(_sq_norms(sigma_new))
         done = ~failed & (norm_sigma > 0)
         done[done] = delta_sigma[done] / norm_sigma[done] < CONVERGENCE_TOL
         sigma = sigma_new
+        # The posterior goes before the leaving rows' estimators run.
+        del post, quality, power, sigma_new
         leaving = np.flatnonzero(done | failed | (its >= MAX_ITERS))
         for r in leaving:
             if failed[r]:

@@ -6,9 +6,12 @@ import functools
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +450,30 @@ class TestTrialCrb:
                        float(grid.frequencies[grid.center_index])).crb_diag[0]
         dir_var, _ = harness._trial_crb(channel, obs)
         assert dir_var == pytest.approx(expected, rel=1e-9)
+
+
+def test_serial_run_imports_no_pool(tmp_path):
+    # A fresh interpreter that imports the CLI and runs a serial sweep
+    # never loads the process pool; importing the pool does load the
+    # modules looked for, so their absence is not vacuous.
+    script = (
+        "import sys\n"
+        "from thzest.cli import main\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "code = main(['sweep', '--preset', 'desk', '--trials', '1',\n"
+        "             '--threads', '1', '--out', sys.argv[1]])\n"
+        "print(code, [m for m in pool if m in sys.modules])\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "print([m for m in pool if m in sys.modules])\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "desk.csv")], env=env,
+        capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.splitlines() == [
+        f"{EXIT_OK} []", "['multiprocessing', 'concurrent.futures.process']"]
+    assert (tmp_path / "desk.csv").read_text().count("\n") == 2 + 4 * 4
 
 
 class TestDeterminism:

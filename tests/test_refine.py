@@ -1,5 +1,7 @@
 """Off-grid direction refinement tests: the wideband periodogram."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,27 @@ class TestRefineDirection:
         # lands on the nearest scan point, two cells either side at most.
         assert abs(refined - true_sine) <= 4 / N_GRID / (N_SCAN_POINTS - 1)
         assert abs(refined - coarse) <= 4 / N_GRID
+
+    def test_paper_size_scan_peaks_below_10_mib(self):
+        # N_T = 256 and M = 128: the chirp-z transform of the (2, M, N_T)
+        # stack runs in one (2, M, 1024) buffer of 4 MiB, beside the 2 MiB
+        # kernel; three such arrays held at once would pass 10 MiB.
+        cfg = ArrayConfig.half_wavelength(256, 300e9)
+        grid = SubcarrierGrid.build(128, 30e9, 300e9)
+        pilots = gen_pilot_matrix(cfg, 32, rng_seed=1)
+        rng = np.random.default_rng(1)
+        received = rng.standard_normal((32, 128)) + \
+            1j * rng.standard_normal((32, 128))
+        eta = grid.frequencies / cfg.carrier_freq_hz
+        args = (0.3, received, pilots, eta, 2048)
+        refine_direction(*args)    # FFT plans
+        tracemalloc.start()
+        try:
+            refine_direction(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
     def test_rejects_invalid_coarse_direction(self):
         for coarse in (1.5, np.nan, np.inf, -np.inf):

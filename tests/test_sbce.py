@@ -1,5 +1,7 @@
 """EM estimator unit tests: posterior identities, updates, perturbation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +188,48 @@ class TestStructuredEStep:
         sigma = rng.uniform(0.0, 1.0, grid_size) ** 8
         y = rng.standard_normal(n_pilots) + 1j * rng.standard_normal(n_pilots)
         _check_against_dense(a, grid_size, sigma, noise_ratio, y)
+
+
+class TestWorkspace:
+    @staticmethod
+    def _paper_rows(n_rows=2, n_antennas=256, n_pilots=32, grid_size=2048):
+        """A factor of paper-size rows and an E-step's other arguments."""
+        cfg = ArrayConfig.half_wavelength(n_antennas, 300e9)
+        d = build_dictionary(cfg, grid_size)
+        rng = np.random.default_rng(5)
+        b = np.stack([gen_pilot_matrix(cfg, n_pilots, rng_seed=rng)
+                      for _ in range(n_rows)])
+        sigma = rng.uniform(0.1, 2.0, (n_rows, grid_size))
+        y = rng.standard_normal((n_rows, n_pilots)) + \
+            1j * rng.standard_normal((n_rows, n_pilots))
+        return (sbce._dft_factor(b * d.first_atom), sigma,
+                np.full(n_rows, 0.1), y)
+
+    def test_paper_size_e_step_allocates_less_than_one_block(self):
+        # The weighted transform and L^{-1} f_a are written into the
+        # factor's workspace, so an E-step of R = 2 paper-size rows
+        # allocates less than one R x P x F block (512 KiB).
+        factor, sigma, noise_var, y = self._paper_rows()
+        block = factor.f_a.nbytes
+        assert block == 2 * 32 * 512 * 16
+        sbce._e_step(factor, sigma, noise_var, y)    # FFT plans
+        tracemalloc.start()
+        try:
+            sbce._e_step(factor, sigma, noise_var, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block
+
+    def test_workspace_contents_never_read(self):
+        # A workspace left full of NaN by an earlier call gives the same
+        # bits as a fresh one.
+        factor, sigma, noise_var, y = self._paper_rows()
+        fresh = sbce._e_step(factor, sigma, noise_var, y)
+        factor.work.fill(np.nan)
+        reused = sbce._e_step(factor, sigma, noise_var, y)
+        for got, want in zip(reused, fresh):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGram:
