@@ -203,6 +203,22 @@ def _row_autocorrelation(rows: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.sum(f.real ** 2 + f.imag ** 2, axis=0))[:n]
 
 
+def _lag_spectrum(lags: np.ndarray, n_points: int) -> np.ndarray:
+    """sum_{|d| < N} r_d exp(-2 pi j d k / G) at k < G = n_points, from the
+    lags r_0..r_{N-1} on the last axis of a Hermitian sequence, r_{-d} =
+    conj(r_d); leading axes broadcast.  One G-point `hfft` of the lags
+    folded onto its half: lag d sits at d mod G and -d at G - d; for
+    G < 2 N - 1 some of them land on the same point, and the ones past the
+    half enter as the conjugates of their mirrors.  Needs G >= N."""
+    n = lags.shape[-1]
+    half = np.zeros(lags.shape[:-1] + (n_points // 2 + 1,), dtype=complex)
+    n_pos = min(n, half.shape[-1])
+    half[..., :n_pos] = lags[..., :n_pos]
+    half[..., n_points - n + 1:] += \
+        lags[..., (n_points + 1) // 2:n][..., ::-1].conj()
+    return np.fft.hfft(half, n_points)
+
+
 def _check_dft_grid(config: ArrayConfig, estimator: str) -> None:
     """Raise ValueError unless the grid's atoms are a zero-padded DFT.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import (SPEED_OF_LIGHT, ArrayConfig, Dictionary, _check_dft_grid,
-                     _fft_size, _row_autocorrelation, steering)
+                     _fft_size, _lag_spectrum, _row_autocorrelation, steering)
 
 
 def ls_estimate(pilot_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -216,21 +216,6 @@ def oracle_covariance(config: ArrayConfig, freq_hz: float) -> np.ndarray:
     """
     kappa = 2.0 * np.pi * config.element_spacing_m * freq_hz / SPEED_OF_LIGHT
     return _bessel_j0(kappa * np.arange(config.n_antennas))
-
-
-def _lag_spectrum(lags: np.ndarray, n_points: int) -> np.ndarray:
-    """sum_{|d| < N} r_d exp(-2 pi j d k / G) at k < G = n_points, from the
-    lags r_0..r_{N-1} of a Hermitian sequence, r_{-d} = conj(r_d): one
-    G-point `hfft` of the lags folded onto its half.  Lag d sits at d mod G
-    and -d at G - d; for G < 2 N - 1 some of them land on the same point,
-    and the ones past the half enter as the conjugates of their mirrors.
-    Needs G >= N."""
-    half = np.zeros(n_points // 2 + 1, dtype=complex)
-    n_pos = min(lags.size, half.size)
-    half[:n_pos] = lags[:n_pos]
-    d = np.arange((n_points + 1) // 2, lags.size)
-    half[n_points - d] += lags[d].conj()
-    return np.fft.hfft(half, n_points)
 
 
 def omp_estimate_joint(pilot_matrix: np.ndarray, dictionary: Dictionary,

@@ -52,12 +52,6 @@ class PilotObservation:
     noise_var: float
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def channel_from_paths(config: ArrayConfig, grid: SubcarrierGrid,
                        paths) -> np.ndarray:
     """Evaluate h[m] = sqrt(N_T/L) * sum_l alpha_l a'(theta_m,l) e^{-j2pi tau_l f_m}.
@@ -93,7 +87,7 @@ def gen_channel(config: ArrayConfig, grid: SubcarrierGrid, n_paths: int,
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario == "far" and range_m is not None:
         raise ValueError("range_m needs scenario = near")
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     nlos_mag = 10.0 ** (NLOS_GAIN_DB / 20.0)
     paths = []
     for l in range(n_paths):
@@ -118,7 +112,7 @@ def gen_pilot_matrix(config: ArrayConfig, n_pilots: int, rng_seed=0) -> np.ndarr
     phases are drawn uniform in [-1, 1] rad, not over the full circle."""
     if n_pilots < 1:
         raise ValueError("n_pilots must be >= 1")
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     phases = rng.uniform(-1.0, 1.0, size=(n_pilots, config.n_antennas))
     return np.exp(1j * phases) / np.sqrt(config.n_antennas)
 
@@ -132,7 +126,7 @@ def observe(channel: ChannelRealization, beamformer: np.ndarray,
     """
     if beamformer.shape[1] != channel.config.n_antennas:
         raise ValueError("dimension mismatch: beamformer columns != n_antennas")
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     n_pilots = beamformer.shape[0]
     clean = beamformer @ channel.per_subcarrier
     signal_power = np.mean(np.sum(np.abs(clean) ** 2, axis=0))

@@ -188,9 +188,9 @@ class ExperimentConfig:
             raise ValueError("output_path must be a path")
 
     def _check_lowest_subcarrier(self, name: str, bandwidth: float) -> None:
-        # SubcarrierGrid.build's lowest frequency, rounded the same way.
         m = self.n_subcarriers
-        lowest = self.carrier_freq_hz - bandwidth / m * ((m - 1) / 2)
+        lowest = SubcarrierGrid.build(m, bandwidth,
+                                      self.carrier_freq_hz).frequencies[0]
         if lowest <= 0:
             raise ValueError(
                 f"{name} {bandwidth:g} puts the lowest of {m} subcarriers "

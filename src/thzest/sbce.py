@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import (Dictionary, SubcarrierGrid, _check_dft_grid, _fft_size,
-                     _split_diag, steering)
+                     _lag_spectrum, _split_diag, steering)
 from . import refine
 
 
@@ -107,16 +107,15 @@ def _gram(factor: _DftFactor, sigma: np.ndarray) -> np.ndarray:
 
     sigma is real, so tau' is Hermitian: rfft gives its lags 0 .. N/2, and
     a lag d > N/2, reached only when the grid wraps (N < 2 N_T - 1), is
-    conj(tau'_{N-d}).  lam' is then the hfft of tau'_0 .. tau'_{N_T-1}."""
+    conj(tau'_{N-d}).  lam' is then the `_lag_spectrum` of tau'_0 ..
+    tau'_{N_T-1}."""
     a, f_a, work = factor
     k, n_fft, n_grid = a.shape[-1], f_a.shape[-1], sigma.shape[-1]
-    tau = np.fft.rfft(sigma)
     lag = np.arange(k)
     wrapped = lag > n_grid // 2
-    half = np.zeros((len(sigma), n_fft // 2 + 1), dtype=complex)
-    half[:, :k] = tau[:, np.where(wrapped, n_grid - lag, lag)]
-    np.conjugate(half[:, :k], out=half[:, :k], where=wrapped)
-    lam = np.fft.hfft(half, n_fft)
+    lags = np.fft.rfft(sigma)[:, np.where(wrapped, n_grid - lag, lag)]
+    np.conjugate(lags, out=lags, where=wrapped)
+    lam = _lag_spectrum(lags, n_fft)
     # conj(f_a) diag(lam') f_a^T = S^T is formed in the factor's workspace.
     weighted = np.conjugate(f_a, out=work)
     weighted *= lam[:, np.newaxis, :]
@@ -164,7 +163,7 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
     - Tr{P' Pi P'^H} = Tr{S} - ||L^{-1} S||_F^2.
     Each row costs O(P^2 F + N log N) instead of O(P^2 N).  sigma and
     |L^{-1} f_a|^2 are real, so tau, lam and rho come from half-length
-    transforms (rfft, hfft), in one code path for the padded
+    transforms (rfft, `_lag_spectrum`), in one code path for the padded
     (N >= 2 N_T - 1), wrapped and square (N = N_T) grids.  A row whose
     Cholesky factor or inverse does not exist, or whose posterior is not
     finite, is flagged in `failed`; its other fields are meaningless.
@@ -189,15 +188,9 @@ def _e_step(factor: _DftFactor, sigma: np.ndarray, noise_var: np.ndarray,
     g2 = np.sum(g2, axis=1)
     g2 = g2[:, 0::2] + g2[:, 1::2]
     # rho_n = sum_{|d| < N_T} q_d w^{dn}, q = ifft(|g|^2) summed over rows,
-    # so rho = hfft(h) / F with h_d = F conj(q_d) = rfft(|g|^2)_d folded
-    # onto N points.  hfft reads h_0 .. h_{N/2}; lag -d lands on N - d with
-    # value conj(h_d), among them only when the grid wraps.
-    lags = np.fft.rfft(g2)
-    half = np.zeros((len(sigma), n_grid // 2 + 1), dtype=complex)
-    pos = min(k, n_grid // 2 + 1)
-    half[:, :pos] = lags[:, :pos]
-    half[:, n_grid - k + 1:] += lags[:, n_grid - n_grid // 2:k][:, ::-1].conj()
-    rho = np.fft.hfft(half, n_grid) / n_fft
+    # so rho is the N-point spectrum of the lags h_d = F conj(q_d) =
+    # rfft(|g|^2)_d, over F.
+    rho = _lag_spectrum(np.fft.rfft(g2)[:, :k], n_grid) / n_fft
     post_var = sigma - sigma ** 2 * rho
     trace_term = s_mat.trace(axis1=1, axis2=2).real \
         - _sq_norms(l_inv @ s_mat)

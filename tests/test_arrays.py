@@ -266,3 +266,40 @@ class TestDictionary:
         assert atoms.shape == direct.shape
         np.testing.assert_allclose(atoms, direct, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(atoms[:, 0], d.first_atom)
+
+
+class TestLagSpectrum:
+    @staticmethod
+    def _lags(rng, shape):
+        # Lags 0..N-1 of a Hermitian sequence: r_0 = conj(r_0) is real.
+        lags = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        lags[..., 0] = lags[..., 0].real
+        return lags
+
+    @pytest.mark.parametrize("n_lags, n_points", [
+        (8, 15), (8, 16), (8, 40), (7, 13), (7, 30),  # G >= 2 N - 1
+        (8, 9), (8, 11), (8, 13), (7, 9), (7, 11),    # folded, odd G
+        (8, 10), (8, 12), (8, 14), (7, 8), (7, 12),   # folded, even G
+        (8, 8), (7, 7), (1, 1), (2, 2)])              # G = N
+    def test_matches_direct_sum(self, n_lags, n_points):
+        # sum_{|d| < N} r_d exp(-2 pi j d k / G) with r_{-d} = conj(r_d).
+        lags = self._lags(np.random.default_rng(n_lags * 100 + n_points),
+                          (3, n_lags))
+        d = np.arange(1, n_lags)
+        phase = np.exp(-2j * np.pi * np.outer(d, np.arange(n_points))
+                       / n_points)
+        direct = lags[:, :1] + lags[:, 1:] @ phase \
+            + lags[:, 1:].conj() @ phase.conj()
+        got = arrays._lag_spectrum(lags, n_points)
+        assert got.shape == (3, n_points)
+        np.testing.assert_allclose(got, direct.real, rtol=1e-12,
+                                   atol=1e-12 * np.abs(lags).sum())
+        np.testing.assert_allclose(direct.imag, 0.0, atol=1e-12 * n_lags)
+
+    @pytest.mark.parametrize("n_lags, n_points", [(8, 16), (8, 11), (8, 8)])
+    def test_stack_equals_rows_bit_for_bit(self, n_lags, n_points):
+        lags = self._lags(np.random.default_rng(7), (5, n_lags))
+        rows = np.stack([arrays._lag_spectrum(row, n_points)
+                         for row in lags])
+        np.testing.assert_array_equal(
+            arrays._lag_spectrum(lags, n_points), rows)
